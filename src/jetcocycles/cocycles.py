@@ -36,7 +36,6 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
-    monomial_index,
     monomials,
 )
 from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, flow_map
@@ -50,6 +49,7 @@ from .geometry import (
 )
 from .operators import (
     Symbol,
+    _symbol_from_phase_jet,
     act_on_operator,
     build_L_covariant,
 )
@@ -414,28 +414,6 @@ def vect_embedding_cocycle(X: VectorField, P: Symbol, x: tuple) -> Symbol:
     return _symbol_from_phase_jet(out_jet, n, tuple(x))
 
 
-def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
-    from .operators import AnchoredJet
-
-    mo = out_jet.order
-    by_mu: dict[tuple, dict[tuple, Scalar]] = {}
-    for midx, c in zip(monomials(2 * n, mo), out_jet.coeffs):
-        if c == 0:
-            continue
-        alpha, mu = midx[:n], midx[n:]
-        by_mu.setdefault(mu, {})[alpha] = c
-    coeffs = {}
-    for mu, entries in by_mu.items():
-        order_left = mo - sum(mu)
-        idx = monomial_index(n, order_left)
-        data = [0] * len(monomials(n, order_left))
-        for alpha, c in entries.items():
-            if sum(alpha) <= order_left:
-                data[idx[alpha]] = c
-        coeffs[mu] = AnchoredJet(x, Jet(n, order_left, data))
-    return Symbol(n, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # the verification engine
 
@@ -465,7 +443,8 @@ class CaseResult:
 
 
 def _residual_str(r: Scalar) -> str:
-    return repr(r) if isinstance(r, float) else str(r)
+    # float() unwraps numpy scalars, whose repr reads "np.float64(...)"
+    return repr(float(r)) if isinstance(r, float) else str(r)
 
 
 class GroupCocycleCandidate:

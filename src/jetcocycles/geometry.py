@@ -191,6 +191,15 @@ def lift_connection(gamma: Connection) -> Connection:
 # pullbacks and the comparison tensor
 
 
+def _dot(xs, ys) -> Jet | None:
+    """Sum of x * y over the pairs with no zero factor; ``None`` stands for 0."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            acc = x * y if acc is None else acc + x * y
+    return None if acc is None or acc.is_zero() else acc
+
+
 def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                          order: int, with_inhomogeneous: bool) -> Components:
     d = mapping.dim
@@ -198,43 +207,42 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         raise JetShapeError("map and field dimensions differ")
     fj = mapping.eval_jet(point, order + 2)
     image = tuple(j.value for j in fj)
-    jac = [[fj[a].partial(i).truncated(order + 1) for i in range(d)] for a in range(d)]
-    jac_inv = mat_inv([[jac[a][i].truncated(order) for i in range(d)] for a in range(d)])
+    jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]  # order + 1
+    jac = [[e.truncated(order) for e in row] for row in jac1]
+    jac_inv = [[None if e.is_zero() else e for e in row] for row in mat_inv(jac)]
+    jac_t = [[None if row[i].is_zero() else row[i] for row in jac] for i in range(d)]
 
-    target = None
+    g_img = shifted = None
     if not (isinstance(field, Connection) and field.flat):
         g_img = field.components(image, order)
         shifted = [(j - j.value).truncated(order) for j in fj]
-        target = [
-            [
-                [jet_compose(g_img[c][a][b], shifted) for b in range(d)]
-                for a in range(d)
-            ]
-            for c in range(d)
-        ]
 
+    # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
+    # over b, then a, then c, 3 d^4 products instead of 2 d^6.
+    acc = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for c in range(d):
+        if g_img is None:
+            plane = [[None] * d for _ in range(d)]
+        else:
+            tc = [[None if g.is_zero() else jet_compose(g, shifted) for g in row]
+                  for row in g_img[c]]
+            tj = [[_dot(tc[a], jac_t[j]) for a in range(d)] for j in range(d)]
+            plane = [[_dot(jac_t[i], tj[j]) for j in range(d)] for i in range(d)]
+        if with_inhomogeneous:
+            for i in range(d):
+                for j in range(d):
+                    dj = jac1[c][j].partial(i)
+                    if not dj.is_zero():
+                        plane[i][j] = dj if plane[i][j] is None else plane[i][j] + dj
+        for k in range(d):
+            w = jac_inv[k][c]
+            for i in range(d):
+                for j in range(d):
+                    p = plane[i][j]
+                    if w is not None and p is not None:
+                        acc[k][i][j] = w * p if acc[k][i][j] is None else acc[k][i][j] + w * p
     zero = Jet.zero(d, order)
-    out = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                acc = Jet.zero(d, order)
-                for c in range(d):
-                    inner = Jet.zero(d, order)
-                    if target is not None:
-                        for a in range(d):
-                            for b in range(d):
-                                t = target[c][a][b]
-                                if t.is_zero():
-                                    continue
-                                inner = inner + t * jac[a][i].truncated(order) * jac[b][j].truncated(order)
-                    if with_inhomogeneous:
-                        inner = inner + jac[c][j].partial(i).truncated(order)
-                    if inner.is_zero():
-                        continue
-                    acc = acc + jac_inv[k][c] * inner
-                out[k][i][j] = acc
-    return out
+    return [[[zero if e is None else e for e in row] for row in rows] for rows in acc]
 
 
 def pullback_connection(mapping: DiffeoMap, gamma: Connection) -> Connection:

@@ -21,7 +21,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jets import EvaluationError, Jet, Polynomial, monomials
+from .jets import (
+    EvaluationError,
+    Jet,
+    JetShapeError,
+    Polynomial,
+    SingularJacobianError,
+    monomials,
+)
 from .maps import DiffeoMap, VectorField, catalog_get, cotangent_lift
 from .geometry import Connection, lift_connection
 from .operators import Symbol, apply_op_to_symbol, build_L_covariant, build_L_flat
@@ -67,6 +74,10 @@ ALL_SUITES = (
 SCHEMA_VERSION = 1
 PAIR_CAP = 12
 RETRY_BUDGET = 64
+# what a regularity test may raise at a bad point: a pole or an unevaluable
+# map, a singular Jacobian, or a math-domain failure on the float backend
+_REGULARITY_ERRORS = (EvaluationError, SingularJacobianError, ZeroDivisionError,
+                      OverflowError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -83,8 +94,18 @@ class ScenarioConfig:
     seed: int = 0
     suites: tuple = ALL_SUITES
     maps: list = field(default_factory=list)
+    # catalog maps built from ``maps`` (or the default pool) by validate()
+    pool: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def validate(self):
+        for name in ("dim", "jet_order", "samples", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.tol, (int, float)) or isinstance(self.tol, bool):
+            raise ConfigError(f"tol must be a number, got {self.tol!r}")
+        if not isinstance(self.suites, (list, tuple)):
+            raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
         if not 1 <= self.dim <= 3:
             raise ConfigError(f"dim must be 1..3, got {self.dim}")
         if self.jet_order < 4:
@@ -100,6 +121,7 @@ class ScenarioConfig:
             raise ConfigError("samples must be positive")
         if self.backend == "float" and not (0 < self.tol < 1):
             raise ConfigError("tol must be in (0, 1) for the float backend")
+        self.pool = _instantiate_pool(self)
         return self
 
     def as_dict(self) -> dict:
@@ -120,8 +142,13 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("a scenario file must hold a JSON object")
         known = {"dim", "jet_order", "backend", "tol", "samples", "seed", "suites", "maps"}
         unknown = set(raw) - known
         if unknown:
@@ -130,12 +157,21 @@ class ScenarioConfig:
         for k in known & set(raw):
             v = raw[k]
             if k == "suites":
+                if not isinstance(v, list):
+                    raise ConfigError(f"suites must be a list of suite names, got {v!r}")
                 v = tuple(v)
             if k == "maps":
+                if not isinstance(v, list) or not all(
+                        isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
+                        and isinstance(spec[1], (dict, type(None))) for spec in v):
+                    raise ConfigError("maps must be a list of [name, {params}] pairs")
                 v = [(name, {pk: _parse_scalar(pv) for pk, pv in (params or {}).items()})
                      for name, params in v]
             if k == "tol":
-                v = float(v)
+                try:
+                    v = float(v)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"tol must be a number, got {v!r}") from None
             setattr(cfg, k, v)
         return cfg.validate()
 
@@ -151,7 +187,11 @@ def _parse_scalar(v):
         try:
             return Fraction(v)  # covers "p/q" and integer literals
         except ValueError:
+            pass
+        try:
             return float(v)
+        except ValueError:
+            raise ConfigError(f"map parameter {v!r} is not a number") from None
     if isinstance(v, list):
         return [_parse_scalar(x) for x in v]
     return v
@@ -203,7 +243,11 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
     for name, params in cfg._map_specs():
         p = dict(params)
         p.setdefault("dim", cfg.dim)
-        out.append(catalog_get(name, p))
+        try:
+            out.append(catalog_get(name, p))
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            reason = exc.args[0] if exc.args else type(exc).__name__
+            raise ConfigError(f"cannot build map {name!r}: {reason}") from None
     return out
 
 
@@ -245,10 +289,13 @@ class Sampler:
         for _ in range(RETRY_BUDGET):
             p = maker()
             try:
-                if ok_fn(p):
-                    return p
-            except Exception:
+                ok = ok_fn(p)
+            except JetShapeError:
+                raise  # a shape mismatch is a bug, not a bad point
+            except _REGULARITY_ERRORS:
                 continue
+            if ok:
+                return p
         raise EvaluationError(f"retry budget exhausted sampling a point for {label}")
 
     def fraction_poly(self, dim: int, max_deg: int = 2) -> Polynomial:
@@ -681,9 +728,8 @@ _SUITE_FN = {
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Run the configured suites and assemble the JSON-ready report."""
-    cfg.validate()
+    pool = cfg.validate().pool
     started = time.time()
-    pool = _instantiate_pool(cfg)
     rows: list[CaseResult] = []
     for suite in cfg.suites:
         sampler = Sampler(cfg)  # fresh stream per suite keeps suites independent

@@ -29,6 +29,7 @@ arrangement, and it is the one the verification engine certifies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -345,58 +346,45 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
     mo = coeff_order
     cj, glifted = _comparison_jets(f, gamma, point, mo)
 
-    # bivector contraction is index relabeling with signs: the pairing sends
-    # base slot i to fiber slot i+n with sign +1 and fiber to base with -1
-    def sigma(i):
-        return i + n if i < n else i - n
-
-    def sgn(i):
-        return 1 if i < n else -1
-
-    def A(j, i, k):  # C^j_{ml} g^{im} g^{kl}
-        return cj[j][sigma(i)][sigma(k)] * (sgn(i) * sgn(k))
-
+    # Raising both lower indices of C with the canonical bivector relabels
+    # base slot i as fiber slot i+n and back; the two signs multiply to -1
+    # exactly when one index is a base slot and the other a fiber slot.
+    # Sym over the three slots is a function of the sorted index triple, so
+    # one table serves both groups below; None marks a vanishing entry.
     sixth = Fraction(1, 6)
-
-    def A_sym(j, i, k):
-        return (
-            A(j, i, k) + A(j, k, i) + A(i, j, k) + A(i, k, j) + A(k, i, j) + A(k, j, i)
-        ) * sixth
+    sym: dict[tuple, Jet | None] = {}
+    for triple in itertools.combinations_with_replacement(range(d), 3):
+        acc = None
+        for p, q, r in itertools.permutations(triple):
+            t = cj[p][(q + n) % d][(r + n) % d]
+            if t.is_zero():
+                continue
+            if (q < n) == (r < n):
+                acc = t if acc is None else acc + t
+            else:
+                acc = -t if acc is None else acc - t
+        sym[triple] = None if acc is None or acc.is_zero() else acc * sixth
 
     D2, D3 = _op_tables_covariant(glifted, point, mo)
 
     table: dict[tuple, Jet] = {}
-    for i in range(d):
-        for j in range(i, d):
-            for k in range(j, d):
-                a_hat = A_sym(j, i, k)
-                if a_hat.is_zero():
-                    continue
-                # distinct orderings of the multiset {i,j,k} in the operator sum
-                perms = {p for p in (
-                    (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))}
-                for (p, q, r) in perms:
-                    for m, opj in D3[p][q][r].items():
-                        _tadd(table, m, a_hat * opj)
+    for (i, j, k), a_hat in sym.items():
+        if a_hat is None:
+            continue
+        # distinct orderings of the multiset {i,j,k} in the operator sum
+        for p, q, r in set(itertools.permutations((i, j, k))):
+            for m, opj in D3[p][q][r].items():
+                _tadd(table, m, a_hat * opj)
 
     # second group: -(3/2) Sym_{n,m,i}(C^n_{lk} g^{ml} g^{ik}) C^j_{mn} D2[i][j]
-    def B(nn, mm, ii):
-        return cj[nn][sigma(mm)][sigma(ii)] * (sgn(mm) * sgn(ii))
-
-    def B_sym(nn, mm, ii):
-        return (
-            B(nn, mm, ii) + B(nn, ii, mm) + B(mm, nn, ii)
-            + B(mm, ii, nn) + B(ii, nn, mm) + B(ii, mm, nn)
-        ) * sixth
-
     half3 = Fraction(3, 2)
     for i in range(d):
         for j in range(d):
             coeff = Jet.zero(d, mo)
             for nn in range(d):
                 for mm in range(d):
-                    b_hat = B_sym(nn, mm, i)
-                    if b_hat.is_zero():
+                    b_hat = sym[tuple(sorted((nn, mm, i)))]
+                    if b_hat is None:
                         continue
                     cmn = cj[j][mm][nn]
                     if cmn.is_zero():
@@ -590,9 +578,15 @@ def apply_op_to_symbol(op: LocalDiffOp, symbol: Symbol, x: tuple) -> Symbol:
                 dq = dq.partial(axis)
         out_jet = out_jet + cjet * dq.truncated(mo)
 
-    # regroup the phase-space jet as a fiber polynomial with x-jet coefficients
+    return _symbol_from_phase_jet(out_jet, n, tuple(x))
+
+
+def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
+    """Regroup a phase-space jet at fiber origin over ``x`` as a fiber
+    polynomial whose coefficients are x-jets anchored at ``x``."""
+    mo = out_jet.order
     by_mu: dict[tuple, dict[tuple, Scalar]] = {}
-    for midx, c in zip(monomials(d, mo), out_jet.coeffs):
+    for midx, c in zip(monomials(2 * n, mo), out_jet.coeffs):
         if c == 0:
             continue
         alpha, mu = midx[:n], midx[n:]

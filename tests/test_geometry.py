@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcocycles.jets import Polynomial, monomials
-from jetcocycles.maps import catalog_get, compose, cotangent_lift
+from jetcocycles.maps import DiffeoMap, catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import (
     Connection,
     cocycle_C,
@@ -123,6 +125,57 @@ def test_pullback_contravariant_for_composition():
         rhs = pullback_connection(h, pullback_connection(f, gamma)).components(p, 1)
         assert all((lhs[k][i][j] - rhs[k][i][j]).is_zero()
                    for k in range(1) for i in range(1) for j in range(1))
+
+
+@pytest.mark.parametrize("pullback,inhomogeneous",
+                         [(pullback_connection, True), (pullback_tensor, False)])
+def test_pullback_matches_sympy(pullback, inhomogeneous):
+    # (J^-1)^k_c [G^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j], differentiated by sympy
+    sp = pytest.importorskip("sympy")
+    map_terms = [
+        {(1, 0): 1, (0, 2): F(1, 2), (1, 1): F(1, 3)},
+        {(0, 1): 1, (3, 0): F(-1, 4), (1, 0): F(1, 5)},
+    ]
+    gamma_terms = {
+        (0, 0, 0): {(0, 1): 1},
+        (1, 0, 1): {(2, 0): F(1, 2), (0, 0): F(1, 3)},
+        (0, 1, 1): {(1, 1): 1, (0, 0): F(-1, 4)},
+    }
+    polys = [Polynomial(2, t) for t in map_terms]
+    f = DiffeoMap(2, lambda p, order: [q.jet(p, order) for q in polys], name="poly2")
+    gamma = Connection.from_polynomials(
+        2, {kij: Polynomial(2, t) for kij, t in gamma_terms.items()})
+    point = (F(1, 3), F(-2, 5))
+    got = pullback(f, gamma).values(point)
+
+    x = sp.symbols("x0 x1")
+
+    def rational(c):
+        c = F(c)
+        return sp.Rational(c.numerator, c.denominator)
+
+    def expr(terms):
+        return sum(rational(c) * x[0] ** m[0] * x[1] ** m[1] for m, c in terms.items())
+
+    fx = sp.Matrix([expr(t) for t in map_terms])
+    jac = fx.jacobian(x)  # jac[a, i] = d_i F^a
+    jinv = jac.inv()
+    g = [[[sp.Integer(0)] * 2 for _ in range(2)] for _ in range(2)]
+    for (k, i, j), t in gamma_terms.items():
+        g[k][i][j] = g[k][j][i] = expr(t).subs(dict(zip(x, fx)), simultaneous=True)
+    at = dict(zip(x, (rational(c) for c in point)))
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                want = sum(
+                    jinv[k, c] * (
+                        sum(g[c][a][b] * jac[a, i] * jac[b, j]
+                            for a in range(2) for b in range(2))
+                        + (sp.diff(jac[c, j], x[i]) if inhomogeneous else 0))
+                    for c in range(2))
+                want = want.subs(at)
+                assert want.is_Rational
+                assert got[k][i][j] == F(int(want.p), int(want.q)), (k, i, j)
 
 
 # -- comparison tensor ---------------------------------------------------------

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from jetcocycles.harness import ConfigError, ScenarioConfig, run_scenario
+from jetcocycles.harness import ConfigError, Sampler, ScenarioConfig, run_scenario
+from jetcocycles.jets import EvaluationError
 
 
 def run_cli(*args):
@@ -63,6 +64,25 @@ def test_scenario_file_unknown_field(tmp_path):
         ScenarioConfig.from_file(str(path))
 
 
+# -- sampler -------------------------------------------------------------------
+
+
+def test_sampler_propagates_programming_errors():
+    sampler = Sampler(ScenarioConfig(seed=1))
+
+    def broken(p):
+        raise TypeError("bug in a regularity test")
+
+    with pytest.raises(TypeError, match="bug in a regularity test"):
+        sampler.point_for(broken, lambda: sampler.base_point(1), "broken")
+
+    def pole(p):
+        raise EvaluationError("pole")
+
+    with pytest.raises(EvaluationError, match="retry budget exhausted"):
+        sampler.point_for(pole, lambda: sampler.base_point(1), "pole")
+
+
 # -- report contract -----------------------------------------------------------
 
 
@@ -83,6 +103,13 @@ def test_report_deterministic_excluding_timing():
     b = run_scenario(quick_config())
     a.pop("timing"), b.pop("timing")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_float_residuals_are_plain_numbers():
+    report = run_scenario(quick_config(suites=("classical_cocycles",)))
+    assert "np." not in json.dumps(report)
+    quad = [c for c in report["cases"] if c["case_id"].startswith("derham_quadrature")]
+    assert quad and all(float(c["residual"]) <= 1e-9 for c in quad)
 
 
 def test_reports_differ_across_seeds():
@@ -138,6 +165,23 @@ def test_cli_empty_suites_is_usage_error(tmp_path):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert "suite" in proc.stderr
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"dim": "2"}),
+    json.dumps({"maps": [["no_such_map", {}]]}),
+    '{"dim": 2,',
+    json.dumps({"dim": 2, "maps": [["linear", {"A": [[1, 1], [1, 1]]}]]}),
+    json.dumps({"suites": "moyal"}),
+], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string"])
+def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_cli_unknown_suite_is_usage_error():

@@ -134,6 +134,17 @@ def test_coordinate_matches_covariant_with_curved_connection():
     z2 = (F(1, 4), F(-1, 8), F(1, 2), F(1, 3))
     assert (build_L_covariant(f2, gamma2, z2) - build_L_coordinate(f2, gamma2, z2)).is_zero()
 
+    gamma3 = Connection.from_polynomials(3, {
+        (0, 0, 1): Polynomial(3, {(0, 0, 1): 1}),
+        (1, 2, 2): Polynomial(3, {(1, 0, 0): F(1, 2), (0, 0, 0): F(1, 3)}),
+        (2, 0, 0): Polynomial(3, {(0, 1, 0): F(-1, 4)}),
+    })
+    f3 = catalog_get("projective", {"dim": 3})
+    z3 = (F(1, 4), F(-1, 8), F(1, 2), F(1, 3), F(-1, 2), F(2, 5))
+    op3 = build_L_covariant(f3, gamma3, z3)
+    assert not op3.is_zero()
+    assert (op3 - build_L_coordinate(f3, gamma3, z3)).is_zero()
+
 
 def test_coordinate_matches_flat_formula_termwise():
     rng = random.Random(13)
