@@ -51,7 +51,6 @@ from .operators import (
 )
 from .cocycles import (
     DomainError,
-    connection_cocycle,
     derham_cocycle,
     divergence_cocycle,
     group_algebra_consistency,

@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("scenario", nargs="?", default=None,
                    help="JSON scenario file; overrides all flags")
     v.add_argument("--dim", type=int, default=1, help="chart dimension (1..3)")
-    v.add_argument("--order", type=int, default=4, dest="jet_order",
-                   help="jet truncation order (>= 4)")
     v.add_argument("--backend", choices=("exact", "float"), default="exact")
     v.add_argument("--tol", type=float, default=1e-8,
                    help="residual tolerance on the float backend")
@@ -70,7 +68,6 @@ def cmd_verify(args) -> int:
     else:
         cfg = ScenarioConfig(
             dim=args.dim,
-            jet_order=args.jet_order,
             backend=args.backend,
             tol=args.tol,
             samples=args.samples,
@@ -165,10 +162,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "demo":
             return cmd_demo(args.name)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -42,9 +42,9 @@ from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, 
 from .geometry import (
     Connection,
     TensorField21,
+    _max_abs_entry,
     cocycle_C,
     lift_connection,
-    pullback_connection,
     pullback_tensor,
 )
 from .operators import (
@@ -57,9 +57,9 @@ from .operators import (
 __all__ = [
     "DomainError",
     "CaseResult",
+    "passes",
     "verify_group_cocycle",
     "log_volume_cocycle",
-    "connection_cocycle",
     "derham_cocycle",
     "derham_quadrature",
     "schwarzian_1d",
@@ -99,22 +99,6 @@ def log_volume_cocycle(f: DiffeoMap, x: tuple) -> float:
     if float(det) <= 0:
         raise DomainError(f"{f.name}: det Df = {det} is not positive at {x}")
     return math.log(float(det))
-
-
-def connection_cocycle(f: DiffeoMap, gamma: Connection) -> TensorField21:
-    """Difference between the transported and the original connection."""
-    pulled = pullback_connection(f, gamma)
-
-    def fn(point, order):
-        a = pulled.components(point, order)
-        d = f.dim
-        if gamma.flat:
-            return a
-        b = gamma.components(point, order)
-        return [[[a[k][i][j] - b[k][i][j] for j in range(d)] for i in range(d)]
-                for k in range(d)]
-
-    return TensorField21(f.dim, fn, name=f"ell({f.name})")
 
 
 def derham_cocycle(potential: Polynomial, f: DiffeoMap, x: tuple) -> Scalar:
@@ -197,77 +181,61 @@ def divergence_cocycle(X: VectorField, x: tuple, a: Scalar = 1,
     return val
 
 
+def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,
+                               with_second_derivative: bool) -> list:
+    """[k][i][j] jets of X^a d_a T^k_ij - d_a X^k T^a_ij + d_i X^a T^k_aj
+    + d_j X^a T^k_ia; with the second-derivative term d_i d_j X^k of a
+    connection, each component starts from it."""
+    d = field.dim
+    xj = X.eval_jet(point, order + (2 if with_second_derivative else 1))
+    tj = field.components(point, order + 1)
+    dX1 = [[x.partial(a) for a in range(d)] for x in xj]
+    dX = [[e.truncated(order) for e in row] for row in dX1]
+    xs = [x.truncated(order) for x in xj]
+    zero = Jet.zero(d, order)
+    out = []
+    for k in range(d):
+        plane = []
+        for i in range(d):
+            row = []
+            for j in range(d):
+                acc = dX1[k][i].partial(j) if with_second_derivative else zero
+                for a in range(d):
+                    t = tj[k][i][j]
+                    if not t.is_zero():
+                        acc = acc + xs[a] * t.partial(a)
+                    ta = tj[a][i][j]
+                    if not ta.is_zero():
+                        acc = acc - dX[k][a] * ta.truncated(order)
+                    tk1 = tj[k][a][j]
+                    if not tk1.is_zero():
+                        acc = acc + dX[a][i] * tk1.truncated(order)
+                    tk2 = tj[k][i][a]
+                    if not tk2.is_zero():
+                        acc = acc + dX[a][j] * tk2.truncated(order)
+                row.append(acc)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
 def lie_derivative_connection(X: VectorField, gamma: Connection) -> TensorField21:
     """Lie derivative of a connection along a vector field, as a field:
     transport of the Christoffel data plus the second-derivative term."""
-    d = gamma.dim
 
     def fn(point, order):
-        xj = X.eval_jet(point, order + 2)
-        gj = gamma.components(point, order + 1)
-        dX = [[xj[k].partial(a).truncated(order + 1) for a in range(d)] for k in range(d)]
-        out = []
-        for k in range(d):
-            plane = []
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    acc = dX[k][i].partial(j)  # d_i d_j X^k, order `order`
-                    for a in range(d):
-                        g_kij = gj[k][i][j]
-                        if not g_kij.is_zero():
-                            acc = acc + xj[a].truncated(order) * g_kij.partial(a)
-                        g_aij = gj[a][i][j]
-                        if not g_aij.is_zero():
-                            acc = acc - dX[k][a].truncated(order) * g_aij.truncated(order)
-                        g_kaj = gj[k][a][j]
-                        if not g_kaj.is_zero():
-                            acc = acc + dX[a][i].truncated(order) * g_kaj.truncated(order)
-                        g_kia = gj[k][i][a]
-                        if not g_kia.is_zero():
-                            acc = acc + dX[a][j].truncated(order) * g_kia.truncated(order)
-                    row.append(acc)
-                plane.append(row)
-            out.append(plane)
-        return out
+        return _lie_derivative_components(X, gamma, point, order, with_second_derivative=True)
 
-    return TensorField21(d, fn, name=f"L_{X.name}({gamma.name})")
+    return TensorField21(gamma.dim, fn, name=f"L_{X.name}({gamma.name})")
 
 
 def tensor_lie_derivative(X: VectorField, tensor: TensorField21) -> TensorField21:
     """Lie derivative of a (2,1)-tensor field along a vector field."""
-    d = tensor.dim
 
     def fn(point, order):
-        xj = X.eval_jet(point, order + 1)
-        tj = tensor.components(point, order + 1)
-        dX = [[xj[k].partial(a).truncated(order) for a in range(d)] for k in range(d)]
-        out = []
-        for k in range(d):
-            plane = []
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    acc = Jet.zero(d, order)
-                    for a in range(d):
-                        t = tj[k][i][j]
-                        if not t.is_zero():
-                            acc = acc + xj[a].truncated(order) * t.partial(a)
-                        ta = tj[a][i][j]
-                        if not ta.is_zero():
-                            acc = acc - dX[k][a] * ta.truncated(order)
-                        tk1 = tj[k][a][j]
-                        if not tk1.is_zero():
-                            acc = acc + dX[a][i] * tk1.truncated(order)
-                        tk2 = tj[k][i][a]
-                        if not tk2.is_zero():
-                            acc = acc + dX[a][j] * tk2.truncated(order)
-                    row.append(acc)
-                plane.append(row)
-            out.append(plane)
-        return out
+        return _lie_derivative_components(X, tensor, point, order, with_second_derivative=False)
 
-    return TensorField21(d, fn, name=f"L_{X.name}[{tensor.name}]")
+    return TensorField21(tensor.dim, fn, name=f"L_{X.name}[{tensor.name}]")
 
 
 def algebra_cocycle_residual(cocycle: Callable, action: Callable,
@@ -285,14 +253,8 @@ def algebra_cocycle_residual(cocycle: Callable, action: Callable,
 
 def _field_max_abs_diff(lhs, pos, neg, point) -> Scalar:
     if isinstance(lhs, TensorField21):
-        a = lhs.values(point)
-        b = pos.values(point)
-        c = neg.values(point)
-        d = lhs.dim
-        return max(
-            abs(a[k][i][j] - b[k][i][j] + c[k][i][j])
-            for k in range(d) for i in range(d) for j in range(d)
-        )
+        a, b, c = lhs.values(point), pos.values(point), neg.values(point)
+        return _max_abs_entry(lhs.dim, lambda k, i, j: a[k][i][j] - b[k][i][j] + c[k][i][j])
     av = lhs.jet(point, 0).value
     bv = pos.jet(point, 0).value
     cv = neg.jet(point, 0).value
@@ -345,30 +307,28 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
     fj = F.jet(point, order + 3)
     gj = G.jet(point, order + 3)
 
-    def sigma(i):
-        return i + n if i < n else i - n
-
-    def sgn(i):
-        return 1 if i < n else -1
-
-    # cache first/second/third partials as needed
+    # The bivector pairs slot i with slot (i + n) % d; its sign is -1 on a
+    # fiber slot, so a term is negative when an odd number of i, j, k are
+    # fiber slots.
     f1 = [fj.partial(i) for i in range(d)]
-    g1 = [gj.partial(sigma(i)) for i in range(d)]
+    g1 = [gj.partial((i + n) % d) for i in range(d)]
     out = Jet.zero(d, order)
     for i in range(d):
         f2 = [f1[i].partial(j) for j in range(d)]
-        g2 = [g1[i].partial(sigma(j)) for j in range(d)]
+        g2 = [g1[i].partial((j + n) % d) for j in range(d)]
         for j in range(d):
             for k in range(d):
                 f3 = f2[j].partial(k)
                 if f3.is_zero():
                     continue
-                g3 = g2[j].partial(sigma(k))
+                g3 = g2[j].partial((k + n) % d)
                 if g3.is_zero():
                     continue
                 term = f3.truncated(order) * g3.truncated(order)
-                s = sgn(i) * sgn(j) * sgn(k)
-                out = out + (term if s > 0 else -term)
+                if ((i < n) == (j < n)) == (k < n):
+                    out = out + term
+                else:
+                    out = out - term
     return out.value if order == 0 else out
 
 
@@ -442,6 +402,12 @@ class CaseResult:
         }
 
 
+def passes(residual: Scalar, tol: float) -> bool:
+    """Pass rule of a case: residual exactly 0 when ``tol`` is 0 (the exact
+    backend), otherwise |residual| at most ``tol``."""
+    return bool(residual == 0) if tol == 0 else float(abs(residual)) <= tol
+
+
 def _residual_str(r: Scalar) -> str:
     # float() unwraps numpy scalars, whose repr reads "np.float64(...)"
     return repr(float(r)) if isinstance(r, float) else str(r)
@@ -481,8 +447,7 @@ def verify_group_cocycle(candidate: GroupCocycleCandidate, f: DiffeoMap,
         cid = f"{candidate.name}[{f.name},{h.name}]@{idx}"
         try:
             r = candidate.residual(f, h, tuple(p))
-            ok = (r == 0) if tol == 0 else (float(abs(r)) <= tol)
-            rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), r, bool(ok)))
+            rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), r, passes(r, tol)))
         except Exception as exc:  # recorded, not fatal
             rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), None,
                                    False, error=f"{type(exc).__name__}: {exc}"))
@@ -530,7 +495,8 @@ class SchwarzianCocycle(GroupCocycleCandidate):
 
 
 class ConnectionCompareCocycle(GroupCocycleCandidate):
-    """Base-manifold connection-difference cocycle, tensor pullback action."""
+    """Connection-difference cocycle C(f) = f*G - G with the tensor pullback
+    action, C(f o h) = h*C(f) + C(h), on the base manifold."""
 
     name = "connection_ell"
     arena = "tensor21"
@@ -538,43 +504,33 @@ class ConnectionCompareCocycle(GroupCocycleCandidate):
     def __init__(self, gamma: Connection):
         self.gamma = gamma
 
+    def _maps(self, f, h):
+        """The maps standing for f, h and f o h in the identity."""
+        return f, h, compose(f, h)
+
+    def _acted(self, c_f: TensorField21, H: DiffeoMap, point) -> list:
+        """Values of h . C(f) at the point."""
+        return pullback_tensor(H, c_f).values(point)
+
     def residual(self, f, h, point):
-        lhs = connection_cocycle(compose(f, h), self.gamma).values(point)
-        acted = pullback_tensor(h, connection_cocycle(f, self.gamma)).values(point)
-        own = connection_cocycle(h, self.gamma).values(point)
-        d = f.dim
-        return max(
-            abs(lhs[k][i][j] - acted[k][i][j] - own[k][i][j])
-            for k in range(d) for i in range(d) for j in range(d)
-        )
+        F, H, FH = self._maps(f, h)
+        lhs = cocycle_C(FH, self.gamma).values(point)
+        acted = self._acted(cocycle_C(F, self.gamma), H, point)
+        own = cocycle_C(H, self.gamma).values(point)
+        return _max_abs_entry(FH.dim, lambda k, i, j: lhs[k][i][j] - acted[k][i][j] - own[k][i][j])
 
 
-class PhaseCompareCocycle(GroupCocycleCandidate):
-    """Comparison tensor of lifted maps on phase space; points are phase
-    points."""
+class PhaseCompareCocycle(ConnectionCompareCocycle):
+    """Comparison tensor of lifted maps against the lifted connection on
+    phase space; points are phase points."""
 
     name = "cocycle_C"
-    arena = "tensor21"
 
     def __init__(self, gamma: Connection):
-        self.glifted = lift_connection(gamma)
+        super().__init__(lift_connection(gamma))
 
-    def _tensors(self, f, h):
-        F = cotangent_lift(f)
-        H = cotangent_lift(h)
-        FH = cotangent_lift(compose(f, h))
-        return F, H, FH
-
-    def residual(self, f, h, point):
-        F, H, FH = self._tensors(f, h)
-        lhs = cocycle_C(FH, self.glifted).values(point)
-        acted = pullback_tensor(H, cocycle_C(F, self.glifted)).values(point)
-        own = cocycle_C(H, self.glifted).values(point)
-        d = 2 * f.dim
-        return max(
-            abs(lhs[k][i][j] - acted[k][i][j] - own[k][i][j])
-            for k in range(d) for i in range(d) for j in range(d)
-        )
+    def _maps(self, f, h):
+        return cotangent_lift(f), cotangent_lift(h), cotangent_lift(compose(f, h))
 
 
 class SabotagedPhaseCompare(PhaseCompareCocycle):
@@ -583,17 +539,8 @@ class SabotagedPhaseCompare(PhaseCompareCocycle):
 
     name = "cocycle_C_sabotaged"
 
-    def residual(self, f, h, point):
-        F, H, FH = self._tensors(f, h)
-        lhs = cocycle_C(FH, self.glifted).values(point)
-        image = H(point)
-        acted = cocycle_C(F, self.glifted).values(image)  # missing transport
-        own = cocycle_C(H, self.glifted).values(point)
-        d = 2 * f.dim
-        return max(
-            abs(lhs[k][i][j] - acted[k][i][j] - own[k][i][j])
-            for k in range(d) for i in range(d) for j in range(d)
-        )
+    def _acted(self, c_f, H, point):
+        return c_f.values(H(point))  # missing transport
 
 
 class OperatorCocycle(GroupCocycleCandidate):

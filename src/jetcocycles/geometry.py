@@ -73,10 +73,12 @@ class _Field21:
     def symmetry_defect(self, point: tuple) -> Scalar:
         """Largest |T^k_ij - T^k_ji| over all components at the point."""
         v = self.values(point)
-        d = self.dim
-        return max(
-            abs(v[k][i][j] - v[k][j][i]) for k in range(d) for i in range(d) for j in range(d)
-        )
+        return _max_abs_entry(self.dim, lambda k, i, j: v[k][i][j] - v[k][j][i])
+
+
+def _max_abs_entry(d: int, entry: Callable[[int, int, int], Scalar]) -> Scalar:
+    """Largest |entry(k, i, j)| over the d^3 slots of a [k][i][j] table."""
+    return max(abs(entry(k, i, j)) for k in range(d) for i in range(d) for j in range(d))
 
 
 class Connection(_Field21):
@@ -263,22 +265,24 @@ def pullback_tensor(mapping: DiffeoMap, tensor: _Field21) -> TensorField21:
     return TensorField21(mapping.dim, fn, name=f"{mapping.name}*[{tensor.name}]")
 
 
-def cocycle_C(lifted_map: DiffeoMap, gamma_lifted: Connection) -> TensorField21:
-    """Comparison tensor of a phase-space map against the lifted connection."""
-    pulled = pullback_connection(lifted_map, gamma_lifted)
+def cocycle_C(mapping: DiffeoMap, gamma: Connection) -> TensorField21:
+    """Comparison tensor F*G - G of a map against a connection: a lifted map
+    against the lifted connection on phase space, or a base map against a
+    base connection (the connection-difference cocycle)."""
+    pulled = pullback_connection(mapping, gamma)
 
     def fn(point, order):
         a = pulled.components(point, order)
-        d = lifted_map.dim
-        if gamma_lifted.flat:
+        d = mapping.dim
+        if gamma.flat:
             return a
-        b = gamma_lifted.components(point, order)
+        b = gamma.components(point, order)
         return [
             [[a[k][i][j] - b[k][i][j] for j in range(d)] for i in range(d)]
             for k in range(d)
         ]
 
-    return TensorField21(lifted_map.dim, fn, name=f"C({lifted_map.name})")
+    return TensorField21(mapping.dim, fn, name=f"C({mapping.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Batch verification harness: seeded scenarios, suites, JSON reports.
 
-A scenario fixes the dimension, scalar backend, truncation order, tolerance,
-sample count, seed, the suites to run and the catalog maps to draw pairs
-from.  The seed determines every sampled point, every random polynomial and
+A scenario fixes the dimension, scalar backend, tolerance, sample count,
+seed, the suites to run and the catalog maps to draw pairs from; each suite
+fixes the jet orders it needs.  The seed determines every sampled point, every random polynomial and
 every catalog draw, so two runs of the same scenario produce byte-identical
 reports apart from the timing block.
 
@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .jets import (
@@ -30,7 +30,7 @@ from .jets import (
     monomials,
 )
 from .maps import DiffeoMap, VectorField, catalog_get, cotangent_lift
-from .geometry import Connection, lift_connection
+from .geometry import Connection, _max_abs_entry, cocycle_C, lift_connection
 from .operators import Symbol, apply_op_to_symbol, build_L_covariant, build_L_flat
 from .cocycles import (
     CaseResult,
@@ -50,6 +50,7 @@ from .cocycles import (
     lie_derivative_connection,
     log_volume_cocycle,
     moyal_p3,
+    passes,
     scalar_field_action,
     schwarzian_1d,
     tensor_lie_derivative,
@@ -87,7 +88,6 @@ class ConfigError(ValueError):
 @dataclass
 class ScenarioConfig:
     dim: int = 1
-    jet_order: int = 4
     backend: str = "exact"
     tol: float = 1e-8
     samples: int = 5
@@ -96,9 +96,11 @@ class ScenarioConfig:
     maps: list = field(default_factory=list)
     # catalog maps built from ``maps`` (or the default pool) by validate()
     pool: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # residual tolerance of a case: 0 (exact residuals) on the exact backend
+    case_tol: float = field(default=0, init=False, repr=False, compare=False)
 
     def validate(self):
-        for name in ("dim", "jet_order", "samples", "seed"):
+        for name in ("dim", "samples", "seed"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
@@ -108,8 +110,6 @@ class ScenarioConfig:
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
         if not 1 <= self.dim <= 3:
             raise ConfigError(f"dim must be 1..3, got {self.dim}")
-        if self.jet_order < 4:
-            raise ConfigError("jet_order must be at least 4")
         if self.backend not in ("exact", "float"):
             raise ConfigError(f"backend must be exact|float, got {self.backend!r}")
         if not self.suites:
@@ -121,13 +121,13 @@ class ScenarioConfig:
             raise ConfigError("samples must be positive")
         if self.backend == "float" and not (0 < self.tol < 1):
             raise ConfigError("tol must be in (0, 1) for the float backend")
+        self.case_tol = 0 if self.backend == "exact" else self.tol
         self.pool = _instantiate_pool(self)
         return self
 
     def as_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "jet_order": self.jet_order,
             "backend": self.backend,
             "tol": repr(self.tol),
             "samples": self.samples,
@@ -149,7 +149,7 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("a scenario file must hold a JSON object")
-        known = {"dim", "jet_order", "backend", "tol", "samples", "seed", "suites", "maps"}
+        known = {f.name for f in fields(ScenarioConfig) if f.init}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
@@ -168,10 +168,12 @@ class ScenarioConfig:
                 v = [(name, {pk: _parse_scalar(pv) for pk, pv in (params or {}).items()})
                      for name, params in v]
             if k == "tol":
+                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise ConfigError(f"tol must be a number, got {v!r}")
                 try:
                     v = float(v)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"tol must be a number, got {v!r}") from None
+                except OverflowError:
+                    raise ConfigError(f"tol {v!r} is out of range") from None
             setattr(cfg, k, v)
         return cfg.validate()
 
@@ -244,10 +246,13 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
         p = dict(params)
         p.setdefault("dim", cfg.dim)
         try:
-            out.append(catalog_get(name, p))
+            m = catalog_get(name, p)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             reason = exc.args[0] if exc.args else type(exc).__name__
             raise ConfigError(f"cannot build map {name!r}: {reason}") from None
+        if m.dim != cfg.dim:
+            raise ConfigError(f"map {name!r} has dim {m.dim}, but the scenario has dim {cfg.dim}")
+        out.append(m)
     return out
 
 
@@ -331,7 +336,7 @@ def _pair_regular(f: DiffeoMap, h: DiffeoMap, point, phase: bool, oriented: bool
 def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    tol = 0 if cfg.backend == "exact" else cfg.tol
+    tol = cfg.case_tol
     flat = Connection.flat_connection(n)
     flat_lift = lift_connection(flat)
     gam_entries = {}
@@ -345,11 +350,10 @@ def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]
     for idx in range(cfg.samples):
         z = sampler.phase_point(n)
         comps = flat_lift.components(z, 0)
-        r = max(abs(comps[k][i][j].value) for k in range(2 * n)
-                for i in range(2 * n) for j in range(2 * n))
+        r = _max_abs_entry(2 * n, lambda k, i, j: comps[k][i][j].value)
         rows.append(_case("lift", f"flat_zero@{idx}", [], z, r, tol))
 
-        comps = glift.components(z, cfg.jet_order - 2)
+        comps = glift.components(z, 2)
         sym = glift.symmetry_defect(z)
         # fiber-linearity: no component may carry fiber degree two
         nonlin = 0
@@ -387,14 +391,13 @@ def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]
 
 
 def _case(suite, cid, maps, point, residual, tol) -> CaseResult:
-    ok = (residual == 0) if tol == 0 else (float(abs(residual)) <= tol)
-    return CaseResult(suite, cid, maps, tuple(point), residual, bool(ok))
+    return CaseResult(suite, cid, maps, tuple(point), residual, passes(residual, tol))
 
 
 def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    tol = 0 if cfg.backend == "exact" else cfg.tol
+    tol = cfg.case_tol
     flat = Connection.flat_connection(n)
     cand = PhaseCompareCocycle(flat)
     for f, h in _pairs(pool):
@@ -408,14 +411,11 @@ def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
     # affine lifts with a flat connection produce the zero tensor
     aff = catalog_get("affine", {"dim": n, "A": _eye(n, 2) if n > 1 else 2,
                                  "b": [Fraction(1, 4)] * n if n > 1 else Fraction(1, 4)})
-    from .geometry import cocycle_C as C_of
-    lifted_flat = lift_connection(flat)
-    Ca = C_of(cotangent_lift(aff), lifted_flat)
+    Ca = cocycle_C(cotangent_lift(aff), lift_connection(flat))
     for idx in range(cfg.samples):
         z = sampler.phase_point(n)
         vals = Ca.components(z, 0)
-        r = max(abs(vals[k][i][j].value) for k in range(2 * n)
-                for i in range(2 * n) for j in range(2 * n))
+        r = _max_abs_entry(2 * n, lambda k, i, j: vals[k][i][j].value)
         rows.append(_case("cocycle_C", f"affine_flat_zero@{idx}", [aff.name], z, r, tol))
 
     # action-convention sanity: the identity map must act trivially
@@ -441,7 +441,7 @@ def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
 def _suite_operator_L(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    tol = 0 if cfg.backend == "exact" else cfg.tol
+    tol = cfg.case_tol
     flat = Connection.flat_connection(n)
     cand = OperatorCocycle(flat)
     for f, h in _pairs(pool):
@@ -509,7 +509,7 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
             try:
                 op = build_L_covariant(m, flat, tuple(x) + (0,) * n, coeff_order=k + 1)
                 out = apply_op_to_symbol(op, sym, x)
-                deg = out.degree(0 if cfg.backend == "exact" else cfg.tol)
+                deg = out.degree(cfg.case_tol)
                 excess = Fraction(max(deg - (k - 2), 0))
                 rows.append(CaseResult("degree_lowering", f"k={k}[{m.name}]@{idx}",
                                        [m.name], tuple(x), excess, excess == 0))
@@ -526,14 +526,14 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
         r = abs(val - (-36))
         r = r + abs(Fraction(max(out.degree() - 1, 0)))
         rows.append(_case("degree_lowering", "worked_example_cubic", [f.name],
-                          (Fraction(0),), r, 0 if cfg.backend == "exact" else cfg.tol))
+                          (Fraction(0),), r, cfg.case_tol))
     return rows
 
 
 def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    exact_tol = 0 if cfg.backend == "exact" else cfg.tol
+    exact_tol = cfg.case_tol
     float_tol = 1e-9
     flat = Connection.flat_connection(n)
 
@@ -605,7 +605,7 @@ def _unimodular(n: int):
 def _suite_algebra(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    tol = 0 if cfg.backend == "exact" else cfg.tol
+    tol = cfg.case_tol
     gamma = Connection.from_polynomials(
         n, {(k, i, j): sampler.fraction_poly(n, 2)
             for k in range(n) for i in range(n) for j in range(i, n)},
@@ -629,7 +629,7 @@ def _suite_algebra(cfg, sampler, pool) -> list[CaseResult]:
 def _suite_moyal(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
-    tol = 0 if cfg.backend == "exact" else cfg.tol
+    tol = cfg.case_tol
 
     if n == 1:
         F3 = Symbol.monomial(1, (3,))
@@ -661,7 +661,7 @@ def _suite_moyal(cfg, sampler, pool) -> list[CaseResult]:
         P = Symbol(n, {tuple(mu): sampler.fraction_poly(n, 2)})
         x = sampler.base_point(n)
         out = vect_embedding_cocycle(X, P, x)
-        deg = out.degree(0 if cfg.backend == "exact" else cfg.tol)
+        deg = out.degree(cfg.case_tol)
         excess = Fraction(max(deg - (k - 2), 0))
         rows.append(CaseResult("moyal", f"embedding_degree[k={k}]@{idx}", [X.name],
                                x, excess, excess == 0))
@@ -693,7 +693,7 @@ def _suite_consistency(cfg, sampler, pool) -> list[CaseResult]:
                 rec.get("passed", False), error=rec.get("error")))
         recs = group_algebra_consistency(
             X,
-            lambda fmap, p: _ell_values(fmap, flat, p),
+            lambda fmap, p: cocycle_C(fmap, flat).values(p),
             lambda Z, p: lie_derivative_connection(Z, flat).values(p),
             t, pts[: max(1, cfg.samples // 2)])
         for i, rec in enumerate(recs):
@@ -702,12 +702,6 @@ def _suite_consistency(cfg, sampler, pool) -> list[CaseResult]:
                 pts[i], float(rec.get("residual_half", "nan")) if "residual_half" in rec else None,
                 rec.get("passed", False), error=rec.get("error")))
     return rows
-
-
-def _ell_values(fmap: DiffeoMap, gamma: Connection, p):
-    from .cocycles import connection_cocycle
-
-    return connection_cocycle(fmap, gamma).values(p)
 
 
 _SUITE_FN = {

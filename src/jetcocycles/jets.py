@@ -509,11 +509,8 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
             raise SingularJacobianError("singular matrix")
         a[col], a[pivot] = a[pivot], a[col]
         eye[col], eye[pivot] = eye[pivot], eye[col]
-        inv_p = (
-            a[col][col].reciprocal()
-            if isinstance(a[col][col], Jet)
-            else (Fraction(1, 1) / a[col][col] if isinstance(a[col][col], (int, Fraction)) else 1.0 / a[col][col])
-        )
+        p = a[col][col]
+        inv_p = p.reciprocal() if isinstance(p, Jet) else _exact_div(1, p)
         a[col] = [x * inv_p for x in a[col]]
         eye[col] = [x * inv_p for x in eye[col]]
         for r in range(n):

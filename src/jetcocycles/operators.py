@@ -40,6 +40,7 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
+    _exact_div,
     jet_compose,
     jet_invert,
     mat_inv,
@@ -671,5 +672,5 @@ def act_on_operator(f: DiffeoMap, op: LocalDiffOp, point: tuple) -> LocalDiffOp:
         composed = jet_compose(basis, inv_jets)  # jet of basis o lift^-1 at w
         val = op.apply_to_jet(composed)
         if val != 0:
-            coeffs[m] = val * Fraction(1, _factorial_midx(m)) if isinstance(val, (int, Fraction)) else val / _factorial_midx(m)
+            coeffs[m] = _exact_div(val, _factorial_midx(m))
     return LocalDiffOp(d, coeffs, point=tuple(point))

@@ -8,7 +8,7 @@ import pytest
 
 from jetcocycles.jets import Polynomial
 from jetcocycles.maps import VectorField, catalog_get
-from jetcocycles.geometry import Connection
+from jetcocycles.geometry import Connection, cocycle_C
 from jetcocycles.operators import Symbol
 from jetcocycles.cocycles import (
     ConnectionCompareCocycle,
@@ -21,7 +21,6 @@ from jetcocycles.cocycles import (
     SchwarzianCocycle,
     algebra_cocycle_residual,
     chevalley_p3_residual,
-    connection_cocycle,
     derham_cocycle,
     derham_quadrature,
     divergence_cocycle,
@@ -96,7 +95,7 @@ def test_log_volume_cocycle_identity_random():
 def test_ell_affine_flat_zero():
     flat = Connection.flat_connection(1)
     f = catalog_get("affine", {"A": 2, "b": F(1, 4)})
-    t = connection_cocycle(f, flat)
+    t = cocycle_C(f, flat)
     assert t.values((F(1, 3),))[0][0][0] == 0
 
 
@@ -104,7 +103,7 @@ def test_ell_cubic_value():
     flat = Connection.flat_connection(1)
     f = catalog_get("polynomial_perturbation", {"eps": 1})
     x = F(1, 2)
-    assert connection_cocycle(f, flat).values((x,))[0][0][0] == 6 * x / (1 + 3 * x * x)
+    assert cocycle_C(f, flat).values((x,))[0][0][0] == 6 * x / (1 + 3 * x * x)
 
 
 def test_ell_twisted_additivity_exact():
@@ -239,6 +238,50 @@ def test_lie_derivative_connection_values():
     assert lie_derivative_connection(Xc, flat).values((F(1, 3),))[0][0][0] == 0
     Xq = VectorField.from_polynomials([Polynomial(1, {(2,): 1})])
     assert lie_derivative_connection(Xq, flat).values((F(1, 3),))[0][0][0] == 2
+
+
+def test_lie_derivative_connection_matches_sympy():
+    # X^a d_a G^k_ij - d_a X^k G^a_ij + d_i X^a G^k_aj + d_j X^a G^k_ia
+    # + d_i d_j X^k, differentiated by sympy
+    sp = pytest.importorskip("sympy")
+    field_terms = [
+        {(2, 0): 1, (0, 1): F(1, 3), (1, 2): F(-1, 2)},
+        {(0, 0): F(1, 4), (1, 1): 1, (0, 3): F(2, 5)},
+    ]
+    gamma_terms = {
+        (0, 0, 0): {(0, 1): 1},
+        (1, 0, 1): {(2, 0): F(1, 2), (0, 0): F(1, 3)},
+        (0, 1, 1): {(1, 1): 1, (0, 0): F(-1, 4)},
+    }
+    X = VectorField.from_polynomials([Polynomial(2, t) for t in field_terms])
+    gamma = Connection.from_polynomials(
+        2, {kij: Polynomial(2, t) for kij, t in gamma_terms.items()})
+    point = (F(2, 7), F(-3, 4))
+    got = lie_derivative_connection(X, gamma).values(point)
+
+    x = sp.symbols("x0 x1")
+
+    def expr(terms):
+        return sum(sp.Rational(F(c).numerator, F(c).denominator) * x[0] ** m[0] * x[1] ** m[1]
+                   for m, c in terms.items())
+
+    xs = [expr(t) for t in field_terms]
+    g = [[[sp.Integer(0)] * 2 for _ in range(2)] for _ in range(2)]
+    for (k, i, j), t in gamma_terms.items():
+        g[k][i][j] = g[k][j][i] = expr(t)
+    at = {x[0]: sp.Rational(2, 7), x[1]: sp.Rational(-3, 4)}
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                want = sp.diff(xs[k], x[i], x[j]) + sum(
+                    xs[a] * sp.diff(g[k][i][j], x[a])
+                    - sp.diff(xs[k], x[a]) * g[a][i][j]
+                    + sp.diff(xs[a], x[i]) * g[k][a][j]
+                    + sp.diff(xs[a], x[j]) * g[k][i][a]
+                    for a in range(2))
+                want = want.subs(at)
+                assert want.is_Rational
+                assert got[k][i][j] == F(int(want.p), int(want.q)), (k, i, j)
 
 
 def test_lie_derivative_connection_algebra_identity_random():
@@ -424,7 +467,7 @@ def test_bridge_connection_difference_vs_lie_derivative():
     X = VectorField.from_polynomials([Polynomial(1, {(2,): 1.0})], name="sq")
     rows = group_algebra_consistency(
         X,
-        lambda fmap, p: connection_cocycle(fmap, flat).values(p),
+        lambda fmap, p: cocycle_C(fmap, flat).values(p),
         lambda Z, p: lie_derivative_connection(Z, flat).values(p),
         1e-3, [(0.25,)])
     assert rows[0]["passed"]

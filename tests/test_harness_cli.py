@@ -31,8 +31,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         ScenarioConfig(dim=0).validate()
     with pytest.raises(ConfigError):
-        ScenarioConfig(jet_order=3).validate()
-    with pytest.raises(ConfigError):
         ScenarioConfig(backend="symbolic").validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(suites=()).validate()
@@ -173,7 +171,14 @@ def test_cli_empty_suites_is_usage_error(tmp_path):
     '{"dim": 2,',
     json.dumps({"dim": 2, "maps": [["linear", {"A": [[1, 1], [1, 1]]}]]}),
     json.dumps({"suites": "moyal"}),
-], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string"])
+    json.dumps({"dim": 3, "samples": 1, "maps": [["identity", {"dim": 2}]],
+                "suites": ["classical_cocycles"]}),
+    json.dumps({"tol": True}),
+    json.dumps({"tol": "1e-8"}),
+    json.dumps({"tol": 10 ** 400}),
+    json.dumps({"jet_order": 4}),
+], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string",
+        "map_dim_mismatch", "tol_bool", "tol_string", "tol_huge_int", "jet_order_field"])
 def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
@@ -187,6 +192,18 @@ def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
 def test_cli_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "bogus")
     assert proc.returncode == 2
+
+
+def test_cli_order_flag_is_usage_error():
+    proc = run_cli("verify", "--suite", "moyal", "--order", "4")
+    assert proc.returncode == 2
+
+
+def test_cli_unwritable_json_path_is_usage_error(tmp_path):
+    proc = run_cli("verify", "--suite", "moyal", "--samples", "1", "--json", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: "), proc.stderr
 
 
 def test_cli_operator_suite_residuals_literally_zero(tmp_path):
