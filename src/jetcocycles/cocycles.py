@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import (
+    BAD_POINT_ERRORS,
     Jet,
     JetShapeError,
     Polynomial,
@@ -448,7 +449,9 @@ def verify_group_cocycle(candidate: GroupCocycleCandidate, f: DiffeoMap,
         try:
             r = candidate.residual(f, h, tuple(p))
             rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), r, passes(r, tol)))
-        except Exception as exc:  # recorded, not fatal
+        except JetShapeError:
+            raise  # a shape mismatch is a bug, not a bad point
+        except BAD_POINT_ERRORS as exc:  # recorded, not fatal
             rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), None,
                                    False, error=f"{type(exc).__name__}: {exc}"))
     return rows
@@ -628,7 +631,9 @@ def group_algebra_consistency(X: VectorField, group_value: Callable,
             r_t, r_half = resid
             ok = r_half <= max(0.75 * r_t, floor)
             entry.update(residual_t=repr(r_t), residual_half=repr(r_half), passed=bool(ok))
-        except Exception as exc:
+        except JetShapeError:
+            raise
+        except BAD_POINT_ERRORS as exc:
             entry.update(passed=False, error=f"{type(exc).__name__}: {exc}")
         rows.append(entry)
     return rows

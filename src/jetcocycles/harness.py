@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .jets import (
+    BAD_POINT_ERRORS,
     EvaluationError,
     Jet,
     JetShapeError,
     Polynomial,
-    SingularJacobianError,
     monomials,
 )
 from .maps import DiffeoMap, VectorField, catalog_get, cotangent_lift
@@ -75,10 +75,6 @@ ALL_SUITES = (
 SCHEMA_VERSION = 1
 PAIR_CAP = 12
 RETRY_BUDGET = 64
-# what a regularity test may raise at a bad point: a pole or an unevaluable
-# map, a singular Jacobian, or a math-domain failure on the float backend
-_REGULARITY_ERRORS = (EvaluationError, SingularJacobianError, ZeroDivisionError,
-                      OverflowError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -98,6 +94,12 @@ class ScenarioConfig:
     pool: list = field(default_factory=list, init=False, repr=False, compare=False)
     # residual tolerance of a case: 0 (exact residuals) on the exact backend
     case_tol: float = field(default=0, init=False, repr=False, compare=False)
+    # the settings that validate() last accepted; run_scenario checks again
+    # only when they have changed since
+    checked: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def _settings(self) -> tuple:
+        return tuple(repr(getattr(self, f.name)) for f in fields(self) if f.init)
 
     def validate(self):
         for name in ("dim", "samples", "seed"):
@@ -123,6 +125,7 @@ class ScenarioConfig:
             raise ConfigError("tol must be in (0, 1) for the float backend")
         self.case_tol = 0 if self.backend == "exact" else self.tol
         self.pool = _instantiate_pool(self)
+        self.checked = self._settings()
         return self
 
     def as_dict(self) -> dict:
@@ -297,7 +300,7 @@ class Sampler:
                 ok = ok_fn(p)
             except JetShapeError:
                 raise  # a shape mismatch is a bug, not a bad point
-            except _REGULARITY_ERRORS:
+            except BAD_POINT_ERRORS:
                 continue
             if ok:
                 return p
@@ -513,7 +516,9 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
                 excess = Fraction(max(deg - (k - 2), 0))
                 rows.append(CaseResult("degree_lowering", f"k={k}[{m.name}]@{idx}",
                                        [m.name], tuple(x), excess, excess == 0))
-            except Exception as exc:
+            except JetShapeError:
+                raise
+            except BAD_POINT_ERRORS as exc:
                 rows.append(CaseResult("degree_lowering", f"k={k}[{m.name}]@{idx}",
                                        [m.name], tuple(x), None, False,
                                        error=f"{type(exc).__name__}: {exc}"))
@@ -722,7 +727,9 @@ _SUITE_FN = {
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Run the configured suites and assemble the JSON-ready report."""
-    pool = cfg.validate().pool
+    if cfg.checked != cfg._settings():
+        cfg.validate()
+    pool = cfg.pool
     started = time.time()
     rows: list[CaseResult] = []
     for suite in cfg.suites:

@@ -3,12 +3,19 @@
 A jet is the Taylor expansion of a smooth function at a point, truncated at a
 fixed total order ``p``.  Coefficients are stored *monomially*: the entry for
 the multi-index ``a`` is ``d^a f / a!``, so that composition is plain
-polynomial substitution.  Storage is dense in graded lexicographic order; with
-dimensions up to 6 and order 4 there are at most 210 entries per jet.
+polynomial substitution.  Storage is dense in graded lexicographic order, with
+C(dim + p, p) entries: 210 at dim 6 and order 4, 3003 at dim 6 and order 8.
 
 Two scalar backends flow through the same code paths: exact rationals
-(``fractions.Fraction``, mixed freely with ``int``) and ``float``.  Nothing in
-this module branches on the backend; exactness is a property of the inputs.
+(``fractions.Fraction``, mixed freely with ``int``) and ``float``; exactness
+is a property of the inputs.  The jet product is the truncated Cauchy product
+of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13)
+over the nonzero terms of both operands, with slots from one cached plan per
+shape.  It looks at the scalar types: float coefficients multiply as they
+are, while exact operands that carry a ``Fraction`` are summed as integer
+numerators over one common denominator, as FLINT's ``fmpq_poly`` does, so
+each nonzero output is normalised once and every zero slot is ``int`` 0.
+Int-only operands give int coefficients.
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -26,6 +34,7 @@ __all__ = [
     "JetShapeError",
     "SingularJacobianError",
     "EvaluationError",
+    "BAD_POINT_ERRORS",
     "Polynomial",
     "jet_compose",
     "jet_invert",
@@ -53,6 +62,13 @@ class SingularJacobianError(ArithmeticError):
 
 class EvaluationError(RuntimeError):
     """A map or function could not be evaluated where requested."""
+
+
+# what evaluating at a bad point may raise: a pole or an unevaluable map, a
+# singular Jacobian, or a math-domain failure on the float backend.
+# JetShapeError is a ValueError but a bug, so catchers re-raise it first.
+BAD_POINT_ERRORS = (EvaluationError, SingularJacobianError, ZeroDivisionError,
+                    OverflowError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -83,27 +99,39 @@ def monomial_index(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(dim: int, order: int):
-    """pair (i, j) -> target slot for monomial products, -1 when truncated.
+def _mul_plan(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Slots of the truncated Cauchy product, one row per monomial.
 
-    Returned as nested tuples; built only for shapes small enough to afford
-    the quadratic table, larger shapes fall back to dict lookups.
+    In graded order the partners of a degree-t monomial that survive the
+    truncation are the monomials of degree <= order - t, a prefix; row ``i``
+    holds the slot of ``monos[i] * monos[j]`` for each ``j`` in that prefix.
+    Each row is the row of the monomial one exponent lower, shifted along
+    that axis, so building the plan forms exponent tuples per monomial, not
+    per pair.
     """
     monos = monomials(dim, order)
-    if len(monos) > 600:
-        return None
     idx = monomial_index(dim, order)
-    rows = []
-    for a in monos:
-        ta = sum(a)
-        row = []
-        for b in monos:
-            if ta + sum(b) > order:
-                row.append(-1)
-            else:
-                row.append(idx[tuple(x + y for x, y in zip(a, b))])
-        rows.append(tuple(row))
+    prefix = [len(monomials(dim, t)) for t in range(order + 1)]
+    below_top = monos[:prefix[order - 1]] if order else ()
+    # shift[k][s]: slot of monos[s] * x_k
+    shift = [[idx[m[:k] + (m[k] + 1,) + m[k + 1:]] for m in below_top] for k in range(dim)]
+    rows = [tuple(range(len(monos)))]
+    for m in monos[1:]:
+        k = next(a for a, e in enumerate(m) if e)
+        pred = rows[idx[m[:k] + (m[k] - 1,) + m[k + 1:]]]
+        sk = shift[k]
+        rows.append(tuple([sk[s] for s in pred[:prefix[order - sum(m)]]]))
     return tuple(rows)
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+def _numerators(terms: list) -> tuple[list, int]:
+    """``(slot, int or Fraction)`` terms as integer numerators over their
+    common denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for _, c in terms])
+    return [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +194,7 @@ class Jet:
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol:
             return all(abs(c) <= tol for c in self.coeffs)
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def max_abs(self) -> Scalar:
         return max((abs(c) for c in self.coeffs), default=0)
@@ -221,34 +249,31 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order, [other * a for a in self.coeffs])
         self._check(other)
-        table = _mul_table(self.dim, self.order)
-        out = [0] * len(self.coeffs)
-        if table is not None:
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                row = table[i]
-                for j, b in enumerate(other.coeffs):
-                    if b == 0:
-                        continue
-                    k = row[j]
-                    if k >= 0:
-                        out[k] += a * b
-        else:
-            monos = monomials(self.dim, self.order)
-            idx = monomial_index(self.dim, self.order)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                ma = monos[i]
-                ta = sum(ma)
-                for j, b in enumerate(other.coeffs):
-                    if b == 0:
-                        continue
-                    mb = monos[j]
-                    if ta + sum(mb) > self.order:
-                        continue
-                    out[idx[tuple(x + y for x, y in zip(ma, mb))]] += a * b
+        plan = _mul_plan(self.dim, self.order)
+        ca, cb = self.coeffs, other.coeffs
+        slots = range(len(plan))
+        lhs = [(i, ca[i]) for i in compress(slots, ca)]
+        rhs = [(j, cb[j]) for j in compress(slots, cb)]
+        # Exact operands that carry a Fraction are summed as integer numerators
+        # over one denominator.  Floats (a float constant term settles it)
+        # multiply as they are, in the (i, j) order of every slot's sum.
+        den = 0
+        if type(ca[0]) is not float and type(cb[0]) is not float:
+            types = {type(c) for _, c in lhs + rhs}
+            if Fraction in types and types <= _EXACT:
+                (lhs, den_a), (rhs, den_b) = _numerators(lhs), _numerators(rhs)
+                den = den_a * den_b
+        out = [0] * len(plan)
+        for i, a in lhs:
+            row = plan[i]
+            n = len(row)
+            for j, b in rhs:
+                if j >= n:
+                    break
+                out[row[j]] += a * b
+        if den > 1:
+            for k in compress(slots, out):
+                out[k] = Fraction(out[k], den)
         return Jet(self.dim, self.order, out)
 
     __rmul__ = __mul__
@@ -479,6 +504,10 @@ def _pivot_size(entry) -> float:
         return 1.0 if v != 0 else 0.0
 
 
+def _is_zero_jet(entry) -> bool:
+    return isinstance(entry, Jet) and entry.is_zero()
+
+
 def _invertible(entry) -> bool:
     if isinstance(entry, Jet):
         return entry.value != 0
@@ -495,14 +524,14 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):
         raise JetShapeError("matrix must be square")
-    one = 1
-    eye = [[one if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # a zero jet entry scales to this shared zero and adds nothing in elimination
+    zero = None
     if a and isinstance(a[0][0], Jet):
         proto = a[0][0]
-        eye = [
-            [Jet.constant(proto.dim, proto.order, 1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
+        zero = Jet.zero(proto.dim, proto.order)
+        eye = [[Jet.constant(proto.dim, proto.order, 1) if i == j else zero for j in range(n)]
+               for i in range(n)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
         if not _invertible(a[pivot][col]):
@@ -511,8 +540,8 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
         eye[col], eye[pivot] = eye[pivot], eye[col]
         p = a[col][col]
         inv_p = p.reciprocal() if isinstance(p, Jet) else _exact_div(1, p)
-        a[col] = [x * inv_p for x in a[col]]
-        eye[col] = [x * inv_p for x in eye[col]]
+        a[col] = [zero if _is_zero_jet(x) else x * inv_p for x in a[col]]
+        eye[col] = [zero if _is_zero_jet(x) else x * inv_p for x in eye[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -522,8 +551,8 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
                     continue
             elif factor == 0:
                 continue
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            eye[r] = [x - factor * y for x, y in zip(eye[r], eye[col])]
+            a[r] = [x if y is zero else x - factor * y for x, y in zip(a[r], a[col])]
+            eye[r] = [x if y is zero else x - factor * y for x, y in zip(eye[r], eye[col])]
     return eye
 
 

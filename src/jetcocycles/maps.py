@@ -473,9 +473,10 @@ def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> D
     """Approximate time-t flow of a vector field.
 
     Classical RK4 with fixed step t/steps, integrating the jet of the flow
-    map directly so derivatives up to ``order`` ride along (the variational
-    equations in monomial coordinates).  Float backend only; accuracy is the
-    integrator's O(h^4), good enough for consistency checks, not identities.
+    map directly at the requested order (at most ``order``) so derivatives
+    ride along (the variational equations in monomial coordinates).  Float
+    backend only; accuracy is the integrator's O(h^4), good enough for
+    consistency checks, not identities.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -486,7 +487,7 @@ def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> D
 
     def rhs(state: list[Jet]) -> list[Jet]:
         base = tuple(float(s.value) for s in state)
-        xj = field.eval_jet(base, order)
+        xj = field.eval_jet(base, state[0].order)
         shifted = [s - s.value for s in state]
         return [jet_compose(c, shifted) for c in xj]
 
@@ -495,7 +496,7 @@ def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> D
             raise JetShapeError(
                 f"flow map carries jets to order {order}, requested {order_req}"
             )
-        state = [Jet.variable(n, order, i, float(point[i])) for i in range(n)]
+        state = [Jet.variable(n, order_req, i, float(point[i])) for i in range(n)]
         for _ in range(steps):
             k1 = rhs(state)
             k2 = rhs([s + k * (h / 2) for s, k in zip(state, k1)])
@@ -505,7 +506,7 @@ def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> D
                 s + (a + b * 2 + c * 2 + d) * (h / 6)
                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)
             ]
-        return [s.truncated(order_req) for s in state]
+        return state
 
     return DiffeoMap(
         n, jet_fn, name=f"flow({field.name}, t={t})",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import Polynomial
+from jetcocycles.jets import JetShapeError, Polynomial
 from jetcocycles.maps import VectorField, catalog_get
 from jetcocycles.geometry import Connection, cocycle_C
 from jetcocycles.operators import Symbol
@@ -430,6 +430,42 @@ def test_engine_records_errors_per_point():
     rows = verify_group_cocycle(cand, f, h, [(F(1, 2),), (F(-1),)], tol=1e-9)
     assert rows[0].passed
     assert not rows[1].passed and rows[1].error is not None
+
+
+class _BrokenResidual(LogVolumeCocycle):
+    name = "broken"
+
+    def residual(self, f, h, point):
+        raise NameError("name 'undefined_helper' is not defined")
+
+
+class _ShapeBugResidual(LogVolumeCocycle):
+    name = "shape_bug"
+
+    def residual(self, f, h, point):
+        raise JetShapeError("jet shape mismatch")
+
+
+def test_engine_propagates_programming_errors():
+    ident = catalog_get("identity")
+    for cand, err in ((_BrokenResidual(), NameError), (_ShapeBugResidual(), JetShapeError)):
+        with pytest.raises(err):
+            verify_group_cocycle(cand, ident, ident, [(F(1, 2),)], tol=0)
+
+
+def test_bridge_propagates_programming_errors():
+    X = VectorField.from_polynomials([Polynomial(1, {(1,): 1.0})], name="euler")
+
+    def broken(Z, p):
+        raise NameError("name 'undefined_helper' is not defined")
+
+    with pytest.raises(NameError):
+        group_algebra_consistency(X, lambda fmap, p: log_volume_cocycle(fmap, p),
+                                  broken, 1e-3, [(0.5,)])
+    # a bad point is still recorded, not fatal
+    rows = group_algebra_consistency(X, lambda fmap, p: log_volume_cocycle(fmap, p),
+                                     lambda Z, p: 1 / 0, 1e-3, [(0.5,)])
+    assert not rows[0]["passed"] and rows[0]["error"].startswith("ZeroDivisionError")
 
 
 # -- group <-> algebra bridge --------------------------------------------------------------

@@ -81,6 +81,44 @@ def test_sampler_propagates_programming_errors():
         sampler.point_for(pole, lambda: sampler.base_point(1), "pole")
 
 
+def test_run_scenario_validates_a_validated_config_once(monkeypatch):
+    from jetcocycles import harness
+
+    calls = []
+    real = harness.catalog_get
+    monkeypatch.setattr(harness, "catalog_get",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = ScenarioConfig(dim=1, samples=1, suites=("moyal",)).validate()
+    assert len(calls) == 8  # the dim-1 default pool
+    run_scenario(cfg)
+    assert len(calls) == 8
+
+
+def test_run_scenario_validates_direct_callers():
+    with pytest.raises(ConfigError):
+        run_scenario(ScenarioConfig(dim=0))
+    # a setting changed after validate() is checked again, with a fresh pool
+    cfg = quick_config(suites=("moyal",))
+    cfg.dim = 2
+    report = run_scenario(cfg)
+    assert report["config"]["dim"] == 2
+    assert all(m.dim == 2 for m in cfg.pool)
+    cfg.samples = 0
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
+def test_degree_lowering_propagates_programming_errors(monkeypatch):
+    from jetcocycles import harness
+
+    def broken(*args, **kwargs):
+        raise NameError("bug in build_L_covariant")
+
+    monkeypatch.setattr(harness, "build_L_covariant", broken)
+    with pytest.raises(NameError, match="bug in build_L_covariant"):
+        run_scenario(quick_config(suites=("degree_lowering",)))
+
+
 # -- report contract -----------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetcocycles.jets import (
     Jet,
@@ -14,6 +16,7 @@ from jetcocycles.jets import (
     jet_invert,
     mat_det,
     mat_inv,
+    monomial_index,
     monomials,
 )
 
@@ -284,3 +287,192 @@ def test_polynomial_jets_exact():
     p = Polynomial(1, {(3,): 1, (1,): 1})  # x + x^3
     j = p.jet([Fraction(1, 2)], 4)
     assert list(j.coeffs) == [Fraction(5, 8), Fraction(7, 4), Fraction(3, 2), 1, 0]
+
+
+# -- kernel laws (Hypothesis) -------------------------------------------------
+#
+# Jets are drawn sparse, with terms spread over every degree, on both scalar
+# backends and on small shapes as well as the shapes N = 462, 924 and 1716
+# around 600 monomials.  Products are checked against a reference product
+# over exponent tuples that does not use the kernel's product plan.
+
+SHAPES = [(1, 4), (2, 3), (3, 2), (6, 0), (6, 3), (6, 5), (6, 6), (6, 7)]
+SMALL_SHAPES = [(1, 4), (2, 3), (3, 2)]
+BACKENDS = ["exact", "float"]
+
+
+def shape_id(shape):
+    return "dim%d-order%d" % shape
+
+
+def scalars(backend):
+    if backend == "exact":
+        return st.one_of(st.integers(-6, 6),
+                         st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 8])))
+    return st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def jets(draw, shape, backend, max_terms=6, constant=None):
+    dim, order = shape
+    coeffs = [0] * len(monomials(dim, order))
+    for _ in range(draw(st.integers(0, max_terms))):
+        deg = draw(st.integers(0, order))
+        lo = len(monomials(dim, deg - 1)) if deg else 0
+        coeffs[draw(st.integers(lo, len(monomials(dim, deg)) - 1))] = draw(scalars(backend))
+    if constant is not None:
+        coeffs[0] = constant
+    return Jet(dim, order, coeffs)
+
+
+def reference_mul(a, b):
+    monos = monomials(a.dim, a.order)
+    terms_b = [(mb, cb) for mb, cb in zip(monos, b.coeffs) if cb != 0]
+    out = {}
+    for ma, ca in zip(monos, a.coeffs):
+        if ca == 0:
+            continue
+        for mb, cb in terms_b:
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= a.order:
+                out[m] = out.get(m, 0) + ca * cb
+    return [out.get(m, 0) for m in monos]
+
+
+def assert_same(x, y, backend):
+    xs = x.coeffs if isinstance(x, Jet) else x
+    ys = y.coeffs if isinstance(y, Jet) else y
+    assert len(xs) == len(ys)
+    if backend == "exact":
+        assert list(xs) == list(ys)
+    else:
+        for u, v in zip(xs, ys):
+            assert abs(u - v) <= 1e-9 * (1 + abs(u) + abs(v))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_mul_matches_reference_product(shape, backend, data):
+    a = data.draw(jets(shape, backend))
+    b = data.draw(jets(shape, backend))
+    prod = a * b
+    assert (prod.dim, prod.order) == shape
+    assert_same(prod, reference_mul(a, b), backend)
+    if backend == "exact":
+        # zero slots are int 0, whatever cancelled into them
+        assert all(type(c) is int for c in prod.coeffs if c == 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_ring_laws(shape, backend, data):
+    a, b, c = (data.draw(jets(shape, backend)) for _ in range(3))
+    assert_same(a * b, b * a, backend)
+    assert_same((a * b) * c, a * (b * c), backend)
+    assert_same(a * (b + c), a * b + a * c, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(1, 4), (3, 2), (6, 3), (6, 7)], ids=shape_id)
+@given(data=st.data())
+def test_reciprocal_law(shape, backend, data):
+    c0 = data.draw(st.sampled_from([1, 3, Fraction(-5, 2)] if backend == "exact" else [1.0, 3.0, -2.5]))
+    j = data.draw(jets(shape, backend, max_terms=4, constant=c0))
+    assert_same(j * j.reciprocal(), Jet.constant(*shape, 1), backend)
+
+
+@st.composite
+def jet_maps(draw, shape, backend, invertible=False):
+    """d jets in d variables with zero constant terms."""
+    dim, order = shape
+    out = []
+    for k in range(dim):
+        j = draw(jets(shape, backend, constant=0))
+        if invertible:
+            # linear part: identity plus a strictly upper triangle, so unimodular
+            data = list(j.coeffs)
+            for i in range(k + 1):
+                unit = tuple(int(a == i) for a in range(dim))
+                data[monomial_index(dim, order)[unit]] = int(i == k)
+            j = Jet(dim, order, data)
+        out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_compose_associative(shape, backend, data):
+    f = data.draw(jets(shape, backend))
+    g = data.draw(jet_maps(shape, backend))
+    h = data.draw(jet_maps(shape, backend))
+    left = jet_compose(jet_compose(f, g), h)
+    right = jet_compose(f, [jet_compose(gi, h) for gi in g])
+    assert_same(left, right, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_compose_with_inverse_is_identity(shape, backend, data):
+    f = data.draw(jet_maps(shape, backend, invertible=True))
+    g = jet_invert(f)
+    for k, fk in enumerate(f):
+        assert_same(jet_compose(fk, g), Jet.variable(*shape, k), backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(2, 3), (6, 6)], ids=shape_id)
+@given(data=st.data())
+def test_partials_commute(shape, backend, data):
+    j = data.draw(jets(shape, backend, max_terms=10))
+    dim = shape[0]
+    a, b = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    assert_same(j.partial(a).partial(b), j.partial(b).partial(a), backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(1, 3), (3, 2), (6, 0)], ids=shape_id)
+@given(data=st.data())
+def test_mat_inv_with_zero_entries(shape, backend, data):
+    # diagonally dominant constant terms keep the matrix invertible
+    big, small = ([4, -5, Fraction(9, 2)], [0, 1, -1, Fraction(1, 2)])
+    if backend == "float":
+        big, small = [float(c) for c in big], [float(c) for c in small]
+    n = data.draw(st.integers(2, 3))
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            if i != k and data.draw(st.booleans()):
+                row.append(Jet.zero(*shape))
+            else:
+                c0 = data.draw(st.sampled_from(big if i == k else small))
+                row.append(data.draw(jets(shape, backend, max_terms=3, constant=c0)))
+        rows.append(row)
+    a = [rows[p] for p in data.draw(st.permutations(range(n)))]  # pivoting
+    inv = mat_inv(a)
+    for i in range(n):
+        for j in range(n):
+            entry = sum((inv[i][k] * a[k][j] for k in range(n)), Jet.zero(*shape))
+            assert_same(entry, Jet.constant(*shape, 1 if i == j else 0), backend)
+
+
+def test_int_product_keeps_int_coefficients():
+    x, y = Jet.variable(2, 4, 0, 3), Jet.variable(2, 4, 1, -2)
+    p = (x * y + 5) * (x - y * 7)
+    assert all(type(c) is int for c in p.coeffs)
+
+
+def test_exact_product_zero_slots_are_int_zero():
+    x = Jet.variable(1, 4, 0)
+    half = Fraction(1, 2)
+    p = (x * half + 1) * (x * -half + 1)  # 1 - x^2/4: the x slot cancels
+    assert p == Jet(1, 4, [1, 0, Fraction(-1, 4), 0, 0])
+    assert [type(c) for c in p.coeffs[1::2]] == [int, int]
+    # a Fraction operand whose denominators are all 1 gives int coefficients
+    q = Jet(1, 4, [Fraction(2), Fraction(-3), 0, 0, 0]) * Jet(1, 4, [1, 1, 0, 0, 0])
+    assert list(q.coeffs) == [2, -1, -3, 0, 0]
+    assert all(type(c) is int for c in q.coeffs)
