@@ -35,7 +35,6 @@ from .geometry import (
     lift_connection,
     pullback_connection,
     pullback_tensor,
-    symplectic_bivector,
 )
 from .operators import (
     COVARIANT_TO_COORDINATE,

@@ -333,17 +333,8 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
     return out.value if order == 0 else out
 
 
-class _MoyalP3Field:
-    def __init__(self, F, G):
-        self.F, self.G = F, G
-        self.dim = F.dim
-
-    def jet(self, point, order):
-        return moyal_p3(self.F, self.G, tuple(point), order)
-
-
-def moyal_p3_field(F, G) -> _MoyalP3Field:
-    return _MoyalP3Field(F, G)
+def moyal_p3_field(F, G) -> _ScalarField:
+    return _ScalarField(F.dim, lambda point, order: moyal_p3(F, G, point, order))
 
 
 def chevalley_p3_residual(F, G, H, point: tuple) -> Scalar:

@@ -40,7 +40,6 @@ from .maps import DiffeoMap
 __all__ = [
     "Connection",
     "TensorField21",
-    "symplectic_bivector",
     "lift_connection",
     "pullback_connection",
     "pullback_tensor",
@@ -122,18 +121,6 @@ class Connection(_Field21):
 
 class TensorField21(_Field21):
     """A (2,1)-tensor field, e.g. the difference of two connections."""
-
-
-def symplectic_bivector(n: int) -> list[list[int]]:
-    """Constant bivector dual to the canonical symplectic structure.
-
-    g^[i][n+j] = delta_ij = -g^[n+j][i]; all other entries vanish.
-    """
-    g = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        g[i][n + i] = 1
-        g[n + i][i] = -1
-    return g
 
 
 # ---------------------------------------------------------------------------

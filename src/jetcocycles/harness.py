@@ -75,6 +75,7 @@ ALL_SUITES = (
 SCHEMA_VERSION = 1
 PAIR_CAP = 12
 RETRY_BUDGET = 64
+SAMPLES_CAP = 1000
 
 
 class ConfigError(ValueError):
@@ -119,8 +120,8 @@ class ScenarioConfig:
         for s in self.suites:
             if s not in ALL_SUITES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(ALL_SUITES)}")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
+        if not 1 <= self.samples <= SAMPLES_CAP:
+            raise ConfigError(f"samples must be 1..{SAMPLES_CAP}, got {self.samples}")
         if self.backend == "float" and not (0 < self.tol < 1):
             raise ConfigError("tol must be in (0, 1) for the float backend")
         self.case_tol = 0 if self.backend == "exact" else self.tol

@@ -16,6 +16,10 @@ are, while exact operands that carry a ``Fraction`` are summed as integer
 numerators over one common denominator, as FLINT's ``fmpq_poly`` does, so
 each nonzero output is normalised once and every zero slot is ``int`` 0.
 Int-only operands give int coefficients.
+A polynomial becomes a jet without jet products: each jet coefficient of a
+term is written in closed form by the binomial Taylor shift of the term to
+the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
+shifts", ISSAC 1997).
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -326,21 +330,6 @@ class Jet:
             [self.coeffs[idx[m]] for m in monomials(self.dim, order)],
         )
 
-    def evaluate(self, delta: Sequence[Scalar]) -> Scalar:
-        """Polynomial value of the truncated expansion at base + delta."""
-        if len(delta) != self.dim:
-            raise JetShapeError("offset dimension mismatch")
-        total = 0
-        for m, c in zip(monomials(self.dim, self.order), self.coeffs):
-            if c == 0:
-                continue
-            term = c
-            for d, e in zip(delta, m):
-                for _ in range(e):
-                    term = term * d
-            total = total + term
-        return total
-
     def embed(self, dim: int, axes: Sequence[int]) -> "Jet":
         """Reinterpret as a jet in more variables; axes maps old to new slots."""
         if len(axes) != self.dim or len(set(axes)) != self.dim:
@@ -412,7 +401,7 @@ def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
         raise JetShapeError("outer and inner truncation orders must agree")
 
     outer_monos = monomials(outer.dim, outer.order)
-    # monomial powers of the inner jets, built incrementally along graded order
+    # the inner jets raised to each needed monomial, built along graded order
     needed: set[tuple[int, ...]] = set()
     stack = [m for m, c in zip(outer_monos, outer.coeffs) if c != 0 and sum(m) > 0]
     while stack:
@@ -586,9 +575,11 @@ def mat_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
 class Polynomial:
     """Polynomial function of d variables, a jet provider for everything above.
 
-    Terms map exponent multi-indices to coefficients.  Jets at any point are
-    obtained by evaluating the polynomial on coordinate jets, so they are
-    exact whenever the coefficients and the point are exact.
+    Terms map exponent multi-indices to coefficients.  The jet at ``p`` is
+    the binomial Taylor shift of the terms to ``p + u``: the coefficient of
+    ``u^b`` in ``x^m`` is ``prod_k C(m_k, b_k) p_k^(m_k - b_k)``, so no jet
+    products are formed, and the jet is exact whenever the coefficients and
+    the point are.  Int coefficients at an int point give int slots.
     """
 
     def __init__(self, dim: int, terms: dict[tuple[int, ...], Scalar]):
@@ -617,23 +608,21 @@ class Polynomial:
         return total
 
     def jet(self, point: Sequence[Scalar], order: int) -> Jet:
-        vars_ = [Jet.variable(self.dim, order, k, point[k]) for k in range(self.dim)]
-        out = Jet.zero(self.dim, order)
-        powers: dict[tuple[int, int], Jet] = {}
-
-        def power(axis: int, e: int) -> Jet:
-            key = (axis, e)
-            if key not in powers:
-                powers[key] = vars_[axis] if e == 1 else power(axis, e - 1) * vars_[axis]
-            return powers[key]
-
+        idx = monomial_index(self.dim, order)
+        out = [0] * len(idx)
         for m, c in self.terms.items():
-            term = Jet.constant(self.dim, order, c)
-            for axis, e in enumerate(m):
-                if e:
-                    term = term * power(axis, e)
-            out = out + term
-        return out
+            # (b, coefficient of u^b) over the axes so far.  A factor of 1
+            # (b_k == m_k) is skipped, so an int coefficient stays int at a
+            # float point; a zero factor (p_k == 0) drops the slot, which
+            # stays int 0.
+            shifted = [((), c)]
+            for e, p in zip(m, point):
+                shifted = [(b + (j,), v if j == e else v * (math.comb(e, j) * p ** (e - j)))
+                           for b, v in shifted for j in range(min(e, order - sum(b)) + 1)
+                           if j == e or p]
+            for b, v in shifted:
+                out[idx[b]] += v
+        return Jet(self.dim, order, out)
 
     def partial(self, axis: int) -> "Polynomial":
         out: dict[tuple[int, ...], Scalar] = {}

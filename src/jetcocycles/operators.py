@@ -205,24 +205,11 @@ class Symbol:
     def jet(self, point: tuple, order: int) -> Jet:
         """Jet on phase space at (x, xi); makes a Symbol a function provider."""
         n = self.n
-        x, xi = point[:n], point[n:]
         out = Jet.zero(2 * n, order)
-        xi_vars = [Jet.variable(2 * n, order, n + i, xi[i]) for i in range(n)]
-        powers: dict[tuple[int, int], Jet] = {}
-
-        def power(axis: int, e: int) -> Jet:
-            if e == 0:
-                return None
-            key = (axis, e)
-            if key not in powers:
-                powers[key] = xi_vars[axis] if e == 1 else power(axis, e - 1) * xi_vars[axis]
-            return powers[key]
-
         for mu, c in self.coeffs.items():
-            term = c.jet(x, order).embed(2 * n, list(range(n)))
-            for axis, e in enumerate(mu):
-                if e:
-                    term = term * power(axis, e)
+            term = c.jet(point[:n], order).embed(2 * n, list(range(n)))
+            if any(mu):
+                term = term * Polynomial(2 * n, {(0,) * n + mu: 1}).jet(point, order)
             out = out + term
         return out
 

@@ -1,11 +1,14 @@
-"""Shared test settings.
+"""Shared test settings and fixtures.
 
 Hypothesis runs derandomized, so every run draws the same examples, with a
 bounded number of examples per test, no deadline (big jet shapes are slow on
 a loaded machine) and no example database.
 """
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from jetcocycles.jets import Jet
 
 settings.register_profile(
     "tier1",
@@ -16,3 +19,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def jet_products(monkeypatch):
+    """The right operand of every ``Jet.__mul__`` call made during the test."""
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    return calls

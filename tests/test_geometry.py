@@ -14,7 +14,6 @@ from jetcocycles.geometry import (
     lift_connection,
     pullback_connection,
     pullback_tensor,
-    symplectic_bivector,
 )
 
 F = Fraction
@@ -320,12 +319,3 @@ def test_covariant_third_order_against_hand_expansion():
                     expect -= gv[e][c][b] * nabla2_jet(e, a).value
                     expect -= gv[e][c][a] * nabla2_jet(b, e).value
                 assert third[c][b][a] == expect
-
-
-def test_bivector_pattern():
-    g = symplectic_bivector(2)
-    for i in range(4):
-        for j in range(4):
-            assert g[i][j] == -g[j][i]
-    assert g[0][2] == 1 and g[1][3] == 1 and g[2][0] == -1
-    assert g[0][1] == 0 and g[0][3] == 0

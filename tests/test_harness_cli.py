@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jetcocycles.harness import ConfigError, Sampler, ScenarioConfig, run_scenario
+from jetcocycles.harness import SAMPLES_CAP, ConfigError, Sampler, ScenarioConfig, run_scenario
 from jetcocycles.jets import EvaluationError
 
 
@@ -36,6 +36,15 @@ def test_config_rejects_bad_values():
         ScenarioConfig(suites=()).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(suites=("nope",)).validate()
+
+
+def test_config_rejects_samples_above_cap():
+    # validation only: no case runs
+    with pytest.raises(ConfigError, match="samples"):
+        ScenarioConfig(samples=10 ** 9).validate()
+    with pytest.raises(ConfigError, match="samples"):
+        ScenarioConfig(samples=SAMPLES_CAP + 1).validate()
+    assert ScenarioConfig(samples=SAMPLES_CAP, suites=("moyal",)).validate().samples == SAMPLES_CAP
 
 
 def test_scenario_file_round_trip(tmp_path):
@@ -230,6 +239,14 @@ def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
 def test_cli_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "bogus")
     assert proc.returncode == 2
+
+
+def test_cli_samples_above_cap_is_usage_error():
+    proc = run_cli("verify", "--samples", "1000000000")
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "samples" in lines[0], proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_order_flag_is_usage_error():

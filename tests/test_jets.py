@@ -1,5 +1,6 @@
 """Jet kernel: ring axioms, composition, reversion, calculus."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -287,6 +288,79 @@ def test_polynomial_jets_exact():
     p = Polynomial(1, {(3,): 1, (1,): 1})  # x + x^3
     j = p.jet([Fraction(1, 2)], 4)
     assert list(j.coeffs) == [Fraction(5, 8), Fraction(7, 4), Fraction(3, 2), 1, 0]
+
+
+# -- polynomial jets against a sympy oracle ------------------------------------
+#
+# The expected coefficients come from sympy expanding the polynomial at
+# point + u; nothing here goes through the jet kernel.
+
+
+def rand_poly_terms(rng, dim, max_exp=4, nterms=5):
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, max_exp) for _ in range(dim))
+        terms[m] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+    return terms
+
+
+def sympy_shift(sp, terms, point, order):
+    """{b: coefficient of u^b} with |b| <= order of the polynomial at point + u."""
+    xs = sp.symbols(f"x0:{len(point)}")
+    us = sp.symbols(f"u0:{len(point)}")
+    expr = sum(sp.sympify(c) * sp.Mul(*[x ** e for x, e in zip(xs, m)]) for m, c in terms.items())
+    shifted = sp.expand(expr.subs({x: sp.sympify(p) + u for x, p, u in zip(xs, point, us)},
+                                  simultaneous=True))
+    return {b: Fraction(int(c.p), int(c.q))
+            for b, c in sp.Poly(shifted, *us).as_dict().items() if sum(b) <= order}
+
+
+def slots(dim, order):
+    return [b for b in itertools.product(range(order + 1), repeat=dim) if sum(b) <= order]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_polynomial_jet_matches_sympy_expansion(dim):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(40 + dim)
+    for order in range(6):
+        for _ in range(2):
+            terms = rand_poly_terms(rng, dim)
+            point = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+                          for _ in range(dim))
+            expect = sympy_shift(sp, terms, point, order)
+            j = Polynomial(dim, terms).jet(point, order)
+            assert len(j.coeffs) == len(slots(dim, order))
+            for b in slots(dim, order):
+                assert j.coefficient(b) == expect.get(b, 0), (terms, point, order, b)
+
+
+def test_polynomial_jet_at_dyadic_float_point_is_bit_exact():
+    sp = pytest.importorskip("sympy")
+    terms = {(4, 0, 1): 3, (2, 2, 0): -5, (0, 1, 3): Fraction(1, 4), (1, 0, 0): 7, (0, 0, 0): -2}
+    point = (0.375, -1.25, 0.5)
+    expect = sympy_shift(sp, terms, tuple(Fraction(p) for p in point), 5)
+    j = Polynomial(3, terms).jet(point, 5)
+    for b in slots(3, 5):
+        assert float(j.coefficient(b)).hex() == float(expect.get(b, 0)).hex(), b
+
+
+def test_polynomial_jet_int_coefficients_at_int_point_stay_int():
+    p = Polynomial(2, {(3, 1): 2, (0, 2): -7, (1, 0): 1, (0, 0): 4})
+    for point in [(3, -2), (0, 5), (0, 0)]:
+        j = p.jet(point, 4)
+        assert all(type(c) is int for c in j.coeffs), (point, j.coeffs)
+    # a factor of 1 (b_k == m_k) keeps an int coefficient int at a float point,
+    # and a zero base coordinate leaves its slots int 0
+    j = Polynomial(1, {(2,): 3}).jet((0.0,), 2)
+    assert [type(c) for c in j.coeffs] == [int, int, int] and j.coeffs == (0, 0, 3)
+
+
+def test_polynomial_jet_makes_no_jet_products(jet_products):
+    p = Polynomial(3, {(2, 1, 0): Fraction(1, 3), (0, 3, 1): -2, (1, 1, 1): 0.5, (0, 0, 0): 5})
+    p.jet((Fraction(1, 2), Fraction(-1, 3), 2), 5)
+    p.jet((0.5, -0.25, 2.0), 3)
+    assert jet_products == []
 
 
 # -- kernel laws (Hypothesis) -------------------------------------------------

@@ -1,5 +1,6 @@
 """Catalog maps, composition, local inversion, cotangent lifts, flows."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -62,6 +63,63 @@ def test_polynomial_perturbation_identity_jacobian_at_origin():
 def test_unknown_catalog_name():
     with pytest.raises(KeyError):
         catalog_get("spiral")
+
+
+def catalog_case(sp, name, n):
+    """Parameters of a catalog map, and its components written from the
+    family's definition as sympy expressions in x0..x{n-1}."""
+    xs = sp.symbols(f"x0:{n}")
+    q = sp.sympify
+    if name == "identity":
+        return {}, list(xs)
+    if name == "translation":
+        c = [F(1, 3), F(-5, 2)][:n]
+        return {"c": c}, [x + q(ci) for x, ci in zip(xs, c)]
+    if name in ("linear", "affine"):
+        a = [[F(3, 2), 1], [F(-1, 3), 2]] if n == 2 else [[F(-3, 2)]]
+        b = [F(1, 4), -2][:n] if name == "affine" else [0] * n
+        comps = [sum(q(a[i][j]) * xs[j] for j in range(n)) + q(b[i]) for i in range(n)]
+        return ({"A": a, "b": b} if name == "affine" else {"A": a}), comps
+    if name == "polynomial_perturbation":
+        eps = F(1, 5)
+        if n == 1:
+            return {"eps": eps}, [xs[0] + q(eps) * xs[0] ** 3]
+        return {"eps": eps}, [xs[i] + q(eps) * (xs[i] + xs[(i + 1) % n]) ** 3 for i in range(n)]
+    if name == "projective":
+        a = ([[1, F(1, 2), 0], [0, 1, 1], [F(1, 4), F(-1, 3), 1]] if n == 2
+             else [[2, 1], [F(1, 3), 1]])
+        hom = list(xs) + [1]
+        rows = [sum(q(a[i][j]) * hom[j] for j in range(n + 1)) for i in range(n + 1)]
+        return {"A": a}, [rows[i] / rows[n] for i in range(n)]
+    if name == "moebius":
+        a, b, c, d = 2, 1, F(1, 2), 3
+        return {"a": a, "b": b, "c": c, "d": d}, [(a * xs[0] + b) / (q(c) * xs[0] + d)]
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["identity", "translation", "linear", "affine",
+                                  "polynomial_perturbation", "projective", "moebius"])
+def test_catalog_map_jets_match_sympy(name):
+    # the Taylor coefficient d^b f / b! from sympy's derivatives of each
+    # family's definition, against the map's jet to order 4
+    sp = pytest.importorskip("sympy")
+    order = 4
+    points = {1: [(F(1, 3),), (F(-2, 7),)], 2: [(F(1, 3), F(-2, 5)), (F(3, 4), F(1, 6))]}
+    for n in (1,) if name == "moebius" else (1, 2):
+        xs = sp.symbols(f"x0:{n}")
+        params, comps = catalog_case(sp, name, n)
+        f = catalog_get(name, {**params, "dim": n})
+        for point in points[n]:
+            jets = f.eval_jet(point, order)
+            at = dict(zip(xs, map(sp.sympify, point)))
+            for b in [m for m in itertools.product(range(order + 1), repeat=n)
+                      if sum(m) <= order]:
+                for comp, j in zip(comps, jets):
+                    d = comp
+                    for x, k in zip(xs, b):
+                        d = sp.diff(d, x, k) if k else d
+                    expect = d.subs(at) / sp.Mul(*[sp.factorial(k) for k in b])
+                    assert j.coefficient(b) == F(int(expect.p), int(expect.q)), (n, point, b)
 
 
 def test_singular_parameters_rejected():

@@ -206,6 +206,39 @@ def test_symbol_degree_and_jet():
     assert j.value == F(1, 2) * 4 + 3
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_jet_matches_sympy_expansion(n):
+    # sympy expands the symbol at (x, xi) + u; no jet arithmetic on this side
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(60 + n)
+    xs, xis = sp.symbols(f"x0:{n}"), sp.symbols(f"xi0:{n}")
+    us = sp.symbols(f"u0:{2 * n}")
+    for order in range(5):
+        coeffs, expr = {}, 0
+        for mu in rng.sample(monomials(n, 3)[1:], 3) + [(0,) * n]:
+            terms = {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-6, 6), 4)
+                     for _ in range(3)}
+            coeffs[mu] = Polynomial(n, terms)
+            c = sum(sp.sympify(v) * sp.Mul(*[x ** e for x, e in zip(xs, m)])
+                    for m, v in terms.items())
+            expr += c * sp.Mul(*[xi ** e for xi, e in zip(xis, mu)])
+        point = tuple(F(rng.randint(-7, 7), rng.choice([1, 2, 3])) for _ in range(2 * n))
+        shifted = sp.expand(expr.subs({v: sp.sympify(p) + u
+                                       for v, p, u in zip(xs + xis, point, us)},
+                                      simultaneous=True))
+        expect = {b: F(int(c.p), int(c.q)) for b, c in sp.Poly(shifted, *us).as_dict().items()}
+        j = Symbol(n, coeffs).jet(point, order)
+        for b in monomials(2 * n, order):
+            assert j.coefficient(b) == expect.get(b, 0), (order, b)
+
+
+def test_symbol_jet_makes_one_product_per_fiber_term(jet_products):
+    s = Symbol(2, {(0, 0): Polynomial.coordinate(2, 0), (1, 0): 3, (2, 1): F(1, 2)})
+    s.jet((F(1, 2), F(1, 3), F(2), F(-1, 4)), 3)
+    # the mu = 0 term is its coefficient's jet, with no product by a constant 1
+    assert len(jet_products) == 2
+
+
 def test_apply_to_symbol_worked_example():
     f = catalog_get("polynomial_perturbation", {"eps": 1})
     op = build_L_flat(f, (F(0), F(0)), coeff_order=4)
