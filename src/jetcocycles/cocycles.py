@@ -59,6 +59,7 @@ __all__ = [
     "DomainError",
     "CaseResult",
     "passes",
+    "run_case",
     "verify_group_cocycle",
     "log_volume_cocycle",
     "derham_cocycle",
@@ -400,6 +401,30 @@ def passes(residual: Scalar, tol: float) -> bool:
     return bool(residual == 0) if tol == 0 else float(abs(residual)) <= tol
 
 
+def run_case(suite: str, case_id: str, maps: Sequence[str], point: tuple,
+             residual_fn: Callable[[], Scalar], tol: float,
+             witness: bool = False) -> CaseResult:
+    """Evaluate one case and judge it.
+
+    An ordinary case passes by :func:`passes`; a witness asserts that its
+    residual does not vanish, so it passes exactly when the residual is a
+    number that fails :func:`passes`.  A bad point becomes an error row; a
+    shape mismatch is a bug and propagates.
+    """
+    maps, point = list(maps), tuple(point)
+    try:
+        r = residual_fn()
+    except JetShapeError:
+        raise
+    except BAD_POINT_ERRORS as exc:
+        return CaseResult(suite, case_id, maps, point, None, False,
+                          error=f"{type(exc).__name__}: {exc}", witness=witness)
+    ok = passes(r, tol)
+    if witness:
+        ok = bool(r == r) and not ok  # r != r only for NaN, which witnesses nothing
+    return CaseResult(suite, case_id, maps, point, r, ok, witness=witness)
+
+
 def _residual_str(r: Scalar) -> str:
     # float() unwraps numpy scalars, whose repr reads "np.float64(...)"
     return repr(float(r)) if isinstance(r, float) else str(r)
@@ -433,19 +458,10 @@ def verify_group_cocycle(candidate: GroupCocycleCandidate, f: DiffeoMap,
     backend); evaluation failures are recorded per point without aborting
     the rest.
     """
-    rows = []
     suite = suite or candidate.name
-    for idx, p in enumerate(points):
-        cid = f"{candidate.name}[{f.name},{h.name}]@{idx}"
-        try:
-            r = candidate.residual(f, h, tuple(p))
-            rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), r, passes(r, tol)))
-        except JetShapeError:
-            raise  # a shape mismatch is a bug, not a bad point
-        except BAD_POINT_ERRORS as exc:  # recorded, not fatal
-            rows.append(CaseResult(suite, cid, [f.name, h.name], tuple(p), None,
-                                   False, error=f"{type(exc).__name__}: {exc}"))
-    return rows
+    return [run_case(suite, f"{candidate.name}[{f.name},{h.name}]@{idx}",
+                     [f.name, h.name], p, lambda: candidate.residual(f, h, tuple(p)), tol)
+            for idx, p in enumerate(points)]
 
 
 class LogVolumeCocycle(GroupCocycleCandidate):

@@ -21,10 +21,21 @@ Pullback of a connection along a map F uses, with J = DF(x),
 
 so that (F o H)* = H* o F*; dropping the inhomogeneous dJ term gives the
 plain (2,1)-tensor pullback used on connection differences.
+
+Iterated covariant derivatives of scalars,
+
+    nabla_b nabla_a = d_b d_a - G^c_ba d_c,
+    nabla_c nabla_b nabla_a = d_c nabla_b nabla_a - G^e_cb nabla_e nabla_a
+                              - G^e_ca nabla_b nabla_e,
+
+are written once, as tables of partial derivatives with jet coefficients
+(``_covariant_tables``); the covariant operator build contracts them and
+``covariant_derivs`` applies them to a scalar's jet.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .jets import (
@@ -34,6 +45,7 @@ from .jets import (
     Scalar,
     jet_compose,
     mat_inv,
+    monomial_index,
 )
 from .maps import DiffeoMap
 
@@ -273,7 +285,87 @@ def cocycle_C(mapping: DiffeoMap, gamma: Connection) -> TensorField21:
 
 
 # ---------------------------------------------------------------------------
-# covariant derivatives of scalars
+# covariant derivatives: iterated covariant derivatives as operator tables
+
+
+def _covariant_tables(gamma: Connection, point: tuple, order: int):
+    """D2[b][a] and D3[c][b][a]: nabla_b nabla_a and nabla_c nabla_b nabla_a
+    as tables {multi-index m: jet coefficient of d^m}.
+
+    D2 coefficients carry jets of order ``order + 1`` (one derivative is
+    spent forming D3); D3 coefficients carry order ``order``.
+    """
+    d = gamma.dim
+    unit = [tuple(1 if k == ax else 0 for k in range(d)) for ax in range(d)]
+
+    if gamma.flat:
+        one2 = Jet.constant(d, order + 1, 1)
+        one3 = Jet.constant(d, order, 1)
+        D2 = [[{_midx_add(unit[b], unit[a]): one2} for a in range(d)] for b in range(d)]
+        D3 = [
+            [[{_midx_add(_midx_add(unit[c], unit[b]), unit[a]): one3} for a in range(d)]
+             for b in range(d)]
+            for c in range(d)
+        ]
+        return D2, D3
+
+    g2 = gamma.components(point, order + 1)
+    D2 = []
+    for b in range(d):
+        row = []
+        for a in range(d):
+            t: dict[tuple, Jet] = {_midx_add(unit[b], unit[a]): Jet.constant(d, order + 1, 1)}
+            for c in range(d):
+                gc = g2[c][b][a]
+                if not gc.is_zero():
+                    t[unit[c]] = t.get(unit[c], Jet.zero(d, order + 1)) - gc
+            row.append(t)
+        D2.append(row)
+
+    g1 = [[[g2[k][i][j].truncated(order) for j in range(d)] for i in range(d)]
+          for k in range(d)]
+    D3 = []
+    for c in range(d):
+        plane = []
+        for b in range(d):
+            row = []
+            for a in range(d):
+                t: dict[tuple, Jet] = {}
+                # Leibniz: partial_c composed with D2[b][a]
+                for m, cj in D2[b][a].items():
+                    _tadd(t, _midx_add(m, unit[c]), cj.truncated(order))
+                    dc = cj.partial(c)
+                    if not dc.is_zero():
+                        _tadd(t, m, dc)
+                for e in range(d):
+                    gcb = g1[e][c][b]
+                    if not gcb.is_zero():
+                        for m, cj in D2[e][a].items():
+                            _tadd(t, m, -(gcb * cj.truncated(order)))
+                    gca = g1[e][c][a]
+                    if not gca.is_zero():
+                        for m, cj in D2[b][e].items():
+                            _tadd(t, m, -(gca * cj.truncated(order)))
+                row.append(t)
+            plane.append(row)
+        D3.append(plane)
+    return D2, D3
+
+
+def _midx_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _tadd(table: dict, m: tuple, jet: Jet):
+    cur = table.get(m)
+    table[m] = jet if cur is None else cur + jet
+
+
+def _factorial_midx(m: tuple[int, ...]) -> int:
+    out = 1
+    for e in m:
+        out *= math.factorial(e)
+    return out
 
 
 def covariant_derivs(q, gamma: Connection, point: tuple):
@@ -285,44 +377,17 @@ def covariant_derivs(q, gamma: Connection, point: tuple):
     """
     d = gamma.dim
     qj = q.jet(point, 3)
-    first = [qj.partial(a) for a in range(d)]  # jets, order 2
-    grad = [f.value for f in first]
+    idx = monomial_index(d, 3)
 
-    if gamma.flat:
-        hess_jets = [[first[a].partial(b) for a in range(d)] for b in range(d)]
-        hess = [[h.value for h in row] for row in hess_jets]
-        third = [
-            [[hess_jets[b][a].partial(c).value for a in range(d)] for b in range(d)]
-            for c in range(d)
-        ]
-        return grad, hess, third
+    def apply(table: dict) -> Scalar:
+        # d^m q at the point is m! times the jet coefficient of m
+        total = 0
+        for m, c in table.items():
+            total = total + c.value * _factorial_midx(m) * qj.coeffs[idx[m]]
+        return total
 
-    gj = gamma.components(point, 1)
-    hess_jets = []
-    for b in range(d):
-        row = []
-        for a in range(d):
-            acc = first[a].partial(b)  # order 1
-            for c in range(d):
-                gc = gj[c][b][a]
-                if gc.is_zero():
-                    continue
-                acc = acc - gc * first[c].truncated(1)
-            row.append(acc)
-        hess_jets.append(row)
-    hess = [[h.value for h in row] for row in hess_jets]
-
-    gval = [[[gj[k][i][j].value for j in range(d)] for i in range(d)] for k in range(d)]
-    third = []
-    for c in range(d):
-        plane = []
-        for b in range(d):
-            row = []
-            for a in range(d):
-                v = hess_jets[b][a].partial(c).value
-                for e in range(d):
-                    v = v - gval[e][c][b] * hess[e][a] - gval[e][c][a] * hess[b][e]
-                row.append(v)
-            plane.append(row)
-        third.append(plane)
+    D2, D3 = _covariant_tables(gamma, point, 0)
+    grad = [qj.partial(a).value for a in range(d)]
+    hess = [[apply(t) for t in row] for row in D2]
+    third = [[[apply(t) for t in row] for row in plane] for plane in D3]
     return grad, hess, third

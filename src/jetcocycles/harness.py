@@ -24,7 +24,6 @@ from fractions import Fraction
 from .jets import (
     BAD_POINT_ERRORS,
     EvaluationError,
-    Jet,
     JetShapeError,
     Polynomial,
     monomials,
@@ -50,7 +49,7 @@ from .cocycles import (
     lie_derivative_connection,
     log_volume_cocycle,
     moyal_p3,
-    passes,
+    run_case,
     scalar_field_action,
     schwarzian_1d,
     tensor_lie_derivative,
@@ -124,8 +123,11 @@ class ScenarioConfig:
             raise ConfigError(f"samples must be 1..{SAMPLES_CAP}, got {self.samples}")
         if self.backend == "float" and not (0 < self.tol < 1):
             raise ConfigError("tol must be in (0, 1) for the float backend")
+        pool = _instantiate_pool(self)
+        if "degree_lowering" in self.suites and all(m.name == "identity" for m in pool):
+            raise ConfigError("degree_lowering needs a map other than identity in the pool")
         self.case_tol = 0 if self.backend == "exact" else self.tol
-        self.pool = _instantiate_pool(self)
+        self.pool = pool
         self.checked = self._settings()
         return self
 
@@ -322,7 +324,7 @@ class Sampler:
             [self.fraction_poly(dim, 3) for _ in range(dim)], name=tag)
 
 
-def _pair_regular(f: DiffeoMap, h: DiffeoMap, point, phase: bool, oriented: bool = False):
+def _pair_regular(f: DiffeoMap, h: DiffeoMap, point, oriented: bool = False):
     """True when every map of the case is a local diffeomorphism along the
     chain at this point."""
     mid = h(point)
@@ -331,6 +333,38 @@ def _pair_regular(f: DiffeoMap, h: DiffeoMap, point, phase: bool, oriented: bool
         if det == 0 or (oriented and float(det) <= 0):
             return False
     return True
+
+
+def _pair_points(sampler: Sampler, f: DiffeoMap, h: DiffeoMap, count: int, label: str,
+                 phase: bool, oriented: bool = False) -> list:
+    """``count`` sampled points (phase points when ``phase``) over whose base
+    part the pair is regular."""
+    n = f.dim
+    maker = sampler.phase_point if phase else sampler.base_point
+    return [sampler.point_for(lambda p: _pair_regular(f, h, p[:n], oriented),
+                              lambda: maker(n), label) for _ in range(count)]
+
+
+def _max_abs_value(field, point):
+    v = field.values(point)
+    return _max_abs_entry(field.dim, lambda k, i, j: v[k][i][j])
+
+
+def _degree_excess(out: Symbol, k: int, tol: float) -> Fraction:
+    """How far the degree of ``out`` exceeds k - 2, the degree a third-order
+    operator leaves of a degree-k symbol."""
+    return Fraction(max(out.degree(tol) - (k - 2), 0))
+
+
+def _action_identity_case(suite: str, cand, cfg: ScenarioConfig, sampler: Sampler,
+                          pool) -> CaseResult:
+    """Action-convention sanity: the identity map must act trivially."""
+    n = cfg.dim
+    probe = pool[min(1, len(pool) - 1)]
+    z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
+                          lambda: sampler.phase_point(n), "action_identity")
+    return run_case(suite, "action_identity", [probe.name], z,
+                    lambda: cand.action_identity_defect(probe, z), cfg.case_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +385,9 @@ def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]
     gamma = Connection.from_polynomials(n, gam_entries, name="random_poly")
     glift = lift_connection(gamma)
 
-    for idx in range(cfg.samples):
-        z = sampler.phase_point(n)
-        comps = flat_lift.components(z, 0)
-        r = _max_abs_entry(2 * n, lambda k, i, j: comps[k][i][j].value)
-        rows.append(_case("lift", f"flat_zero@{idx}", [], z, r, tol))
-
-        comps = glift.components(z, 2)
-        sym = glift.symmetry_defect(z)
+    def fiber_nonlinearity(z):
         # fiber-linearity: no component may carry fiber degree two
+        comps = glift.components(z, 2)
         nonlin = 0
         for k in range(2 * n):
             for i in range(2 * n):
@@ -368,34 +396,41 @@ def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]
                     for m, c in zip(monomials(jet.dim, jet.order), jet.coeffs):
                         if sum(m[n:]) >= 2 and c != 0:
                             nonlin = max(nonlin, abs(c))
-        rows.append(_case("lift", f"symmetry@{idx}", [], z, sym, tol))
-        rows.append(_case("lift", f"fiber_linearity@{idx}", [], z, nonlin, tol))
+        return nonlin
+
+    for idx in range(cfg.samples):
+        z = sampler.phase_point(n)
+        rows.append(run_case("lift", f"flat_zero@{idx}", [], z,
+                             lambda: _max_abs_value(flat_lift, z), tol))
+        rows.append(run_case("lift", f"symmetry@{idx}", [], z,
+                             lambda: glift.symmetry_defect(z), tol))
+        rows.append(run_case("lift", f"fiber_linearity@{idx}", [], z,
+                             lambda: fiber_nonlinearity(z), tol))
 
     if n == 1:
         # worked example: base symbol x lifts to xi(2x^2-1) and -x blocks
         gx = Connection.from_polynomials(1, {(0, 0, 0): Polynomial.coordinate(1, 0)})
         lx = lift_connection(gx)
+
+        def worked_defect(z):
+            c = lx.values(z)
+            x, xi = z
+            return max(
+                abs(c[1][0][0] - xi * (2 * x * x - 1)),
+                abs(c[1][0][1] - (-x)),
+                abs(c[1][1][0] - (-x)),
+                abs(c[0][0][0] - x),
+                abs(c[1][1][1]),
+                abs(c[0][0][1]),
+                abs(c[0][1][0]),
+                abs(c[0][1][1]),
+            )
+
         for idx in range(cfg.samples):
             z = sampler.phase_point(1)
-            comps = lx.components(z, 0)
-            x, xi = z
-            expect_barred = xi * (2 * x * x - 1)
-            r = max(
-                abs(comps[1][0][0].value - expect_barred),
-                abs(comps[1][0][1].value - (-x)),
-                abs(comps[1][1][0].value - (-x)),
-                abs(comps[0][0][0].value - x),
-                abs(comps[1][1][1].value),
-                abs(comps[0][0][1].value),
-                abs(comps[0][1][0].value),
-                abs(comps[0][1][1].value),
-            )
-            rows.append(_case("lift", f"worked_example@{idx}", [], z, r, tol))
+            rows.append(run_case("lift", f"worked_example@{idx}", [], z,
+                                 lambda: worked_defect(z), tol))
     return rows
-
-
-def _case(suite, cid, maps, point, residual, tol) -> CaseResult:
-    return CaseResult(suite, cid, maps, tuple(point), residual, passes(residual, tol))
 
 
 def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
@@ -405,40 +440,26 @@ def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
     flat = Connection.flat_connection(n)
     cand = PhaseCompareCocycle(flat)
     for f, h in _pairs(pool):
-        pts = []
-        for _ in range(cfg.samples):
-            pts.append(sampler.point_for(
-                lambda p: _pair_regular(f, h, p[:n], phase=True),
-                lambda: sampler.phase_point(n), "cocycle_C"))
+        pts = _pair_points(sampler, f, h, cfg.samples, "cocycle_C", phase=True)
         rows.extend(verify_group_cocycle(cand, f, h, pts, tol, suite="cocycle_C"))
 
     # affine lifts with a flat connection produce the zero tensor
-    aff = catalog_get("affine", {"dim": n, "A": _eye(n, 2) if n > 1 else 2,
-                                 "b": [Fraction(1, 4)] * n if n > 1 else Fraction(1, 4)})
+    aff = catalog_get("affine", {"dim": n, "A": _eye(n, 2), "b": [Fraction(1, 4)] * n})
     Ca = cocycle_C(cotangent_lift(aff), lift_connection(flat))
     for idx in range(cfg.samples):
         z = sampler.phase_point(n)
-        vals = Ca.components(z, 0)
-        r = _max_abs_entry(2 * n, lambda k, i, j: vals[k][i][j].value)
-        rows.append(_case("cocycle_C", f"affine_flat_zero@{idx}", [aff.name], z, r, tol))
+        rows.append(run_case("cocycle_C", f"affine_flat_zero@{idx}", [aff.name], z,
+                             lambda: _max_abs_value(Ca, z), tol))
 
-    # action-convention sanity: the identity map must act trivially
-    probe = pool[min(1, len(pool) - 1)]
-    z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
-                          lambda: sampler.phase_point(n), "action_identity")
-    rows.append(_case("cocycle_C", "action_identity", [probe.name], z,
-                      cand.action_identity_defect(probe, z), tol))
+    rows.append(_action_identity_case("cocycle_C", cand, cfg, sampler, pool))
 
     # engine self-test: a wrong action convention must be detected
     sab = SabotagedPhaseCompare(flat)
     f = catalog_get("polynomial_perturbation", {"dim": n, "eps": Fraction(1, 8)})
     h = catalog_get("projective", {"dim": n})
-    z = sampler.point_for(lambda p: _pair_regular(f, h, p[:n], True),
-                          lambda: sampler.phase_point(n), "sabotage")
-    r = sab.residual(f, h, z)
-    detected = (r != 0) if tol == 0 else (float(abs(r)) > tol)
-    rows.append(CaseResult("cocycle_C", "sabotage_detected", [f.name, h.name], z,
-                           r, bool(detected), witness=True))
+    z, = _pair_points(sampler, f, h, 1, "sabotage", phase=True)
+    rows.append(run_case("cocycle_C", "sabotage_detected", [f.name, h.name], z,
+                         lambda: sab.residual(f, h, z), tol, witness=True))
     return rows
 
 
@@ -449,47 +470,37 @@ def _suite_operator_L(cfg, sampler, pool) -> list[CaseResult]:
     flat = Connection.flat_connection(n)
     cand = OperatorCocycle(flat)
     for f, h in _pairs(pool):
-        pts = []
-        for _ in range(cfg.samples):
-            pts.append(sampler.point_for(
-                lambda p: _pair_regular(f, h, p[:n], phase=True),
-                lambda: sampler.phase_point(n), "operator_L"))
+        pts = _pair_points(sampler, f, h, cfg.samples, "operator_L", phase=True)
         rows.extend(verify_group_cocycle(cand, f, h, pts, tol, suite="operator_L"))
 
-    probe = pool[min(1, len(pool) - 1)]
-    z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
-                          lambda: sampler.phase_point(n), "action_identity")
-    rows.append(_case("operator_L", "action_identity", [probe.name], z,
-                      cand.action_identity_defect(probe, z), tol))
+    rows.append(_action_identity_case("operator_L", cand, cfg, sampler, pool))
 
     # affine kernel: the operator vanishes identically on affine maps
-    for spec in (("linear", {"A": _eye(n, 2) if n > 1 else 2}),
-                 ("translation", {"c": [Fraction(1, 4)] * n if n > 1 else Fraction(1, 4)}),
-                 ("affine", {"A": _eye(n, Fraction(3, 2)) if n > 1 else Fraction(3, 2),
-                             "b": [Fraction(1, 8)] * n if n > 1 else Fraction(1, 8)})):
-        m = catalog_get(spec[0], dict(spec[1], dim=n))
+    for name, params in (("linear", {"A": _eye(n, 2)}),
+                         ("translation", {"c": [Fraction(1, 4)] * n}),
+                         ("affine", {"A": _eye(n, Fraction(3, 2)), "b": [Fraction(1, 8)] * n})):
+        m = catalog_get(name, dict(params, dim=n))
         z = sampler.phase_point(n)
-        op = build_L_covariant(m, flat, z)
-        rows.append(_case("operator_L", f"affine_kernel[{m.name}]", [m.name], z,
-                          op.max_abs(), tol))
+        rows.append(run_case("operator_L", f"affine_kernel[{m.name}]", [m.name], z,
+                             lambda: build_L_covariant(m, flat, z).max_abs(), tol))
 
     # non-vanishing on the fractional-linear family
     probe = catalog_get("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}) if n == 1 \
         else catalog_get("projective", {"dim": n})
     z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
                           lambda: sampler.phase_point(n), "nonvanishing")
-    op = build_L_covariant(probe, flat, z)
-    nz = not op.is_zero() if tol == 0 else op.max_abs() > tol
-    rows.append(CaseResult("operator_L", f"nonvanishing[{probe.name}]", [probe.name],
-                           z, op.max_abs(), bool(nz), witness=True))
+    rows.append(run_case("operator_L", f"nonvanishing[{probe.name}]", [probe.name], z,
+                         lambda: build_L_covariant(probe, flat, z).max_abs(), tol,
+                         witness=True))
     return rows
 
 
 def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
+    tol = cfg.case_tol
     flat = Connection.flat_connection(n)
-    usable = [m for m in pool if m.name not in ("identity",)]
+    usable = [m for m in pool if m.name != "identity"]
     for k in (2, 3, 4, 5):
         for idx in range(max(1, cfg.samples - 2)):
             m = usable[(k + idx) % len(usable)]
@@ -510,29 +521,25 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
                         break
                 coeffs[tuple(mu2)] = sampler.fraction_poly(n, 1)
             sym = Symbol(n, coeffs)
-            try:
-                op = build_L_covariant(m, flat, tuple(x) + (0,) * n, coeff_order=k + 1)
-                out = apply_op_to_symbol(op, sym, x)
-                deg = out.degree(cfg.case_tol)
-                excess = Fraction(max(deg - (k - 2), 0))
-                rows.append(CaseResult("degree_lowering", f"k={k}[{m.name}]@{idx}",
-                                       [m.name], tuple(x), excess, excess == 0))
-            except JetShapeError:
-                raise
-            except BAD_POINT_ERRORS as exc:
-                rows.append(CaseResult("degree_lowering", f"k={k}[{m.name}]@{idx}",
-                                       [m.name], tuple(x), None, False,
-                                       error=f"{type(exc).__name__}: {exc}"))
+
+            def excess():
+                op = build_L_covariant(m, flat, x + (0,) * n, coeff_order=k + 1)
+                return _degree_excess(apply_op_to_symbol(op, sym, x), k, tol)
+
+            rows.append(run_case("degree_lowering", f"k={k}[{m.name}]@{idx}", [m.name], x,
+                                 excess, tol))
 
     if n == 1:
         f = catalog_get("polynomial_perturbation", {"eps": 1})
-        op = build_L_flat(f, (Fraction(0), Fraction(0)), coeff_order=4)
-        out = apply_op_to_symbol(op, Symbol.monomial(1, (3,)), (Fraction(0),))
-        val = out.coefficient_value((1,), (Fraction(0),))
-        r = abs(val - (-36))
-        r = r + abs(Fraction(max(out.degree() - 1, 0)))
-        rows.append(_case("degree_lowering", "worked_example_cubic", [f.name],
-                          (Fraction(0),), r, cfg.case_tol))
+
+        def cubic_defect():
+            op = build_L_flat(f, (Fraction(0), Fraction(0)), coeff_order=4)
+            out = apply_op_to_symbol(op, Symbol.monomial(1, (3,)), (Fraction(0),))
+            val = out.coefficient_value((1,), (Fraction(0),))
+            return abs(val - (-36)) + abs(Fraction(max(out.degree() - 1, 0)))
+
+        rows.append(run_case("degree_lowering", "worked_example_cubic", [f.name],
+                             (Fraction(0),), cubic_defect, tol))
     return rows
 
 
@@ -552,15 +559,10 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     der = DeRhamCocycle(phi)
 
     for f, h in _pairs(pool):
-        pts = [sampler.point_for(
-            lambda p: _pair_regular(f, h, p, phase=False),
-            lambda: sampler.base_point(n), "classical") for _ in range(cfg.samples)]
-        opts = [sampler.point_for(
-            lambda p: _pair_regular(f, h, p, phase=False, oriented=True),
-            lambda: sampler.base_point(n), "classical_oriented")
-            for _ in range(cfg.samples)] if (f in oriented and h in oriented) else None
-
-        if opts is not None:
+        pts = _pair_points(sampler, f, h, cfg.samples, "classical", phase=False)
+        if f in oriented and h in oriented:
+            opts = _pair_points(sampler, f, h, cfg.samples, "classical_oriented",
+                                phase=False, oriented=True)
             rows.extend(verify_group_cocycle(logv, f, h, opts, float_tol,
                                              suite="classical_cocycles"))
         rows.extend(verify_group_cocycle(ell, f, h, pts, exact_tol,
@@ -577,26 +579,25 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     for idx in range(cfg.samples):
         x = sampler.point_for(lambda p: f.jacobian_det(p) != 0,
                               lambda: sampler.base_point(n), "derham_quad")
-        exact_val = derham_cocycle(phi, f, x)
-        quad = derham_quadrature(phi, f, x)
-        rows.append(_case("classical_cocycles", f"derham_quadrature@{idx}", [f.name],
-                          x, abs(float(exact_val) - quad), 1e-9))
+        rows.append(run_case(
+            "classical_cocycles", f"derham_quadrature@{idx}", [f.name], x,
+            lambda: abs(float(derham_cocycle(phi, f, x)) - derham_quadrature(phi, f, x)),
+            1e-9))
 
     if n == 1:
         for idx, (a, b, c, d) in enumerate(((1, 0, 1, 1), (2, 1, 1, 1), (3, -1, 1, 2))):
             m = catalog_get("moebius", {"a": a, "b": b, "c": c, "d": d})
             x = sampler.point_for(lambda p: m.jacobian_det(p) != 0,
                                   lambda: sampler.base_point(1), "schwarzian_kernel")
-            r = abs(schwarzian_1d(m, x))
-            rows.append(_case("classical_cocycles", f"schwarzian_moebius_zero@{idx}",
-                              [m.name], x, r, exact_tol))
+            rows.append(run_case("classical_cocycles", f"schwarzian_moebius_zero@{idx}",
+                                 [m.name], x, lambda: abs(schwarzian_1d(m, x)), exact_tol))
 
     det1 = catalog_get("linear", {"dim": n, "A": _unimodular(n)})
     for idx in range(cfg.samples):
         x = sampler.base_point(n)
-        r = abs(log_volume_cocycle(det1, x))
-        rows.append(_case("classical_cocycles", f"logvol_det1_zero@{idx}",
-                          [det1.name], x, r, float_tol))
+        rows.append(run_case("classical_cocycles", f"logvol_det1_zero@{idx}",
+                             [det1.name], x, lambda: abs(log_volume_cocycle(det1, x)),
+                             float_tol))
     return rows
 
 
@@ -621,14 +622,15 @@ def _suite_algebra(cfg, sampler, pool) -> list[CaseResult]:
         X = sampler.vector_field(n, f"X{idx}")
         Y = sampler.vector_field(n, f"Y{idx}")
         x = sampler.base_point(n)
-        r = algebra_cocycle_residual(lambda Z: divergence_field(Z),
-                                     scalar_field_action, X, Y, x)
-        rows.append(_case("algebra_cocycles", f"divergence@{idx}",
-                          [X.name, Y.name], x, r, tol))
-        r = algebra_cocycle_residual(lambda Z: lie_derivative_connection(Z, gamma),
-                                     tensor_lie_derivative, X, Y, x)
-        rows.append(_case("algebra_cocycles", f"lie_connection@{idx}",
-                          [X.name, Y.name], x, r, tol))
+        rows.append(run_case(
+            "algebra_cocycles", f"divergence@{idx}", [X.name, Y.name], x,
+            lambda: algebra_cocycle_residual(divergence_field, scalar_field_action, X, Y, x),
+            tol))
+        rows.append(run_case(
+            "algebra_cocycles", f"lie_connection@{idx}", [X.name, Y.name], x,
+            lambda: algebra_cocycle_residual(lambda Z: lie_derivative_connection(Z, gamma),
+                                             tensor_lie_derivative, X, Y, x),
+            tol))
     return rows
 
 
@@ -641,23 +643,23 @@ def _suite_moyal(cfg, sampler, pool) -> list[CaseResult]:
         F3 = Symbol.monomial(1, (3,))
         G3 = Polynomial(2, {(3, 0): 1})
         z = (Fraction(0), Fraction(0)) if cfg.backend == "exact" else (0.0, 0.0)
-        r = abs(moyal_p3(F3, G3, z) - (-36))
-        rows.append(_case("moyal", "worked_value_-36", [], z, r, tol))
+        rows.append(run_case("moyal", "worked_value_-36", [], z,
+                             lambda: abs(moyal_p3(F3, G3, z) - (-36)), tol))
 
     for idx in range(cfg.samples):
         F = sampler.fraction_poly(2 * n, 3)
         G = sampler.fraction_poly(2 * n, 3)
         z = sampler.phase_point(n)
-        r = abs(moyal_p3(F, G, z) + moyal_p3(G, F, z))
-        rows.append(_case("moyal", f"antisymmetry@{idx}", [], z, r, tol))
+        rows.append(run_case("moyal", f"antisymmetry@{idx}", [], z,
+                             lambda: abs(moyal_p3(F, G, z) + moyal_p3(G, F, z)), tol))
 
     for idx in range(cfg.samples):
         F = sampler.fraction_poly(2 * n, 2)
         G = sampler.fraction_poly(2 * n, 2)
         H = sampler.fraction_poly(2 * n, 2)
         z = sampler.phase_point(n)
-        r = chevalley_p3_residual(F, G, H, z)
-        rows.append(_case("moyal", f"chevalley@{idx}", [], z, r, tol))
+        rows.append(run_case("moyal", f"chevalley@{idx}", [], z,
+                             lambda: chevalley_p3_residual(F, G, H, z), tol))
 
     for idx in range(cfg.samples):
         k = 2 + (idx % 4)
@@ -666,11 +668,9 @@ def _suite_moyal(cfg, sampler, pool) -> list[CaseResult]:
         mu[idx % n] = k
         P = Symbol(n, {tuple(mu): sampler.fraction_poly(n, 2)})
         x = sampler.base_point(n)
-        out = vect_embedding_cocycle(X, P, x)
-        deg = out.degree(cfg.case_tol)
-        excess = Fraction(max(deg - (k - 2), 0))
-        rows.append(CaseResult("moyal", f"embedding_degree[k={k}]@{idx}", [X.name],
-                               x, excess, excess == 0))
+        rows.append(run_case("moyal", f"embedding_degree[k={k}]@{idx}", [X.name], x,
+                             lambda: _degree_excess(vect_embedding_cocycle(X, P, x), k, tol),
+                             tol))
     return rows
 
 
@@ -687,26 +687,21 @@ def _suite_consistency(cfg, sampler, pool) -> list[CaseResult]:
              for i in range(n)], name="quadratic"),
     ]
     flat = Connection.flat_connection(n)
+    pts = [tuple(0.25 + 0.125 * i for _ in range(n)) for i in range(cfg.samples)]
+    checks = (
+        ("logvol_divergence", log_volume_cocycle, divergence_cocycle, pts),
+        ("ell_lieGamma", lambda fmap, p: cocycle_C(fmap, flat).values(p),
+         lambda Z, p: lie_derivative_connection(Z, flat).values(p),
+         pts[: max(1, cfg.samples // 2)]),
+    )
     for X in fields:
-        pts = [tuple(0.25 + 0.125 * i for _ in range(n)) for i in range(cfg.samples)]
-        recs = group_algebra_consistency(
-            X, lambda fmap, p: log_volume_cocycle(fmap, p),
-            lambda Z, p: divergence_cocycle(Z, p), t, pts)
-        for i, rec in enumerate(recs):
-            rows.append(CaseResult(
-                "consistency", f"logvol_divergence[{X.name}]@{i}", [X.name],
-                pts[i], float(rec.get("residual_half", "nan")) if "residual_half" in rec else None,
-                rec.get("passed", False), error=rec.get("error")))
-        recs = group_algebra_consistency(
-            X,
-            lambda fmap, p: cocycle_C(fmap, flat).values(p),
-            lambda Z, p: lie_derivative_connection(Z, flat).values(p),
-            t, pts[: max(1, cfg.samples // 2)])
-        for i, rec in enumerate(recs):
-            rows.append(CaseResult(
-                "consistency", f"ell_lieGamma[{X.name}]@{i}", [X.name],
-                pts[i], float(rec.get("residual_half", "nan")) if "residual_half" in rec else None,
-                rec.get("passed", False), error=rec.get("error")))
+        for tag, group_value, algebra_value, where in checks:
+            recs = group_algebra_consistency(X, group_value, algebra_value, t, where)
+            for i, rec in enumerate(recs):
+                rows.append(CaseResult(
+                    "consistency", f"{tag}[{X.name}]@{i}", [X.name], pts[i],
+                    float(rec["residual_half"]) if "residual_half" in rec else None,
+                    rec["passed"], error=rec.get("error")))
     return rows
 
 

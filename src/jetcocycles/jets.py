@@ -200,9 +200,6 @@ class Jet:
             return all(abs(c) <= tol for c in self.coeffs)
         return not any(self.coeffs)
 
-    def max_abs(self) -> Scalar:
-        return max((abs(c) for c in self.coeffs), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Jet)

@@ -68,16 +68,12 @@ class DiffeoMap:
         name: str = "map",
         params: dict | None = None,
         orientation_preserving: bool | None = None,
-        singular_note: str = "",
-        rational: bool = False,
     ):
         self.dim = dim
         self._jet_fn = jet_fn
         self.name = name
         self.params = params or {}
         self.orientation_preserving = orientation_preserving
-        self.singular_note = singular_note
-        self.rational = rational
 
     def eval_jet(self, point: Point, order: int) -> list[Jet]:
         if len(point) != self.dim:
@@ -127,7 +123,6 @@ def compose(f: DiffeoMap, h: DiffeoMap) -> DiffeoMap:
         jet_fn,
         name=f"({f.name} o {h.name})",
         orientation_preserving=orient,
-        rational=f.rational and h.rational,
     )
 
 
@@ -147,7 +142,6 @@ class _LocalInverse(DiffeoMap):
             self._inverse_jets,
             name=f"{parent.name}^-1",
             orientation_preserving=parent.orientation_preserving,
-            rational=parent.rational,
         )
 
     def add_anchor(self, preimage: Point) -> "_LocalInverse":
@@ -207,7 +201,6 @@ class CotangentMap(DiffeoMap):
             self._lift_jets,
             name=f"T*{base.name}",
             orientation_preserving=True,
-            rational=base.rational,
         )
 
     def _lift_jets(self, point: Point, order: int) -> list[Jet]:
@@ -300,7 +293,7 @@ def _polynomial_map(dim: int, polys: Sequence[Polynomial], **kw) -> DiffeoMap:
     def jet_fn(point, order):
         return [p.jet(point, order) for p in polys]
 
-    return DiffeoMap(dim, jet_fn, rational=True, **kw)
+    return DiffeoMap(dim, jet_fn, **kw)
 
 
 def _as_matrix(a, n) -> list[list]:
@@ -365,7 +358,6 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
         return _polynomial_map(
             n, polys, name="polynomial_perturbation", params={"eps": eps},
             orientation_preserving=None,
-            singular_note="Jacobian may vanish far from the origin for large eps",
         )
 
     if name == "moebius":
@@ -386,8 +378,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
 
         return DiffeoMap(
             1, jet_fn, name="moebius", params={"a": a, "b": b, "c": c, "d": d},
-            orientation_preserving=bool(a * d - b * c > 0), rational=True,
-            singular_note=f"pole at x = -d/c when c != 0",
+            orientation_preserving=bool(a * d - b * c > 0),
         )
 
     if name == "projective":
@@ -419,8 +410,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
 
         return DiffeoMap(
             n, jet_fn, name="projective", params={"A": m},
-            orientation_preserving=None, rational=True,
-            singular_note="undefined where the last homogeneous row vanishes",
+            orientation_preserving=None,
         )
 
     if name == "exp_scale":
@@ -437,7 +427,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
 
         return DiffeoMap(
             n, jet_fn, name="exp_scale", params={"lam": lam},
-            orientation_preserving=lam > 0, rational=False,
+            orientation_preserving=lam > 0,
         )
 
     raise KeyError(f"unknown catalog map '{name}'")

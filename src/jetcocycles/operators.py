@@ -3,8 +3,9 @@
 Three builders produce the same pointwise operator on phase-space functions:
 
 * ``build_L_covariant`` assembles symmetrized contractions of the comparison
-  tensor with the canonical bivector against iterated covariant derivatives
-  of the lifted connection, then expands covariant derivatives into partials.
+  tensor with the canonical bivector against the iterated covariant
+  derivatives of the lifted connection, taken as partial-derivative tables
+  from ``geometry``, which also serves ``covariant_derivs``.
 * ``build_L_coordinate`` uses the closed coordinate form (comparison-tensor
   blocks contracted with the base Christoffel symbols).
 * ``build_L_flat`` is the fully explicit formula in derivatives of the base
@@ -30,7 +31,6 @@ arrangement, and it is the one the verification engine certifies.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,7 +48,8 @@ from .jets import (
     monomial_index,
 )
 from .maps import DiffeoMap, cotangent_lift
-from .geometry import Connection, cocycle_C, lift_connection
+from .geometry import (Connection, _covariant_tables, _factorial_midx, _midx_add, _tadd,
+                       cocycle_C, lift_connection)
 
 __all__ = [
     "LocalDiffOp",
@@ -70,13 +71,6 @@ __all__ = [
 COVARIANT_TO_COORDINATE: Fraction = Fraction(1)
 
 MAX_OP_ORDER = 3
-
-
-def _factorial_midx(m: tuple[int, ...]) -> int:
-    out = 1
-    for e in m:
-        out *= math.factorial(e)
-    return out
 
 
 class LocalDiffOp:
@@ -223,82 +217,6 @@ def _provider_is_zero(c, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# covariant tables: iterated covariant derivatives as operator tables
-
-
-def _op_tables_covariant(glifted: Connection, point: tuple, order: int):
-    """D2[b][a] and D3[c][b][a]: operator tables with jet coefficients.
-
-    D2 coefficients carry jets of order ``order + 1`` (one derivative is
-    spent forming D3); D3 coefficients carry order ``order``.
-    """
-    d = glifted.dim
-    unit = [tuple(1 if k == ax else 0 for k in range(d)) for ax in range(d)]
-
-    if glifted.flat:
-        one2 = Jet.constant(d, order + 1, 1)
-        one3 = Jet.constant(d, order, 1)
-        D2 = [[{_midx_add(unit[b], unit[a]): one2} for a in range(d)] for b in range(d)]
-        D3 = [
-            [[{_midx_add(_midx_add(unit[c], unit[b]), unit[a]): one3} for a in range(d)]
-             for b in range(d)]
-            for c in range(d)
-        ]
-        return D2, D3
-
-    g2 = glifted.components(point, order + 1)
-    D2 = []
-    for b in range(d):
-        row = []
-        for a in range(d):
-            t: dict[tuple, Jet] = {_midx_add(unit[b], unit[a]): Jet.constant(d, order + 1, 1)}
-            for c in range(d):
-                gc = g2[c][b][a]
-                if not gc.is_zero():
-                    t[unit[c]] = t.get(unit[c], Jet.zero(d, order + 1)) - gc
-            row.append(t)
-        D2.append(row)
-
-    g1 = [[[g2[k][i][j].truncated(order) for j in range(d)] for i in range(d)]
-          for k in range(d)]
-    D3 = []
-    for c in range(d):
-        plane = []
-        for b in range(d):
-            row = []
-            for a in range(d):
-                t: dict[tuple, Jet] = {}
-                # Leibniz: partial_c composed with D2[b][a]
-                for m, cj in D2[b][a].items():
-                    _tadd(t, _midx_add(m, unit[c]), cj.truncated(order))
-                    dc = cj.partial(c)
-                    if not dc.is_zero():
-                        _tadd(t, m, dc)
-                for e in range(d):
-                    gcb = g1[e][c][b]
-                    if not gcb.is_zero():
-                        for m, cj in D2[e][a].items():
-                            _tadd(t, m, -(gcb * cj.truncated(order)))
-                    gca = g1[e][c][a]
-                    if not gca.is_zero():
-                        for m, cj in D2[b][e].items():
-                            _tadd(t, m, -(gca * cj.truncated(order)))
-                row.append(t)
-            plane.append(row)
-        D3.append(plane)
-    return D2, D3
-
-
-def _midx_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _tadd(table: dict, m: tuple, jet: Jet):
-    cur = table.get(m)
-    table[m] = jet if cur is None else cur + jet
-
-
-# ---------------------------------------------------------------------------
 # the three builders
 
 
@@ -353,7 +271,7 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
                 acc = -t if acc is None else acc - t
         sym[triple] = None if acc is None or acc.is_zero() else acc * sixth
 
-    D2, D3 = _op_tables_covariant(glifted, point, mo)
+    D2, D3 = _covariant_tables(glifted, point, mo)
 
     table: dict[tuple, Jet] = {}
     for (i, j, k), a_hat in sym.items():

@@ -29,6 +29,7 @@ from jetcocycles.cocycles import (
     lie_derivative_connection,
     log_volume_cocycle,
     moyal_p3,
+    run_case,
     scalar_field_action,
     schwarzian_1d,
     tensor_lie_derivative,
@@ -451,6 +452,34 @@ def test_engine_propagates_programming_errors():
     for cand, err in ((_BrokenResidual(), NameError), (_ShapeBugResidual(), JetShapeError)):
         with pytest.raises(err):
             verify_group_cocycle(cand, ident, ident, [(F(1, 2),)], tol=0)
+
+
+@pytest.mark.parametrize("tol", [0, 1e-8])
+def test_run_case_witness_passes_iff_residual_nonzero(tol):
+    for r, nonzero in ((0, False), (F(1, 3), True), (0.0, False), (1e-3, True),
+                       (float("nan"), False)):
+        plain = run_case("s", "c", [], (F(0),), lambda: r, tol)
+        witness = run_case("s", "w", [], (F(0),), lambda: r, tol, witness=True)
+        assert witness.witness and not plain.witness
+        assert witness.passed is nonzero, r
+        assert plain.passed is (r == 0), r
+    # at a float tolerance a nonzero residual below it witnesses nothing
+    assert run_case("s", "w", [], (0.0,), lambda: 1e-12, 1e-8, witness=True).passed is False
+
+
+def test_run_case_records_bad_point_as_error_row():
+    row = run_case("s", "c", ["m"], (F(1, 2),), lambda: 1 / 0, 0)
+    assert row.residual is None and not row.passed
+    assert row.error.startswith("ZeroDivisionError")
+    assert row.as_record()["maps"] == ["m"] and row.as_record()["point"] == ["1/2"]
+
+
+def test_run_case_propagates_shape_errors():
+    def bug():
+        raise JetShapeError("jet shape mismatch")
+
+    with pytest.raises(JetShapeError):
+        run_case("s", "c", [], (F(0),), bug, 0)
 
 
 def test_bridge_propagates_programming_errors():

@@ -319,3 +319,49 @@ def test_covariant_third_order_against_hand_expansion():
                     expect -= gv[e][c][b] * nabla2_jet(e, a).value
                     expect -= gv[e][c][a] * nabla2_jet(b, e).value
                 assert third[c][b][a] == expect
+
+
+def test_covariant_derivs_match_sympy_on_curved_connection():
+    # nabla_b nabla_a q = d_b d_a q - G^c_ba d_c q and
+    # nabla_c nabla_b nabla_a q = d_c(nabla_b nabla_a q)
+    #     - G^e_cb nabla_e nabla_a q - G^e_ca nabla_b nabla_e q,
+    # differentiated by sympy, for random polynomial connections on R^2
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x0 x1")
+    d = 2
+
+    def expr(poly):
+        return sum(sp.Rational(c.numerator, c.denominator) * x[0] ** m[0] * x[1] ** m[1]
+                   for m, c in poly.terms.items())
+
+    rng = random.Random(53)
+    for _ in range(3):
+        entries = {(k, i, j): rand_poly(rng, d) for k in range(d) for i in range(d)
+                   for j in range(i, d)}
+        gamma = Connection.from_polynomials(d, entries, name="curved")
+        qpoly = rand_poly(rng, d, 3)
+        p = rand_point(rng, d)
+        grad, hess, third = covariant_derivs(PolyProvider(qpoly), gamma, p)
+
+        g = [[[expr(entries[(k, min(i, j), max(i, j))]) for j in range(d)] for i in range(d)]
+             for k in range(d)]
+        q = expr(qpoly)
+        h = [[sp.diff(q, x[b], x[a]) - sum(g[c][b][a] * sp.diff(q, x[c]) for c in range(d))
+              for a in range(d)] for b in range(d)]
+        at = dict(zip(x, (sp.Rational(c.numerator, c.denominator) for c in p)))
+
+        def value(e):
+            v = sp.sympify(e).subs(at)
+            assert v.is_Rational
+            return F(int(v.p), int(v.q))
+
+        assert grad == [value(sp.diff(q, x[a])) for a in range(d)]
+        assert hess == [[value(h[b][a]) for a in range(d)] for b in range(d)]
+        assert any(hess[b][a] != value(sp.diff(q, x[b], x[a]))
+                   for a in range(d) for b in range(d)), "connection did not enter"
+        for c in range(d):
+            for b in range(d):
+                for a in range(d):
+                    want = sp.diff(h[b][a], x[c]) - sum(
+                        g[e][c][b] * h[e][a] + g[e][c][a] * h[b][e] for e in range(d))
+                    assert third[c][b][a] == value(want), (c, b, a)

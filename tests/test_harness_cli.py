@@ -224,8 +224,11 @@ def test_cli_empty_suites_is_usage_error(tmp_path):
     json.dumps({"tol": "1e-8"}),
     json.dumps({"tol": 10 ** 400}),
     json.dumps({"jet_order": 4}),
+    json.dumps({"dim": 1, "samples": 1, "suites": ["degree_lowering"],
+                "maps": [["identity", {}]]}),
 ], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string",
-        "map_dim_mismatch", "tol_bool", "tol_string", "tol_huge_int", "jet_order_field"])
+        "map_dim_mismatch", "tol_bool", "tol_string", "tol_huge_int", "jet_order_field",
+        "degree_lowering_identity_only"])
 def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
