@@ -8,8 +8,9 @@ reports apart from the timing block.
 
 Sample points are drawn uniformly from a small box (dyadic rationals on the
 exact backend) and rejected while any map of the case is singular or
-unevaluable there, with a bounded retry budget; exhausted budgets surface as
-per-case errors rather than aborting the run.
+unevaluable there, with a bounded retry budget.  An exhausted budget does
+not abort the run: its suite ends in one error row, and the other suites
+still run.
 """
 
 from __future__ import annotations
@@ -730,7 +731,11 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     rows: list[CaseResult] = []
     for suite in cfg.suites:
         sampler = Sampler(cfg)  # fresh stream per suite keeps suites independent
-        rows.extend(_SUITE_FN[suite](cfg, sampler, pool))
+        try:
+            rows.extend(_SUITE_FN[suite](cfg, sampler, pool))
+        except EvaluationError as exc:  # raised outside any case, e.g. an exhausted sampler
+            rows.append(CaseResult(suite, "aborted", [], (), None, False,
+                                   error=f"{type(exc).__name__}: {exc}"))
 
     rows.sort(key=lambda r: (r.suite, r.case_id))
     max_by_suite: dict[str, str] = {}

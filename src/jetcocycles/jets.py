@@ -16,6 +16,14 @@ are, while exact operands that carry a ``Fraction`` are summed as integer
 numerators over one common denominator, as FLINT's ``fmpq_poly`` does, so
 each nonzero output is normalised once and every zero slot is ``int`` 0.
 Int-only operands give int coefficients.
+Slot-wise operations do scalar work only on the slots they change.  A zero
+operand leaves the other slot as it is: ``a + 0``, ``a - 0``, ``s * 0`` and
+``0 / s`` keep the slot, and an int 0 plus or minus ``b`` gives ``b`` or
+``-b``, so an exact zero slot stays ``int`` 0.  A product with an operand
+whose only term is its constant is a scaling, made without the plan; an int
+constant 1 returns the other operand itself.  ``partial`` reads the plan's
+row for ``x_axis``, and lowering the truncation order keeps a prefix of the
+slots, since graded order lists the lower-order monomials first.
 A polynomial becomes a jet without jet products: each jet coefficient of a
 term is written in closed form by the binomial Taylor shift of the term to
 the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
@@ -227,10 +235,12 @@ class Jet:
             )
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet(self.dim, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return self + Jet.constant(self.dim, self.order, other)
+        if not isinstance(other, Jet):
+            other = Jet.constant(self.dim, self.order, other)
+        self._check(other)
+        return Jet(self.dim, self.order,
+                   [(a + b if a or type(a) is not int else b) if b else a
+                    for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -238,23 +248,33 @@ class Jet:
         return Jet(self.dim, self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet(self.dim, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return self - Jet.constant(self.dim, self.order, other)
+        if not isinstance(other, Jet):
+            other = Jet.constant(self.dim, self.order, other)
+        self._check(other)
+        return Jet(self.dim, self.order,
+                   [(a - b if a or type(a) is not int else -b) if b else a
+                    for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, [other * a for a in self.coeffs])
+            return Jet(self.dim, self.order, [other * a if a else a for a in self.coeffs])
         self._check(other)
-        plan = _mul_plan(self.dim, self.order)
         ca, cb = self.coeffs, other.coeffs
-        slots = range(len(plan))
+        slots = range(len(ca))
         lhs = [(i, ca[i]) for i in compress(slots, ca)]
         rhs = [(j, cb[j]) for j in compress(slots, cb)]
+        # An operand whose only term is its constant scales the other one, with
+        # no plan; an int 1 leaves it as it is.  Terms commute, so the
+        # constant is moved to the right.
+        scaled = self
+        if len(lhs) == 1 and not lhs[0][0]:
+            scaled, lhs, rhs = other, rhs, lhs
+        scale = len(rhs) == 1 and not rhs[0][0]
+        if scale and type(rhs[0][1]) is int and rhs[0][1] == 1:
+            return scaled
         # Exact operands that carry a Fraction are summed as integer numerators
         # over one denominator.  Floats (a float constant term settles it)
         # multiply as they are, in the (i, j) order of every slot's sum.
@@ -264,14 +284,20 @@ class Jet:
             if Fraction in types and types <= _EXACT:
                 (lhs, den_a), (rhs, den_b) = _numerators(lhs), _numerators(rhs)
                 den = den_a * den_b
-        out = [0] * len(plan)
-        for i, a in lhs:
-            row = plan[i]
-            n = len(row)
-            for j, b in rhs:
-                if j >= n:
-                    break
-                out[row[j]] += a * b
+        out = [0] * len(ca)
+        if scale:
+            (_, c), = rhs
+            for i, a in lhs:
+                out[i] = a * c
+        else:
+            plan = _mul_plan(self.dim, self.order)
+            for i, a in lhs:
+                row = plan[i]
+                n = len(row)
+                for j, b in rhs:
+                    if j >= n:
+                        break
+                    out[row[j]] += a * b
         if den > 1:
             for k in compress(slots, out):
                 out[k] = Fraction(out[k], den)
@@ -282,7 +308,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.dim, self.order, [_exact_div(a, other) for a in self.coeffs])
+        return Jet(self.dim, self.order, [_exact_div(a, other) if a else a for a in self.coeffs])
 
     def reciprocal(self) -> "Jet":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -300,32 +326,28 @@ class Jet:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, axis: int) -> "Jet":
-        """Jet of the partial derivative; truncation order drops by one."""
+        """Jet of the partial derivative; truncation order drops by one.
+
+        Slot ``s`` of the result comes from entry ``s`` of the plan's row for
+        ``x_axis``, which sits at slot ``dim - axis`` in graded order.
+        """
         if not 0 <= axis < self.dim:
             raise JetShapeError(f"axis {axis} out of range for dim {self.dim}")
-        new_order = max(self.order - 1, 0)
-        monos = monomials(self.dim, self.order)
-        idx = monomial_index(self.dim, new_order)
-        out = [0] * len(monomials(self.dim, new_order))
-        for m, c in zip(monos, self.coeffs):
-            if c == 0 or m[axis] == 0:
-                continue
-            target = tuple(e - 1 if k == axis else e for k, e in enumerate(m))
-            if sum(target) <= new_order:
-                out[idx[target]] += c * m[axis]
-        return Jet(self.dim, new_order, out)
+        if not self.order:
+            return Jet(self.dim, 0, [0])
+        row = _mul_plan(self.dim, self.order)[self.dim - axis]
+        c = self.coeffs
+        return Jet(self.dim, self.order - 1,
+                   [(c[s] * (m[axis] + 1) if m[axis] else c[s]) if c[s] else 0
+                    for s, m in zip(row, monomials(self.dim, self.order - 1))])
 
     def truncated(self, order: int) -> "Jet":
+        """The jet at a lower order: a prefix of the slots in graded order."""
         if order > self.order:
             raise JetShapeError("cannot raise truncation order")
         if order == self.order:
             return self
-        idx = monomial_index(self.dim, self.order)
-        return Jet(
-            self.dim,
-            order,
-            [self.coeffs[idx[m]] for m in monomials(self.dim, order)],
-        )
+        return Jet(self.dim, order, self.coeffs[:len(monomials(self.dim, order))])
 
     def embed(self, dim: int, axes: Sequence[int]) -> "Jet":
         """Reinterpret as a jet in more variables; axes maps old to new slots."""

@@ -302,6 +302,25 @@ def test_cli_failing_tolerance_exits_one():
     assert proc.returncode == 1
 
 
+def test_cli_exhausted_sampler_is_an_error_row_not_a_traceback(tmp_path):
+    # off the origin every draw overflows exp(1e6 x) or gives det 0
+    scenario = tmp_path / "budget.json"
+    scenario.write_text(json.dumps({
+        "dim": 3, "backend": "float", "samples": 1,
+        "suites": ["classical_cocycles", "moyal"], "maps": [["exp_scale", {"lam": 1e6}]]}))
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(scenario), "--json", str(out))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    cases = json.loads(out.read_text())["cases"]
+    classical = [c for c in cases if c["suite"] == "classical_cocycles"]
+    assert len(classical) == 1 and not classical[0]["pass"]
+    assert classical[0]["error"].startswith("EvaluationError: retry budget exhausted")
+    # the other suite still runs
+    moyal = [c for c in cases if c["suite"] == "moyal"]
+    assert moyal and all(c["pass"] for c in moyal)
+
+
 def test_cli_scenario_file_overrides_flags(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"dim": 2, "suites": ["moyal"], "samples": 2, "seed": 4}))

@@ -1,6 +1,7 @@
 """Jet kernel: ring axioms, composition, reversion, calculus."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -363,6 +364,84 @@ def test_polynomial_jet_makes_no_jet_products(jet_products):
     assert jet_products == []
 
 
+# -- series reversion against a sympy oracle -----------------------------------
+#
+# The inverse of a polynomial map F with invertible linear part is solved for
+# by undetermined coefficients: at each degree k the unknown degree-k
+# coefficients of G enter F(G(x)) = x linearly, and sympy solves for them.
+# Nothing here goes through the jet kernel.
+
+
+def sympy_inverse_series(sp, terms, order):
+    """{(i, b): coefficient of x^b in G_i} with 1 <= |b| <= order, F(G(x)) = x."""
+    dim = len(terms)
+    xs = sp.symbols(f"x0:{dim}")
+
+    def truncate(poly, k):
+        kept = {b: c for b, c in poly.as_dict().items() if sum(b) <= k}
+        return sp.Poly.from_dict(kept or {(0,) * dim: 0}, *xs, domain=poly.domain)
+
+    G = [sp.Poly(0, *xs)] * dim
+    for k in range(1, order + 1):
+        degree_k = [b for b in itertools.product(range(k + 1), repeat=dim) if sum(b) == k]
+        unknowns = {(i, b): sp.Symbol(f"g{i}_" + "_".join(map(str, b)))
+                    for i in range(dim) for b in degree_k}
+        trial = [G[i] + sp.Poly(sp.Add(*[unknowns[i, b] * sp.Mul(*[x ** e for x, e in zip(xs, b)])
+                                         for b in degree_k]), *xs)
+                 for i in range(dim)]
+        eqs = []
+        for i, f in enumerate(terms):
+            composed = sp.Poly(0, *xs)
+            for m, c in f.items():
+                term = sp.Poly(sp.Rational(c.numerator, c.denominator), *xs)
+                for g, e in zip(trial, m):
+                    for _ in range(e):
+                        term = truncate(term * g, k)
+                composed += term
+            unit = tuple(int(a == i) for a in range(dim))
+            eqs += [composed.coeff_monomial(b) - (1 if b == unit else 0) for b in degree_k]
+        (sol,) = sp.solve(eqs, list(unknowns.values()), dict=True)
+        G = [sp.Poly(g.as_expr().subs(sol), *xs) for g in trial]
+    return {(i, b): Fraction(int(c.p), int(c.q))
+            for i, g in enumerate(G) for b, c in g.terms() if c}
+
+
+def rand_invertible_map(rng, dim, order):
+    """Terms of a rational polynomial map with zero constant and det(A) != 0."""
+    while True:
+        lin = [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(dim)]
+               for _ in range(dim)]
+        if mat_det(lin) != 0:
+            break
+    terms = []
+    for i in range(dim):
+        f = {tuple(int(a == j) for a in range(dim)): lin[i][j] for j in range(dim)}
+        for _ in range(3):
+            deg = rng.randint(2, max(order, 2))
+            m = [0] * dim
+            for _ in range(deg):
+                m[rng.randrange(dim)] += 1
+            f[tuple(m)] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 4, 7]))
+        terms.append({m: c for m, c in f.items() if c})
+    return terms
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jet_invert_matches_sympy_undetermined_coefficients(dim):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(70 + dim)
+    for order in range(1, 5):
+        for _ in range(2):
+            terms = rand_invertible_map(rng, dim, order)
+            F = [Jet(dim, order, [f.get(m, 0) for m in monomials(dim, order)]) for f in terms]
+            G = jet_invert(F)
+            expect = sympy_inverse_series(sp, terms, order)
+            for i, g in enumerate(G):
+                assert g.value == 0
+                for b in slots(dim, order)[1:]:
+                    assert g.coefficient(b) == expect.get((i, b), 0), (terms, order, i, b)
+
+
 # -- kernel laws (Hypothesis) -------------------------------------------------
 #
 # Jets are drawn sparse, with terms spread over every degree, on both scalar
@@ -550,3 +629,153 @@ def test_exact_product_zero_slots_are_int_zero():
     q = Jet(1, 4, [Fraction(2), Fraction(-3), 0, 0, 0]) * Jet(1, 4, [1, 1, 0, 0, 0])
     assert list(q.coeffs) == [2, -1, -3, 0, 0]
     assert all(type(c) is int for c in q.coeffs)
+
+
+# -- slot-wise operations (Hypothesis) -----------------------------------------
+#
+# Sums, differences, negation, scaling, division, partials and truncation
+# against plain per-slot references.  Exact results are equal to the
+# reference and leave an int 0 slot int 0 wherever no operand changes it;
+# float results equal the reference under ``==``.
+
+
+def reference_div(a, s):
+    return Fraction(a, s) if type(a) is int and type(s) is int else a / s
+
+
+def reference_partial(j, axis):
+    """Partial derivative over exponent tuples, without the product plan."""
+    out = {}
+    for m, c in zip(monomials(j.dim, j.order), j.coeffs):
+        if m[axis] and c:
+            out[m[:axis] + (m[axis] - 1,) + m[axis + 1:]] = c * m[axis]
+    return [out.get(m, 0) for m in monomials(j.dim, max(j.order - 1, 0))]
+
+
+def assert_slotwise(result, reference, backend, *operands):
+    """``result`` equals ``reference``; on the exact backend a slot that is
+    int 0 in every jet operand is int 0 in the result."""
+    assert list(result.coeffs) == list(reference)
+    if backend == "exact":
+        for k, c in enumerate(result.coeffs):
+            if all(type(x.coeffs[k]) is int and x.coeffs[k] == 0 for x in operands):
+                assert type(c) is int and c == 0, (k, c)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_add_sub_neg_match_slotwise_reference(shape, backend, data):
+    a = data.draw(jets(shape, backend))
+    b = data.draw(jets(shape, backend))
+    s = data.draw(scalars(backend))
+    assert_slotwise(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)], backend, a, b)
+    assert_slotwise(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)], backend, a, b)
+    assert_slotwise(-a, [-x for x in a.coeffs], backend, a)
+    with_s = [a.value + s] + list(a.coeffs[1:])
+    assert list((a + s).coeffs) == with_s and list((s + a).coeffs) == with_s
+    assert list((a - s).coeffs) == [a.value - s] + list(a.coeffs[1:])
+    assert list((s - a).coeffs) == [s - a.value] + [-x for x in a.coeffs[1:]]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_scalar_mul_div_match_slotwise_reference(shape, backend, data):
+    a = data.draw(jets(shape, backend))
+    s = data.draw(scalars(backend))
+    assert_slotwise(a * s, [s * x for x in a.coeffs], backend, a)
+    assert_slotwise(s * a, [s * x for x in a.coeffs], backend, a)
+    d = data.draw(scalars(backend).filter(bool))
+    assert_slotwise(a / d, [reference_div(x, d) for x in a.coeffs], backend, a)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@given(data=st.data())
+def test_partial_and_truncated_match_reference(shape, backend, data):
+    dim, order = shape
+    j = data.draw(jets(shape, backend, max_terms=10))
+    axis = data.draw(st.integers(0, dim - 1))
+    d = j.partial(axis)
+    assert (d.dim, d.order) == (dim, max(order - 1, 0))
+    assert list(d.coeffs) == reference_partial(j, axis)
+    if backend == "exact":
+        assert all(type(c) is int for c in d.coeffs if c == 0)
+    k = data.draw(st.integers(0, order))
+    t = j.truncated(k)
+    assert (t.dim, t.order) == (dim, k)
+    assert list(t.coeffs) == [j.coefficient(m) for m in monomials(dim, k)]
+
+
+def test_zero_slots_stay_int_zero_under_scalar_ops():
+    j = Jet(2, 2, [Fraction(1, 3), 0, 2, 0, 0, Fraction(-1, 2)])
+    zeros = [1, 3, 4]
+    for out in (j * Fraction(2, 3), Fraction(2, 3) * j, j / 3, j / Fraction(3, 4),
+                j + Fraction(1, 2), j - Fraction(1, 2), j + j, j - Jet.zero(2, 2)):
+        assert [type(out.coeffs[k]) for k in zeros] == [int] * 3, out.coeffs
+    assert (j / 3).coeffs == (Fraction(1, 9), 0, Fraction(2, 3), 0, 0, Fraction(-1, 6))
+    assert (Jet.zero(1, 2) - Jet(1, 2, [Fraction(1, 2), 0, 3])).coeffs == (Fraction(-1, 2), 0, -3)
+    # a float zero is not skipped: it turns an exact slot into a float, as 0.0 + b does
+    exact = Jet(1, 2, [Fraction(1, 3), 2, 0])
+    for out in (Jet(1, 2, [0.0, -0.0, 1.0]) + exact, Jet(1, 2, [0.0, -0.0, 1.0]) - exact):
+        assert [type(c) for c in out.coeffs] == [float, float, float]
+        assert abs(out.coeffs[0]) == 1 / 3 and abs(out.coeffs[1]) == 2.0
+
+
+# -- products with a constant operand -----------------------------------------
+#
+# A constant operand scales the other one without the product plan.  Slot
+# values and types are those of the truncated Cauchy product: exact operands
+# that carry a Fraction give Fraction slots over a denominator above 1 and
+# int slots otherwise, and a float anywhere gives the float products.  An int
+# 1 returns the other operand itself, whose slots keep their own types.
+
+
+def cauchy_reference(a, b):
+    """``reference_mul`` with the slot types of the truncated Cauchy product."""
+    out = reference_mul(a, b)
+    terms = [c for c in a.coeffs + b.coeffs if c]
+    types = {type(c) for c in terms}
+    exact = Fraction in types and types <= {int, Fraction}
+    if float in (type(a.value), type(b.value)) or not exact:
+        return out
+    den = (math.lcm(*[c.denominator for c in a.coeffs if c])
+           * math.lcm(*[c.denominator for c in b.coeffs if c]))
+    return [(Fraction(v) if den > 1 else int(v)) if v else 0 for v in out]
+
+
+CONSTANTS = [1, Fraction(4), Fraction(2, 3), 1.5]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(1, 4), (3, 2), (6, 3)], ids=shape_id)
+@given(data=st.data())
+def test_constant_operand_products_need_no_plan(shape, backend, data):
+    import jetcocycles.jets as jets_module
+
+    def no_plan(*_):
+        raise AssertionError("a constant operand must not use the product plan")
+
+    x = data.draw(jets(shape, backend))
+    for value in CONSTANTS:
+        c = Jet.constant(*shape, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets_module, "_mul_plan", no_plan)
+            products = x * c, c * x
+        for out, ref in zip(products, (cauchy_reference(x, c), cauchy_reference(c, x))):
+            assert list(out.coeffs) == ref
+            if type(value) is int:
+                assert out is x or not any(x.coeffs[1:])  # x constant: either may return
+            else:
+                assert [type(v) for v in out.coeffs] == [type(v) for v in ref], (value, x)
+
+
+def test_constant_operand_product_is_one_mul_call(jet_products):
+    x = Jet(2, 3, [Fraction(1, 2), 3, 0, 0.0, 0, 0, 0, 0, 0, Fraction(5, 4)])
+    one, three_halves = Jet.constant(2, 3, 1), Jet.constant(2, 3, 1.5)
+    assert x * one is x and one * x is x
+    scaled = [x * three_halves, three_halves * x]
+    assert len(jet_products) == 4
+    # a float constant gives float slots, as the Cauchy product does
+    assert all(type(v) is float for y in scaled for v in y.coeffs if v)

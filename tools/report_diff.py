@@ -1,0 +1,91 @@
+"""Compare the verify reports of two source trees, apart from timing.
+
+    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE
+
+Each tree is the root of a jetcocycles checkout.  In each, the script runs
+``python -m jetcocycles.cli verify`` with every suite, ``--samples 2`` and
+seeds 1 and 2, at dims 1-3 on both backends: 12 reports per tree.  The
+program is imported from the tree's ``src``, so nothing needs installing.
+Reports are compared after dropping their ``timing`` block.  It prints one
+line per report and exits 1 when any report differs or is missing, else 0.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (1, 2)
+DIMS = (1, 2, 3)
+BACKENDS = ("exact", "float")
+
+
+def run_report(tree: str, dim: int, backend: str, seed: int, out_dir: str):
+    """The report of one verify call in ``tree`` without ``timing``, or None."""
+    path = os.path.join(out_dir, f"d{dim}-{backend}-s{seed}.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    subprocess.run([sys.executable, "-m", "jetcocycles.cli", "verify", "--dim", str(dim),
+                    "--backend", backend, "--samples", "2", "--seed", str(seed),
+                    "--json", path],
+                   cwd=tree, env=env, stdout=subprocess.DEVNULL, check=False)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    report.pop("timing", None)
+    return report
+
+
+def first_difference(a, b, where="") -> str:
+    """A readable path to the first place where two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{where}/{key}: only in {'change' if key in b else 'parent'}"
+            if a[key] != b[key]:
+                return first_difference(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{where}: {len(a)} vs {len(b)} entries"
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return first_difference(x, y, f"{where}[{i}]")
+    return f"{where}: {a!r} vs {b!r}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="root of the reference source tree")
+    ap.add_argument("change", help="root of the source tree under test")
+    args = ap.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for dim in DIMS:
+                for backend in BACKENDS:
+                    dirs = [os.path.join(tmp, side) for side in ("parent", "change")]
+                    reports = []
+                    for tree, out_dir in zip((args.parent, args.change), dirs):
+                        os.makedirs(out_dir, exist_ok=True)
+                        reports.append(run_report(tree, dim, backend, seed, out_dir))
+                    name = f"dim {dim} {backend:<5} seed {seed}"
+                    if None in reports:
+                        status = "missing report"
+                    elif reports[0] == reports[1]:
+                        status = f"identical ({len(reports[0]['cases'])} cases)"
+                    else:
+                        status = "DIFFERS " + first_difference(*reports)
+                    differ += not status.startswith("identical")
+                    print(f"{name}: {status}", flush=True)
+    print(f"{differ} of {len(SEEDS) * len(DIMS) * len(BACKENDS)} reports differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
