@@ -354,13 +354,14 @@ def vect_embedding_cocycle(X: VectorField, P: Symbol, x: tuple) -> Symbol:
     n = X.dim
     if P.n != n:
         raise JetShapeError("vector field and symbol dimensions differ")
-    if not all(isinstance(c, Polynomial) for c in X.components):
+    comps = getattr(X, "components", None)  # a bracket has jets only
+    if comps is None or not all(isinstance(c, Polynomial) for c in comps):
         raise JetShapeError("polynomial vector fields expected")
     k = P.degree()
     if k < 0:
         return Symbol(n, {})
     unit = [tuple(1 if a == i else 0 for a in range(n)) for i in range(n)]
-    F = Symbol(n, {unit[i]: X.components[i] for i in range(n)})
+    F = Symbol(n, {unit[i]: comps[i] for i in range(n)})
     mo = k + 1
     point = tuple(x) + (0,) * n
     out_jet = moyal_p3(F, P, point, order=mo)

@@ -27,7 +27,14 @@ slots, since graded order lists the lower-order monomials first.
 A polynomial becomes a jet without jet products: each jet coefficient of a
 term is written in closed form by the binomial Taylor shift of the term to
 the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
-shifts", ISSAC 1997).
+shifts", ISSAC 1997).  An exact shift runs in integer numerators, with the
+point over one denominator and the coefficients over another, and makes one
+``Fraction`` per nonzero slot.
+Every monomial but the constant has a predecessor, itself less one power of
+its first variable.  One cached table per shape lists these; it builds the
+product plan row by row, and ``jet_compose`` marks the powers of the inner
+jets it needs in one pass down the slots and builds each from its
+predecessor in one pass up.
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -58,9 +65,11 @@ __all__ = [
 
 
 def _exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Division that keeps int/int exact instead of decaying to float."""
+    """Division that keeps int/int exact instead of decaying to float; an
+    integral quotient stays ``int``."""
     if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     return a / b
 
 
@@ -111,15 +120,26 @@ def monomial_index(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _predecessors(dim: int, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each monomial ``m`` after the constant, the slot of ``m - x_k`` and
+    ``k``, the first axis with a nonzero exponent, as two flat tuples.  The
+    predecessor has lower degree, so it comes earlier in graded order."""
+    idx = monomial_index(dim, order)
+    monos = monomials(dim, order)[1:]
+    axes = tuple(next(a for a, e in enumerate(m) if e) for m in monos)
+    return tuple(idx[m[:k] + (m[k] - 1,) + m[k + 1:]] for m, k in zip(monos, axes)), axes
+
+
+@lru_cache(maxsize=None)
 def _mul_plan(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Slots of the truncated Cauchy product, one row per monomial.
 
     In graded order the partners of a degree-t monomial that survive the
     truncation are the monomials of degree <= order - t, a prefix; row ``i``
     holds the slot of ``monos[i] * monos[j]`` for each ``j`` in that prefix.
-    Each row is the row of the monomial one exponent lower, shifted along
-    that axis, so building the plan forms exponent tuples per monomial, not
-    per pair.
+    Each row is the row of the monomial's predecessor, shifted along the
+    predecessor's axis, so building the plan forms exponent tuples per
+    monomial, not per pair.
     """
     monos = monomials(dim, order)
     idx = monomial_index(dim, order)
@@ -128,11 +148,9 @@ def _mul_plan(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
     # shift[k][s]: slot of monos[s] * x_k
     shift = [[idx[m[:k] + (m[k] + 1,) + m[k + 1:]] for m in below_top] for k in range(dim)]
     rows = [tuple(range(len(monos)))]
-    for m in monos[1:]:
-        k = next(a for a, e in enumerate(m) if e)
-        pred = rows[idx[m[:k] + (m[k] - 1,) + m[k + 1:]]]
+    for m, pred, k in zip(monos[1:], *_predecessors(dim, order)):
         sk = shift[k]
-        rows.append(tuple([sk[s] for s in pred[:prefix[order - sum(m)]]]))
+        rows.append(tuple([sk[s] for s in rows[pred][:prefix[order - sum(m)]]]))
     return tuple(rows)
 
 
@@ -317,6 +335,8 @@ class Jet:
             raise ZeroDivisionError("jet with zero constant term has no reciprocal")
         u = (self / c0) - 1  # nilpotent part, vanishes beyond the truncation order
         out = Jet.constant(self.dim, self.order, 1)
+        if u.is_zero():
+            return out / c0
         power = Jet.constant(self.dim, self.order, 1)
         for k in range(1, self.order + 1):
             power = power * u
@@ -419,32 +439,22 @@ def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
     if order != outer.order:
         raise JetShapeError("outer and inner truncation orders must agree")
 
-    outer_monos = monomials(outer.dim, outer.order)
-    # the inner jets raised to each needed monomial, built along graded order
-    needed: set[tuple[int, ...]] = set()
-    stack = [m for m, c in zip(outer_monos, outer.coeffs) if c != 0 and sum(m) > 0]
-    while stack:
-        m = stack.pop()
-        if m in needed or sum(m) == 0:
-            continue
-        needed.add(m)
-        ax = next(k for k, e in enumerate(m) if e > 0)
-        pred = tuple(e - 1 if k == ax else e for k, e in enumerate(m))
-        if sum(pred) > 0:
-            stack.append(pred)
-
-    products: dict[tuple[int, ...], Jet] = {}
-    for m in sorted(needed, key=lambda t: (sum(t), t)):
-        ax = next(k for k, e in enumerate(m) if e > 0)
-        pred = tuple(e - 1 if k == ax else e for k, e in enumerate(m))
-        base = products[pred] if sum(pred) > 0 else None
-        products[m] = inner[ax] if base is None else base * inner[ax]
+    # the inner jets raised to each needed monomial: a monomial needs its
+    # predecessor, which sits at a lower slot, so one pass down the slots
+    # marks them and one pass up builds them
+    preds, axes = _predecessors(outer.dim, order)
+    needed = [c != 0 for c in outer.coeffs]
+    for s in range(len(needed) - 1, 0, -1):
+        if needed[s]:
+            needed[preds[s - 1]] = True
+    powers: list = [None] * len(needed)
+    for s in compress(range(1, len(needed)), needed[1:]):
+        pred, k = preds[s - 1], axes[s - 1]
+        powers[s] = powers[pred] * inner[k] if pred else inner[k]
 
     out = Jet.constant(dim, order, outer.coeffs[0])
-    for m, c in zip(outer_monos, outer.coeffs):
-        if c == 0 or sum(m) == 0:
-            continue
-        out = out + products[m] * c
+    for s in compress(range(1, len(needed)), outer.coeffs[1:]):
+        out = out + powers[s] * outer.coeffs[s]
     return out
 
 
@@ -598,7 +608,12 @@ class Polynomial:
     the binomial Taylor shift of the terms to ``p + u``: the coefficient of
     ``u^b`` in ``x^m`` is ``prod_k C(m_k, b_k) p_k^(m_k - b_k)``, so no jet
     products are formed, and the jet is exact whenever the coefficients and
-    the point are.  Int coefficients at an int point give int slots.
+    the point are.  An exact shift sums integer numerators: with the point
+    over ``den_p``, the coefficients over ``den_c`` and the top term degree
+    ``top``, a slot of degree ``t`` is an integer over
+    ``den_c * den_p^(top - t)``, made a ``Fraction`` once if nonzero and left
+    ``int`` 0 otherwise.  Int coefficients at an int point give int slots;
+    float inputs are shifted as they are.
     """
 
     def __init__(self, dim: int, terms: dict[tuple[int, ...], Scalar]):
@@ -627,9 +642,24 @@ class Polynomial:
         return total
 
     def jet(self, point: Sequence[Scalar], order: int) -> Jet:
+        monos = monomials(self.dim, order)
         idx = monomial_index(self.dim, order)
-        out = [0] * len(idx)
+        out = [0] * len(monos)
+        if not self.terms:
+            return Jet(self.dim, order, out)
+        # term m is scaled by den_p^(top - |m|) so that slots of one degree
+        # share a denominator; float inputs keep both denominators 1
+        den_p = den_c = 1
+        exact = (all(type(x) in _EXACT for x in point)
+                 and all(type(c) in _EXACT for c in self.terms.values()))
+        if exact:
+            top = max(map(sum, self.terms))
+            den_p = math.lcm(*[x.denominator for x in point])
+            den_c = math.lcm(*[c.denominator for c in self.terms.values()])
+            point = [x.numerator * (den_p // x.denominator) for x in point]
         for m, c in self.terms.items():
+            if exact:
+                c = c.numerator * (den_c // c.denominator) * den_p ** (top - sum(m))
             # (b, coefficient of u^b) over the axes so far.  A factor of 1
             # (b_k == m_k) is skipped, so an int coefficient stays int at a
             # float point; a zero factor (p_k == 0) drops the slot, which
@@ -641,6 +671,9 @@ class Polynomial:
                            if j == e or p]
             for b, v in shifted:
                 out[idx[b]] += v
+        if den_c * den_p > 1:
+            for k in compress(range(len(out)), out):
+                out[k] = Fraction(out[k], den_c * den_p ** (top - sum(monos[k])))
         return Jet(self.dim, order, out)
 
     def partial(self, axis: int) -> "Polynomial":

@@ -218,7 +218,8 @@ class CotangentMap(DiffeoMap):
             # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber
             comp = Jet.zero(2 * n, order)
             for i in range(n):
-                comp = comp + jac_inv[i][j].embed(2 * n, base_axes) * xi_vars[i]
+                if not jac_inv[i][j].is_zero():
+                    comp = comp + jac_inv[i][j].embed(2 * n, base_axes) * xi_vars[i]
             out.append(comp)
         return out
 
@@ -254,35 +255,40 @@ class VectorField:
         return tuple(c.jet(point, 0).value for c in self.components)
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [X, Y]; polynomial components stay polynomial."""
+        """Lie bracket [X, Y], a field presented only through its jets.
+
+        Its ``eval_jet(point, order)`` evaluates X and Y once each, at
+        ``order + 1``, and forms ``[X,Y]^i = X^a d_a Y^i - Y^a d_a X^i``
+        with jet products, so any two fields with jets have a bracket,
+        brackets included.  It has no ``components``.
+        """
         if self.dim != other.dim:
             raise JetShapeError("bracket requires equal dimensions")
-        if not all(isinstance(c, Polynomial) for c in self.components + other.components):
-            raise JetShapeError("bracket implemented for polynomial fields")
-        comps = []
+        return _Bracket(self, other)
+
+
+class _Bracket(VectorField):
+    """Lie bracket of two vector fields; see :meth:`VectorField.bracket`."""
+
+    def __init__(self, x: VectorField, y: VectorField):
+        self.dim = x.dim
+        self.name = f"[{x.name},{y.name}]"
+        self._pair = (x, y)
+
+    def eval_jet(self, point: Point, order: int) -> list[Jet]:
+        x, y = self._pair
+        xj, yj = x.eval_jet(point, order + 1), y.eval_jet(point, order + 1)
+        xs, ys = [j.truncated(order) for j in xj], [j.truncated(order) for j in yj]
+        out = []
         for i in range(self.dim):
-            acc = Polynomial(self.dim, {})
+            acc = Jet.zero(self.dim, order)
             for a in range(self.dim):
-                xa = self.components[a]
-                ya = other.components[a]
-                dyi = other.components[i].partial(a)
-                dxi = self.components[i].partial(a)
-                acc = acc + _poly_mul(xa, dyi) + _poly_scale(_poly_mul(ya, dxi), -1)
-            comps.append(acc)
-        return VectorField(self.dim, comps, name=f"[{self.name},{other.name}]")
+                acc = acc + xs[a] * yj[i].partial(a) - ys[a] * xj[i].partial(a)
+            out.append(acc)
+        return out
 
-
-def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out: dict[tuple[int, ...], Scalar] = {}
-    for m, c in p.terms.items():
-        for m2, c2 in q.terms.items():
-            t = tuple(a + b for a, b in zip(m, m2))
-            out[t] = out.get(t, 0) + c * c2
-    return Polynomial(p.dim, out)
-
-
-def _poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
-    return Polynomial(p.dim, {m: s * c for m, c in p.terms.items()})
+    def __call__(self, point: Point) -> Point:
+        return tuple(j.value for j in self.eval_jet(point, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,13 @@ def test_embedding_zero_for_constant_field():
     assert out.degree() == -1
 
 
+def test_embedding_rejects_a_bracket():
+    X = VectorField.from_polynomials([Polynomial(1, {(2,): 1})], name="sq")
+    Y = VectorField.from_polynomials([Polynomial.coordinate(1, 0)], name="euler")
+    with pytest.raises(JetShapeError, match="^polynomial vector fields expected$"):
+        vect_embedding_cocycle(X.bracket(Y), Symbol.monomial(1, (3,)), (F(1, 3),))
+
+
 def test_embedding_degree_bound_random():
     rng = random.Random(43)
     for n in (1, 2):

@@ -257,6 +257,13 @@ def test_reciprocal_is_inverse():
         assert j * j.reciprocal() == Jet.constant(2, 3, Fraction(1))
 
 
+def test_reciprocal_of_constant_is_exact_scalar_inverse():
+    one = Jet.constant(2, 2, 1).reciprocal()
+    assert one.coeffs == (1, 0, 0, 0, 0, 0) and type(one.value) is int
+    assert Jet.constant(2, 2, -4).reciprocal().value == Fraction(-1, 4)
+    assert Jet.constant(1, 3, 2.0).reciprocal().coeffs == (0.5, 0, 0, 0)
+
+
 def test_reciprocal_zero_constant_raises():
     with pytest.raises(ZeroDivisionError):
         Jet.variable(1, 3, 0).reciprocal()
@@ -276,6 +283,17 @@ def test_mat_inv_exact():
     inv = mat_inv(m)
     prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+
+
+def test_mat_inv_int_matrix_stays_exact():
+    # unit pivots: every quotient is integral, so every entry stays int
+    inv = mat_inv([[1, 2, 0], [0, 1, -3], [0, 0, 1]])
+    assert inv == [[1, -2, -6], [0, 1, 3], [0, 0, 1]]
+    assert all(type(x) is int for row in inv for x in row)
+    # a pivot of 2 gives Fraction steps, but the integral inverse stays exact
+    inv = mat_inv([[2, 1], [1, 1]])
+    assert inv == [[1, -1], [-1, 2]]
+    assert all(type(x) in (int, Fraction) for row in inv for x in row)
 
 
 def test_mat_det_exact_and_singular():
@@ -309,7 +327,8 @@ def sympy_shift(sp, terms, point, order):
     """{b: coefficient of u^b} with |b| <= order of the polynomial at point + u."""
     xs = sp.symbols(f"x0:{len(point)}")
     us = sp.symbols(f"u0:{len(point)}")
-    expr = sum(sp.sympify(c) * sp.Mul(*[x ** e for x, e in zip(xs, m)]) for m, c in terms.items())
+    expr = sp.Add(*[sp.sympify(c) * sp.Mul(*[x ** e for x, e in zip(xs, m)])
+                    for m, c in terms.items()])
     shifted = sp.expand(expr.subs({x: sp.sympify(p) + u for x, p, u in zip(xs, point, us)},
                                   simultaneous=True))
     return {b: Fraction(int(c.p), int(c.q))
@@ -320,20 +339,47 @@ def slots(dim, order):
     return [b for b in itertools.product(range(order + 1), repeat=dim) if sum(b) <= order]
 
 
+def exact_shift_cases(rng, dim):
+    """(terms, point) pairs of every exact kind the Taylor shift meets."""
+    cases = []
+    for _ in range(2):
+        terms = rand_poly_terms(rng, dim)
+        point = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(dim))
+        cases.append((terms, point))
+    terms, point = cases[0]
+    # int coefficients at a Fraction point, Fraction coefficients at an int point
+    cases.append(({m: int(c * 3) for m, c in terms.items()}, point))
+    cases.append((terms, tuple(rng.randint(-4, 4) for _ in range(dim))))
+    cases.append(({}, point))  # the zero polynomial
+    # x0^3 - 3 p0 x0^2 cancels in the slot of u0^2, as does 3 p0^2 x0 - p0^3 ...
+    p0 = Fraction(rng.randint(1, 9), rng.choice([2, 3, 7]))
+    e0 = tuple(int(k == 0) for k in range(dim))
+    cube = {tuple(3 * e for e in e0): 1, tuple(2 * e for e in e0): -3 * p0}
+    cases.append((cube, (p0,) + point[1:]))
+    return cases
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_polynomial_jet_matches_sympy_expansion(dim):
     sp = pytest.importorskip("sympy")
     rng = random.Random(40 + dim)
     for order in range(6):
-        for _ in range(2):
-            terms = rand_poly_terms(rng, dim)
-            point = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
-                          for _ in range(dim))
+        for terms, point in exact_shift_cases(rng, dim):
             expect = sympy_shift(sp, terms, point, order)
             j = Polynomial(dim, terms).jet(point, order)
             assert len(j.coeffs) == len(slots(dim, order))
             for b in slots(dim, order):
                 assert j.coefficient(b) == expect.get(b, 0), (terms, point, order, b)
+            # a slot that cancelled, or got no term, is int 0
+            assert all(type(c) is int for c in j.coeffs if c == 0), (terms, point, j.coeffs)
+
+
+def test_polynomial_jet_cancelled_slot_is_int_zero():
+    p = Fraction(2, 3)
+    j = Polynomial(1, {(3,): 1, (2,): -3 * p}).jet((p,), 3)
+    # (p + u)^3 - 3p (p + u)^2 = -2p^3 - 3p^2 u + 0 u^2 + u^3
+    assert j.coeffs == (-2 * p ** 3, -3 * p ** 2, 0, 1)
+    assert type(j.coeffs[2]) is int
 
 
 def test_polynomial_jet_at_dyadic_float_point_is_bit_exact():
@@ -564,6 +610,40 @@ def test_compose_associative(shape, backend, data):
     left = jet_compose(jet_compose(f, g), h)
     right = jet_compose(f, [jet_compose(gi, h) for gi in g])
     assert_same(left, right, backend)
+
+
+def reference_compose(outer, inner):
+    """Substitution by powers formed with ``reference_mul``, over exponent
+    tuples and without the kernel's composition or product plans."""
+    dim, order = inner[0].dim, inner[0].order
+    out = [outer.value] + [0] * (len(monomials(dim, order)) - 1)
+    for m, c in zip(monomials(outer.dim, outer.order), outer.coeffs):
+        if c == 0 or not any(m):
+            continue
+        power = Jet.constant(dim, order, 1)
+        for k, e in enumerate(m):
+            for _ in range(e):
+                power = Jet(dim, order, reference_mul(power, inner[k]))
+        out = [a + c * b for a, b in zip(out, power.coeffs)]
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SMALL_SHAPES + [(3, 4)], ids=shape_id)
+@pytest.mark.parametrize("outer_dim", [1, 2, 3])
+@given(data=st.data())
+def test_compose_matches_reference_substitution(outer_dim, shape, backend, data):
+    dim, order = shape
+    outer = data.draw(jets((outer_dim, order), backend))
+    if data.draw(st.booleans()):
+        # only top-degree slots: every power below them is a predecessor only
+        top = len(monomials(outer_dim, order - 1)) if order else 0
+        coeffs = [0] * top + list(outer.coeffs[top:])
+        coeffs[data.draw(st.integers(top, len(coeffs) - 1))] = data.draw(
+            scalars(backend).filter(bool))
+        outer = Jet(outer_dim, order, coeffs)
+    inner = [data.draw(jets(shape, backend, constant=0)) for _ in range(outer_dim)]
+    assert_same(jet_compose(outer, inner), reference_compose(outer, inner), backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -307,6 +307,69 @@ def test_bracket_antisymmetric_and_jacobi():
     assert all((a + b + c).is_zero() for a, b, c in zip(jac, jac2, jac3))
 
 
+def rand_rational_field(rng, dim, tag, max_deg=3, nterms=4):
+    comps = []
+    for _ in range(dim):
+        terms = {}
+        for _ in range(nterms):
+            m = tuple(rng.randint(0, max_deg) for _ in range(dim))
+            if sum(m) <= max_deg:
+                terms[m] = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+        comps.append(Polynomial(dim, terms))
+    return VectorField.from_polynomials(comps, name=tag)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bracket_matches_sympy(dim):
+    # [X,Y]^i = X^a d_a Y^i - Y^a d_a X^i formed by sympy on the polynomials,
+    # then expanded at point + u; nothing here goes through the jet kernel
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(70 + dim)
+    xs = sp.symbols(f"x0:{dim}")
+    us = sp.symbols(f"u0:{dim}")
+
+    def expr(poly):
+        return sp.Add(*[sp.Rational(c.numerator, c.denominator) * sp.Mul(*[x ** e for x, e in zip(xs, m)])
+                        for m, c in poly.terms.items()])
+
+    for _ in range(2):
+        X, Y = rand_rational_field(rng, dim, "X"), rand_rational_field(rng, dim, "Y")
+        ex, ey = [expr(c) for c in X.components], [expr(c) for c in Y.components]
+        point = rand_point(rng, dim, denom=rng.choice([3, 4, 7]))
+        shift = {x: sp.Rational(p.numerator, p.denominator) + u for x, p, u in zip(xs, point, us)}
+        expect = []
+        for i in range(dim):
+            z = sp.Add(*[ex[a] * sp.diff(ey[i], xs[a]) - ey[a] * sp.diff(ex[i], xs[a])
+                         for a in range(dim)])
+            shifted = sp.Poly(sp.expand(z.subs(shift, simultaneous=True)), *us).as_dict()
+            expect.append({b: F(int(c.p), int(c.q)) for b, c in shifted.items()})
+        bracket = X.bracket(Y)
+        for order in range(4):
+            got = bracket.eval_jet(point, order)
+            assert [(j.dim, j.order) for j in got] == [(dim, order)] * dim
+            for i in range(dim):
+                for b in itertools.product(range(order + 1), repeat=dim):
+                    if sum(b) <= order:
+                        assert got[i].coefficient(b) == expect[i].get(b, 0), (i, b, order)
+
+
+def test_bracket_evaluates_each_field_once_one_order_up(monkeypatch):
+    rng = random.Random(5)
+    X, Y, Z = (rand_rational_field(rng, 2, tag) for tag in "XYZ")
+    calls = []
+    for field in (X, Y, Z):
+        def recorded(point, order, field=field, inner=field.eval_jet):
+            calls.append((field.name, order))
+            return inner(point, order)
+        monkeypatch.setattr(field, "eval_jet", recorded)
+    p = (F(1, 3), F(-1, 2))
+    X.bracket(Y).eval_jet(p, 2)
+    assert sorted(calls) == [("X", 3), ("Y", 3)]
+    calls.clear()
+    X.bracket(Y.bracket(Z)).eval_jet(p, 1)
+    assert sorted(calls) == [("X", 2), ("Y", 3), ("Z", 3)]
+
+
 def test_flow_of_constant_field_is_translation():
     X = VectorField.from_polynomials([Polynomial.constant(1, 0.75)])
     f = flow_map(X, 0.5)
