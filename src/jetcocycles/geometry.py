@@ -43,11 +43,12 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
+    dot,
     jet_compose,
     mat_inv,
     monomial_index,
 )
-from .maps import DiffeoMap
+from .maps import DiffeoMap, _shifted
 
 __all__ = [
     "Connection",
@@ -152,35 +153,34 @@ def lift_connection(gamma: Connection) -> Connection:
         x = point[:n]
         base_axes = list(range(n))
         g1 = gamma.components(x, order + 1)  # one derivative is consumed below
+        g0 = [[[e.truncated(order) for e in row] for row in plane] for plane in g1]
         z = Jet.zero(2 * n, order)
         out = [[[z for _ in range(2 * n)] for _ in range(2 * n)] for _ in range(2 * n)]
 
         def lift0(jet: Jet) -> Jet:
-            return jet.truncated(order).embed(2 * n, base_axes)
+            return jet.embed(2 * n, base_axes)
 
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    out[k][i][j] = lift0(g1[k][i][j])
+                    out[k][i][j] = lift0(g0[k][i][j])
         xi_vars = [Jet.variable(2 * n, order, n + a, point[n + a]) for a in range(n)]
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    acc = Jet.zero(2 * n, order)
+                    exprs = []
                     for a in range(n):
                         expr = (
                             g1[a][i][j].partial(k)
                             - g1[a][j][k].partial(i)
                             - g1[a][i][k].partial(j)
-                        ).truncated(order).embed(2 * n, base_axes)
-                        quad = Jet.zero(n, order)
-                        for t in range(n):
-                            quad = quad + g1[a][k][t].truncated(order) * g1[t][i][j].truncated(order)
-                        expr = expr + 2 * quad.embed(2 * n, base_axes)
-                        acc = acc + xi_vars[a] * expr
-                    out[n + k][i][j] = acc
-                    out[n + k][i][n + j] = -lift0(g1[j][i][k])
-                    out[n + k][n + i][j] = -lift0(g1[i][k][j])
+                        ).truncated(order)
+                        quad = dot(((g0[a][k][t], g0[t][i][j]) for t in range(n)),
+                                   Jet.zero(n, order))
+                        exprs.append(lift0(expr) + 2 * lift0(quad))
+                    out[n + k][i][j] = dot(zip(xi_vars, exprs), z)
+                    out[n + k][i][n + j] = -lift0(g0[j][i][k])
+                    out[n + k][n + i][j] = -lift0(g0[i][k][j])
         return out
 
     lifted = Connection(2 * n, fn, name=f"lift({gamma.name})", flat=False)
@@ -190,15 +190,6 @@ def lift_connection(gamma: Connection) -> Connection:
 
 # ---------------------------------------------------------------------------
 # pullbacks and the comparison tensor
-
-
-def _dot(xs, ys) -> Jet | None:
-    """Sum of x * y over the pairs with no zero factor; ``None`` stands for 0."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if x is not None and y is not None:
-            acc = x * y if acc is None else acc + x * y
-    return None if acc is None or acc.is_zero() else acc
 
 
 def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
@@ -211,12 +202,12 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
     jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]  # order + 1
     jac = [[e.truncated(order) for e in row] for row in jac1]
     jac_inv = [[None if e.is_zero() else e for e in row] for row in mat_inv(jac)]
-    jac_t = [[None if row[i].is_zero() else row[i] for row in jac] for i in range(d)]
+    jac_t = list(zip(*jac))
 
     g_img = shifted = None
     if not (isinstance(field, Connection) and field.flat):
         g_img = field.components(image, order)
-        shifted = [(j - j.value).truncated(order) for j in fj]
+        shifted = [j.truncated(order) for j in _shifted(fj)]
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
     # over b, then a, then c, 3 d^4 products instead of 2 d^6.
@@ -227,8 +218,8 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         else:
             tc = [[None if g.is_zero() else jet_compose(g, shifted) for g in row]
                   for row in g_img[c]]
-            tj = [[_dot(tc[a], jac_t[j]) for a in range(d)] for j in range(d)]
-            plane = [[_dot(jac_t[i], tj[j]) for j in range(d)] for i in range(d)]
+            tj = [[dot(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
+            plane = [[dot(zip(jac_t[i], tj[j])) for j in range(d)] for i in range(d)]
         if with_inhomogeneous:
             for i in range(d):
                 for j in range(d):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -195,14 +196,18 @@ def _parse_scalar(v):
     if isinstance(v, str):
         try:
             return Fraction(v)  # covers "p/q" and integer literals
+        except ZeroDivisionError:
+            raise ConfigError(f"map parameter {v!r} has a zero denominator") from None
         except ValueError:
             pass
         try:
-            return float(v)
+            v = float(v)
         except ValueError:
             raise ConfigError(f"map parameter {v!r} is not a number") from None
     if isinstance(v, list):
         return [_parse_scalar(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"map parameter {v!r} is not finite")
     return v
 
 
@@ -263,13 +268,12 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
     return out
 
 
-def _pairs(pool: list[DiffeoMap], cap: int = PAIR_CAP) -> list:
+def _pairs(pool: list[DiffeoMap]) -> list:
     allp = list(itertools.product(pool, repeat=2))
-    if len(allp) <= cap:
+    if len(allp) <= PAIR_CAP:
         return allp
-    stride = max(1, len(allp) // cap)
-    picked = allp[::stride][:cap]
-    return picked
+    stride = max(1, len(allp) // PAIR_CAP)
+    return allp[::stride][:PAIR_CAP]
 
 
 class Sampler:
@@ -279,9 +283,9 @@ class Sampler:
         self.rng = random.Random(cfg.seed)
         self.backend = cfg.backend
 
-    def scalar(self, span: int = 8, denom: int = 16, nonzero: bool = False):
+    def scalar(self, denom: int = 16, nonzero: bool = False):
         while True:
-            k = self.rng.randint(-span, span)
+            k = self.rng.randint(-8, 8)
             if nonzero and k == 0:
                 continue
             break

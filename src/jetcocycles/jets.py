@@ -32,9 +32,13 @@ point over one denominator and the coefficients over another, and makes one
 ``Fraction`` per nonzero slot.
 Every monomial but the constant has a predecessor, itself less one power of
 its first variable.  One cached table per shape lists these; it builds the
-product plan row by row, and ``jet_compose`` marks the powers of the inner
-jets it needs in one pass down the slots and builds each from its
-predecessor in one pass up.
+product plan row by row, and ``_powers`` holds the powers of inner jets: it
+marks the powers a composition needs in one pass down the slots and builds
+each from its predecessor in one pass up.  ``jet_compose`` and the operator
+action read their powers from it.
+``dot`` holds the zero-operand rule of the sums of products in every layer:
+a pair with a ``None`` or zero-jet operand is skipped and costs no product,
+so callers do not guard their terms.
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -44,7 +48,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -55,6 +59,7 @@ __all__ = [
     "EvaluationError",
     "BAD_POINT_ERRORS",
     "Polynomial",
+    "dot",
     "jet_compose",
     "jet_invert",
     "mat_inv",
@@ -415,6 +420,19 @@ class Jet:
         return self._series(derivs)
 
 
+def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
+    """``acc`` plus the sum of ``x * y`` over the ``(x, y)`` jet pairs, added
+    left to right.
+
+    A pair whose ``x`` or ``y`` is ``None`` or a zero jet is skipped, so it
+    costs no product.  When nothing is added, ``acc`` is returned as it is.
+    """
+    for x, y in pairs:
+        if x is not None and y is not None and any(x.coeffs) and any(y.coeffs):
+            acc = x * y if acc is None else acc + x * y
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # composition and reversion
 
@@ -439,11 +457,24 @@ def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
     if order != outer.order:
         raise JetShapeError("outer and inner truncation orders must agree")
 
-    # the inner jets raised to each needed monomial: a monomial needs its
-    # predecessor, which sits at a lower slot, so one pass down the slots
-    # marks them and one pass up builds them
-    preds, axes = _predecessors(outer.dim, order)
-    needed = [c != 0 for c in outer.coeffs]
+    powers = _powers(inner, [c != 0 for c in outer.coeffs])
+    out = Jet.constant(dim, order, outer.coeffs[0])
+    for s in compress(range(1, len(powers)), outer.coeffs[1:]):
+        out = out + powers[s] * outer.coeffs[s]
+    return out
+
+
+def _powers(inner: Sequence[Jet], needed: Sequence[bool]) -> list:
+    """``inner^m`` for the monomials ``m`` in ``len(inner)`` variables, to the
+    inner order, whose slots ``needed`` marks; ``None`` at the other slots
+    and at the constant.
+
+    A monomial needs its predecessor, which sits at a lower slot, so one pass
+    down the slots marks them and one pass up builds each power from its
+    predecessor's.
+    """
+    preds, axes = _predecessors(len(inner), inner[0].order)
+    needed = list(needed)
     for s in range(len(needed) - 1, 0, -1):
         if needed[s]:
             needed[preds[s - 1]] = True
@@ -451,11 +482,7 @@ def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
     for s in compress(range(1, len(needed)), needed[1:]):
         pred, k = preds[s - 1], axes[s - 1]
         powers[s] = powers[pred] * inner[k] if pred else inner[k]
-
-    out = Jet.constant(dim, order, outer.coeffs[0])
-    for s in compress(range(1, len(needed)), outer.coeffs[1:]):
-        out = out + powers[s] * outer.coeffs[s]
-    return out
+    return powers
 
 
 def _identity_jets(dim: int, order: int) -> list[Jet]:

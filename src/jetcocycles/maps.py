@@ -29,6 +29,7 @@ from .jets import (
     Polynomial,
     Scalar,
     SingularJacobianError,
+    dot,
     jet_compose,
     jet_invert,
     mat_det,
@@ -89,9 +90,6 @@ class DiffeoMap:
 
     def jacobian_det(self, point: Point) -> Scalar:
         return mat_det(self.jacobian(point))
-
-    def compose(self, other: "DiffeoMap") -> "DiffeoMap":
-        return compose(self, other)
 
     def invert(self, at: Point) -> "_LocalInverse":
         """Local inverse anchored at the image of ``at``."""
@@ -214,14 +212,10 @@ class CotangentMap(DiffeoMap):
         base_axes = list(range(n))
         out = [fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
         xi_vars = [Jet.variable(2 * n, order, n + i, xi[i]) for i in range(n)]
-        for j in range(n):
-            # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber
-            comp = Jet.zero(2 * n, order)
-            for i in range(n):
-                if not jac_inv[i][j].is_zero():
-                    comp = comp + jac_inv[i][j].embed(2 * n, base_axes) * xi_vars[i]
-            out.append(comp)
-        return out
+        # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber
+        return out + [dot(((jac_inv[i][j].embed(2 * n, base_axes), xi_vars[i]) for i in range(n)),
+                          Jet.zero(2 * n, order))
+                      for j in range(n)]
 
     def invert(self, at: Point) -> DiffeoMap:
         inv = super().invert(at)
@@ -278,14 +272,12 @@ class _Bracket(VectorField):
     def eval_jet(self, point: Point, order: int) -> list[Jet]:
         x, y = self._pair
         xj, yj = x.eval_jet(point, order + 1), y.eval_jet(point, order + 1)
-        xs, ys = [j.truncated(order) for j in xj], [j.truncated(order) for j in yj]
-        out = []
-        for i in range(self.dim):
-            acc = Jet.zero(self.dim, order)
-            for a in range(self.dim):
-                acc = acc + xs[a] * yj[i].partial(a) - ys[a] * xj[i].partial(a)
-            out.append(acc)
-        return out
+        xs, neg_ys = [j.truncated(order) for j in xj], [-j.truncated(order) for j in yj]
+        d = self.dim
+        return [dot([pair for a in range(d)
+                     for pair in ((xs[a], yj[i].partial(a)), (neg_ys[a], xj[i].partial(a)))],
+                    Jet.zero(d, order))
+                for i in range(d)]
 
     def __call__(self, point: Point) -> Point:
         return tuple(j.value for j in self.eval_jet(point, 0))
@@ -465,14 +457,18 @@ def catalog_entries() -> list[dict]:
 # flows
 
 
-def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> DiffeoMap:
+# the highest jet order a flow map carries
+FLOW_ORDER = 3
+
+
+def flow_map(field: VectorField, t: float, steps: int = 64) -> DiffeoMap:
     """Approximate time-t flow of a vector field.
 
     Classical RK4 with fixed step t/steps, integrating the jet of the flow
-    map directly at the requested order (at most ``order``) so derivatives
-    ride along (the variational equations in monomial coordinates).  Float
-    backend only; accuracy is the integrator's O(h^4), good enough for
-    consistency checks, not identities.
+    map directly at the requested order (at most ``FLOW_ORDER``) so
+    derivatives ride along (the variational equations in monomial
+    coordinates).  Float backend only; accuracy is the integrator's O(h^4),
+    good enough for consistency checks, not identities.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -484,15 +480,15 @@ def flow_map(field: VectorField, t: float, order: int = 3, steps: int = 64) -> D
     def rhs(state: list[Jet]) -> list[Jet]:
         base = tuple(float(s.value) for s in state)
         xj = field.eval_jet(base, state[0].order)
-        shifted = [s - s.value for s in state]
+        shifted = _shifted(state)
         return [jet_compose(c, shifted) for c in xj]
 
-    def jet_fn(point, order_req):
-        if order_req > order:
+    def jet_fn(point, order):
+        if order > FLOW_ORDER:
             raise JetShapeError(
-                f"flow map carries jets to order {order}, requested {order_req}"
+                f"flow map carries jets to order {FLOW_ORDER}, requested {order}"
             )
-        state = [Jet.variable(n, order_req, i, float(point[i])) for i in range(n)]
+        state = [Jet.variable(n, order, i, float(point[i])) for i in range(n)]
         for _ in range(steps):
             k1 = rhs(state)
             k2 = rhs([s + k * (h / 2) for s, k in zip(state, k1)])

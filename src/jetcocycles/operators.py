@@ -41,13 +41,15 @@ from .jets import (
     Polynomial,
     Scalar,
     _exact_div,
+    _powers,
+    dot,
     jet_compose,
     jet_invert,
     mat_inv,
     monomials,
     monomial_index,
 )
-from .maps import DiffeoMap, cotangent_lift
+from .maps import DiffeoMap, _shifted, cotangent_lift
 from .geometry import (Connection, _covariant_tables, _factorial_midx, _midx_add, _tadd,
                        cocycle_C, lift_connection)
 
@@ -101,9 +103,7 @@ class LocalDiffOp:
     def zero(dim: int, point: tuple | None = None) -> "LocalDiffOp":
         return LocalDiffOp(dim, {}, point=point)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol:
-            return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self) -> bool:
         return not self.coeffs
 
     def max_abs(self) -> Scalar:
@@ -286,16 +286,8 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
     half3 = Fraction(3, 2)
     for i in range(d):
         for j in range(d):
-            coeff = Jet.zero(d, mo)
-            for nn in range(d):
-                for mm in range(d):
-                    b_hat = sym[tuple(sorted((nn, mm, i)))]
-                    if b_hat is None:
-                        continue
-                    cmn = cj[j][mm][nn]
-                    if cmn.is_zero():
-                        continue
-                    coeff = coeff + b_hat * cmn
+            coeff = dot(((sym[tuple(sorted((nn, mm, i)))], cj[j][mm][nn])
+                         for nn in range(d) for mm in range(d)), Jet.zero(d, mo))
             if coeff.is_zero():
                 continue
             coeff = coeff * (-half3)
@@ -476,15 +468,14 @@ def apply_op_to_symbol(op: LocalDiffOp, symbol: Symbol, x: tuple) -> Symbol:
 
     point = tuple(x) + (0,) * n
     pjet = symbol.jet(point, mo + MAX_OP_ORDER)
-    out_jet = Jet.zero(d, mo)
+    pairs = []
     for m, cjet in op.coeff_jets.items():
         dq = pjet
         for axis, e in enumerate(m):
             for _ in range(e):
                 dq = dq.partial(axis)
-        out_jet = out_jet + cjet * dq.truncated(mo)
-
-    return _symbol_from_phase_jet(out_jet, n, tuple(x))
+        pairs.append((cjet, dq.truncated(mo)))
+    return _symbol_from_phase_jet(dot(pairs, Jet.zero(d, mo)), n, tuple(x))
 
 
 def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
@@ -541,7 +532,7 @@ class _PullbackFunction:
         inv_jets = self._inverse.eval_jet(point, order)
         w = tuple(j.value for j in inv_jets)
         outer = self.q.jet(w, order)
-        return jet_compose(outer, [j - j.value for j in inv_jets])
+        return jet_compose(outer, _shifted(inv_jets))
 
 
 def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple] = ()) -> _PullbackFunction:
@@ -558,23 +549,19 @@ def act_on_operator(f: DiffeoMap, op: LocalDiffOp, point: tuple) -> LocalDiffOp:
 
     ``point`` is where the result lives; ``op`` must have been built at the
     image point f~(point).  The table is recovered by probing the monomial
-    basis, so no coefficient transformation rules are hand-maintained.
+    basis, so no coefficient transformation rules are hand-maintained: the
+    probe ``(z - point)^m`` composed with lift^-1 is the power ``inv^m`` of
+    the shifted inverse-lift jets ``inv`` at f~(point), and one table of
+    powers serves every monomial of order at most three.
     """
-    n = f.dim
-    d = 2 * n
-    lift = cotangent_lift(f)
-    fz = lift.eval_jet(point, MAX_OP_ORDER)
-    w = tuple(j.value for j in fz)
-    inv_jets = jet_invert([j - j.value for j in fz])  # jets of lift^-1 at w, shifted
+    d = 2 * f.dim
+    fz = cotangent_lift(f).eval_jet(point, MAX_OP_ORDER)
+    monos = monomials(d, MAX_OP_ORDER)
+    powers = _powers(jet_invert(_shifted(fz)), [True] * len(monos))
+    powers[0] = Jet.constant(d, MAX_OP_ORDER, 1)
 
     coeffs: dict[tuple, Scalar] = {}
-    for m in monomials(d, MAX_OP_ORDER):
-        if sum(m) > MAX_OP_ORDER:
-            continue
-        probe = [0] * len(monomials(d, MAX_OP_ORDER))
-        probe[monomial_index(d, MAX_OP_ORDER)[m]] = 1
-        basis = Jet(d, MAX_OP_ORDER, probe)  # (z - point)^m as a jet at point
-        composed = jet_compose(basis, inv_jets)  # jet of basis o lift^-1 at w
+    for m, composed in zip(monos, powers):
         val = op.apply_to_jet(composed)
         if val != 0:
             coeffs[m] = _exact_div(val, _factorial_midx(m))

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import JetShapeError, Polynomial
+from jetcocycles.jets import Jet, JetShapeError, Polynomial
 from jetcocycles.maps import VectorField, catalog_get
-from jetcocycles.geometry import Connection, cocycle_C
+from jetcocycles.geometry import Connection, TensorField21, cocycle_C
 from jetcocycles.operators import Symbol
 from jetcocycles.cocycles import (
     ConnectionCompareCocycle,
@@ -283,6 +283,55 @@ def test_lie_derivative_connection_matches_sympy():
                 want = want.subs(at)
                 assert want.is_Rational
                 assert got[k][i][j] == F(int(want.p), int(want.q)), (k, i, j)
+
+
+def test_tensor_lie_derivative_of_nonsymmetric_tensor_matches_sympy():
+    # X^a d_a T^k_ij - d_a X^k T^a_ij + d_i X^a T^k_aj + d_j X^a T^k_ia for a
+    # tensor with T^k_01 != T^k_10, compared with sympy through first order
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(53)
+    X = rand_field(rng, 2)
+    t_polys = [[[rand_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    assert t_polys[0][0][1].terms != t_polys[0][1][0].terms
+    tensor = TensorField21(2, lambda p, order: [[[t.jet(p, order) for t in row] for row in plane]
+                                                for plane in t_polys])
+    point = (F(2, 7), F(-3, 4))
+    got = tensor_lie_derivative(X, tensor).components(point, 1)
+
+    x = sp.symbols("x0 x1")
+
+    def expr(poly):
+        return sum(sp.Rational(c.numerator, c.denominator) * x[0] ** m[0] * x[1] ** m[1]
+                   for m, c in poly.terms.items())
+
+    xs = [expr(c) for c in X.components]
+    t = [[[expr(e) for e in row] for row in plane] for plane in t_polys]
+    at = {x[0]: sp.Rational(2, 7), x[1]: sp.Rational(-3, 4)}
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                want = sum(xs[a] * sp.diff(t[k][i][j], x[a])
+                           - sp.diff(xs[k], x[a]) * t[a][i][j]
+                           + sp.diff(xs[a], x[i]) * t[k][a][j]
+                           + sp.diff(xs[a], x[j]) * t[k][i][a]
+                           for a in range(2))
+                for m, c in zip(((0, 0), (0, 1), (1, 0)), got[k][i][j].coeffs):
+                    w = sp.diff(want, x[0], m[0], x[1], m[1]).subs(at)
+                    assert c == F(int(w.p), int(w.q)), (k, i, j, m)
+
+
+def test_lie_derivative_of_connection_computes_each_symmetric_pair_once(jet_products):
+    # 18 distinct (k, i <= j) components at dim 3, each with 4 products per
+    # summation index: 216, where all 27 components would make 324
+    rng = random.Random(59)
+    X = rand_field(rng, 3)
+    gamma = Connection.from_polynomials(
+        3, {(k, i, j): rand_poly(rng, 3, 2) for k in range(3) for i in range(3)
+            for j in range(i, 3)})
+    comps = lie_derivative_connection(X, gamma).components(rand_point(rng, 3), 1)
+    assert sum(isinstance(o, Jet) for o in jet_products) <= 216
+    assert all(comps[k][i][j] == comps[k][j][i]
+               for k in range(3) for i in range(3) for j in range(3))
 
 
 def test_lie_derivative_connection_algebra_identity_random():

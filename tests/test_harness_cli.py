@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,9 +227,16 @@ def test_cli_empty_suites_is_usage_error(tmp_path):
     json.dumps({"jet_order": 4}),
     json.dumps({"dim": 1, "samples": 1, "suites": ["degree_lowering"],
                 "maps": [["identity", {}]]}),
+    json.dumps({"maps": [["linear", {"A": "1/0"}]]}),
+    json.dumps({"maps": [["linear", {"A": "nan"}]]}),
+    json.dumps({"maps": [["translation", {"c": "inf"}]]}),
+    json.dumps({"maps": [["linear", {"A": float("nan")}]]}),
+    json.dumps({"maps": [["translation", {"c": float("inf")}]]}),
+    '{"maps": [["translation", {"c": 1e400}]]}',
 ], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string",
         "map_dim_mismatch", "tol_bool", "tol_string", "tol_huge_int", "jet_order_field",
-        "degree_lowering_identity_only"])
+        "degree_lowering_identity_only", "param_zero_denominator", "param_nan_string",
+        "param_inf_string", "param_json_nan", "param_json_infinity", "param_json_1e400"])
 def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
@@ -275,6 +283,33 @@ def test_cli_operator_suite_residuals_literally_zero(tmp_path):
         if case["witness"]:
             continue
         assert case["residual"] == "0", case
+
+
+# Runs in its own interpreter, since installing the tracer patches the
+# package for the rest of the process.
+TRACED_VERIFY = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer
+from jetcocycles import cli
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--dim", "1", "--samples", "1", "--suite", "operator_L"])
+print(json.dumps({"code": code, "metrics": tracer.metrics()}))
+"""
+
+
+def test_perfbench_tracer_counts_the_operator_path():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(perfbench)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0
+    for name in ("operators.act_on_operator", "operators.apply_to_jet", "jets.mul_jet",
+                 "maps.eval_jet"):
+        assert out["metrics"][f"{name}.calls"] > 0, name
 
 
 def test_cli_degree_lowering_dim2(tmp_path):

@@ -14,6 +14,7 @@ from jetcocycles.jets import (
     JetShapeError,
     Polynomial,
     SingularJacobianError,
+    dot,
     jet_compose,
     jet_invert,
     mat_det,
@@ -144,6 +145,37 @@ def test_compose_order_mismatch():
     outer = rand_jet(random.Random(2), 1, 3)
     with pytest.raises(JetShapeError):
         jet_compose(outer, [Jet.variable(1, 2, 0)])
+
+
+# -- sums of products ----------------------------------------------------------
+
+
+def test_dot_skips_pairs_with_a_zero_or_none_operand(jet_products):
+    rng = random.Random(4)
+    x, y = rand_jet(rng, 2, 3), rand_jet(rng, 2, 3)
+    zero = Jet.zero(2, 3)
+    start = rand_jet(rng, 2, 3)
+    got = dot([(x, zero), (None, y), (x, y), (zero, y), (x, None)], start)
+    assert len(jet_products) == 1
+    assert got == start + x * y
+
+
+def test_dot_adds_float_terms_left_to_right():
+    one = Jet.constant(1, 2, 1)
+    terms = [Jet(1, 2, [v, v, 0.0]) for v in (1.0, 1e16, -1e16)]
+    # 1 + 1e16 rounds to 1e16, so left to right the 1 is lost; summed the
+    # other way round it survives
+    assert (1.0 + 1e16) + -1e16 == 0.0 and 1.0 + (1e16 + -1e16) == 1.0
+    assert dot([(t, one) for t in terms]).coeffs == (0.0, 0.0, 0.0)
+    assert dot([(t, one) for t in terms[1:]], terms[0]).coeffs == (0.0, 0.0, 0.0)
+
+
+def test_dot_with_nothing_to_add_returns_acc():
+    start = Jet.variable(2, 2, 1, Fraction(1, 3))
+    zero = Jet.zero(2, 2)
+    assert dot([]) is None
+    assert dot([], start) is start
+    assert dot([(zero, start), (start, None)], start) is start
 
 
 # -- reversion ---------------------------------------------------------------

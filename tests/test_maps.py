@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import EvaluationError, Jet, Polynomial, SingularJacobianError
+from jetcocycles.jets import (EvaluationError, Jet, JetShapeError, Polynomial,
+                              SingularJacobianError)
 from jetcocycles.maps import (
+    FLOW_ORDER,
     VectorField,
     catalog_get,
     compose,
@@ -399,3 +401,10 @@ def test_flow_rejects_bad_steps():
     X = VectorField.from_polynomials([Polynomial.coordinate(1, 0)])
     with pytest.raises(ValueError):
         flow_map(X, 1.0, steps=0)
+
+
+def test_flow_rejects_orders_above_what_it_carries():
+    f = flow_map(VectorField.from_polynomials([Polynomial.coordinate(1, 0)]), 0.5, steps=4)
+    assert f.eval_jet((1.0,), FLOW_ORDER)[0].order == FLOW_ORDER
+    with pytest.raises(JetShapeError, match="order 3"):
+        f.eval_jet((1.0,), FLOW_ORDER + 1)

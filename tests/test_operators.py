@@ -1,11 +1,13 @@
 """The three operator builders, their agreement, applications and actions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import EvaluationError, Jet, Polynomial, monomials
+from jetcocycles.jets import (EvaluationError, Jet, Polynomial, jet_compose, jet_invert,
+                              monomials)
 from jetcocycles.maps import catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import Connection
 from jetcocycles.operators import (
@@ -378,6 +380,36 @@ def test_operator_action_composes():
         mid = cotangent_lift(h)(z)
         rhs = act_on_operator(h, act_on_operator(f, op, mid), z)
         assert lhs.coeffs == rhs.coeffs
+
+
+def act_by_unit_probes(f, op, point):
+    """The operator action by its definition: one composed unit probe
+    ``(z - point)^m o lift^-1`` per monomial of order at most three."""
+    d = 2 * f.dim
+    monos = monomials(d, 3)
+    fz = cotangent_lift(f).eval_jet(point, 3)
+    inv = jet_invert([j - j.value for j in fz])
+    coeffs = {}
+    for m in monos:
+        unit = Jet(d, 3, [1 if u == m else 0 for u in monos])
+        val = op.apply_to_jet(jet_compose(unit, inv))
+        if val != 0:
+            coeffs[m] = F(val) / math.prod(map(math.factorial, m))
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_action_matches_unit_probe_definition(n):
+    rng = random.Random(41 + n)
+    monos = monomials(2 * n, 3)
+    for f in pool(n):
+        z = rand_point(rng, 2 * n)
+        if f.jacobian_det(z[:n]) == 0:
+            continue
+        op = LocalDiffOp(2 * n, {m: F(rng.randint(-9, 9), rng.randint(1, 5)) for m in monos})
+        got = act_on_operator(f, op, z)
+        assert got.coeffs == act_by_unit_probes(f, op, z)
+        assert got.coeffs, f.name
 
 
 # -- cocycle identity with a curved connection -----------------------------------
