@@ -13,8 +13,12 @@ the identity itself is trusted; a deliberately sabotaged candidate is kept
 around as a self-test that the engine can see a broken convention.
 
 Algebra-level candidates verify  c([X, Y]) = X . c(Y) - Y . c(X)  with the
-Lie-derivative action on their value arena, and a finite-difference bridge
-connects the two levels along flows.
+Lie-derivative action on their value arena.  The two levels are linked
+exactly: the derivative at eps = 0 of a group cocycle along id + eps X is the
+eps-slot of its jet at (x, 0) along the suspension S(x, eps) = (x + eps X(x),
+eps), and it must equal the algebra cocycle of X.  The flow-based
+finite-difference bridge ``group_algebra_consistency`` is a float library
+and test helper that ``verify`` does not use.
 
 The flat phase-space trilinear term ``moyal_p3`` (the third-order term of
 the star product in Darboux coordinates, normalization omitted as a global
@@ -29,18 +33,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .jets import (
     BAD_POINT_ERRORS,
     Jet,
     JetShapeError,
     Polynomial,
     Scalar,
+    _exact_div,
     dot,
+    mat_det,
     monomials,
+    partial_or_none,
 )
-from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, flow_map
+from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, flow_map, suspension
 from .geometry import (
     Connection,
     TensorField21,
@@ -77,6 +82,8 @@ __all__ = [
     "moyal_p3_field",
     "chevalley_p3_residual",
     "vect_embedding_cocycle",
+    "suspension_log_volume",
+    "suspension_connection",
     "group_algebra_consistency",
     "LogVolumeCocycle",
     "DeRhamCocycle",
@@ -110,24 +117,25 @@ def derham_cocycle(potential: Polynomial, f: DiffeoMap, x: tuple) -> Scalar:
     return potential(f(x)) - potential(tuple(x))
 
 
-def derham_quadrature(potential: Polynomial, f: DiffeoMap, x: tuple) -> float:
-    """Straight-segment 16-point Gauss-Legendre integral of d(potential).
+def derham_quadrature(potential: Polynomial, f: DiffeoMap, x: tuple) -> Scalar:
+    """Integral of d(potential) along the straight segment from x to f(x).
 
-    Path independence makes this agree with :func:`derham_cocycle`; it is
-    kept as a numerical witness that the integrand really is closed.
+    With v = f(x) - x and c_m the Taylor coefficients of a partial at x, the
+    partial along the segment is sum_m c_m v^m t^|m|, integrated term by term
+    with int_0^1 t^k dt = 1/(k + 1); exact for exact inputs.  Path
+    independence makes it agree with :func:`derham_cocycle`; it is kept as a
+    witness, built from the gradient, that the integrand really is closed.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    a = [float(c) for c in x]
-    b = [float(c) for c in f(x)]
-    grads = [potential.partial(i) for i in range(f.dim)]
-    total = 0.0
-    for s, w in zip(nodes, weights):
-        t = 0.5 * (s + 1.0)
-        pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
-        total += w * sum(
-            float(g(pt)) * (bi - ai) for g, (ai, bi) in zip(grads, zip(a, b))
-        )
-    return 0.5 * total
+    a = tuple(x)
+    v = [bi - ai for ai, bi in zip(a, f(a))]
+    order = max(max(map(sum, potential.terms), default=0) - 1, 0)
+    weights = [_exact_div(math.prod(vk ** e for vk, e in zip(v, m)), sum(m) + 1)
+               for m in monomials(f.dim, order)]
+    total = 0
+    for i in range(f.dim):
+        g = potential.partial(i).jet(a, order)
+        total = total + v[i] * sum(c * w for c, w in zip(g.coeffs, weights) if c)
+    return total
 
 
 def schwarzian_1d(f: DiffeoMap, x: tuple) -> Scalar:
@@ -195,9 +203,9 @@ def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,
     xj = X.eval_jet(point, order + (2 if with_second_derivative else 1))
     tj = field.components(point, order + 1)
     t0 = [[[e.truncated(order) for e in row] for row in plane] for plane in tj]
-    dX1 = [[x.partial(a) for a in range(d)] for x in xj]
-    dX = [[e.truncated(order) for e in row] for row in dX1]
-    neg_dX = [[-e for e in row] for row in dX]
+    dX1 = [[partial_or_none(x, a) for a in range(d)] for x in xj]
+    dX = [[None if e is None else e.truncated(order) for e in row] for row in dX1]
+    neg_dX = [[None if e is None else -e for e in row] for row in dX]
     xs = [x.truncated(order) for x in xj]
     zero = Jet.zero(d, order)
     out = [[[None] * d for _ in range(d)] for _ in range(d)]
@@ -207,12 +215,13 @@ def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,
                 if with_second_derivative and j < i:
                     out[k][i][j] = out[k][j][i]
                     continue
-                dt = [tj[k][i][j].partial(a) for a in range(d)]
+                dt = [partial_or_none(tj[k][i][j], a) for a in range(d)]
+                second = partial_or_none(dX1[k][i], j) if with_second_derivative else None
                 out[k][i][j] = dot(
                     [pair for a in range(d)
                      for pair in ((xs[a], dt[a]), (neg_dX[k][a], t0[a][i][j]),
                                   (dX[a][i], t0[k][a][j]), (dX[a][j], t0[k][i][a]))],
-                    dX1[k][i].partial(j) if with_second_derivative else zero)
+                    zero if second is None else second)
     return out
 
 
@@ -304,19 +313,26 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
     # The bivector pairs slot i with slot (i + n) % d; its sign is -1 on a
     # fiber slot, so a term is negative when an odd number of i, j, k are
     # fiber slots.
-    f1 = [fj.partial(i) for i in range(d)]
-    g1 = [gj.partial((i + n) % d) for i in range(d)]
+    # A derivative of a zero jet is None, and so are all of its own.
+    f1 = [partial_or_none(fj, i) for i in range(d)]
+    g1 = [partial_or_none(gj, (i + n) % d) for i in range(d)]
 
     def terms():  # one pair alive at a time: the third-order jets are large
         for i in range(d):
-            f2 = [f1[i].partial(j) for j in range(d)]
-            g2 = [g1[i].partial((j + n) % d) for j in range(d)]
+            f2 = [partial_or_none(f1[i], j) for j in range(d)]
+            g2 = [partial_or_none(g1[i], (j + n) % d) for j in range(d)]
             for j in range(d):
                 for k in range(d):
-                    f3 = f2[j].partial(k).truncated(order)
+                    f3 = partial_or_none(f2[j], k)
+                    if f3 is None or f3.is_zero():
+                        continue
+                    g3 = partial_or_none(g2[j], (k + n) % d)
+                    if g3 is None:
+                        continue
+                    f3 = f3.truncated(order)
                     if ((i < n) == (j < n)) != (k < n):
                         f3 = -f3
-                    yield f3, g2[j].partial((k + n) % d).truncated(order)
+                    yield f3, g3.truncated(order)
 
     out = dot(terms(), Jet.zero(d, order))
     return out.value if order == 0 else out
@@ -415,7 +431,7 @@ def run_case(suite: str, case_id: str, maps: Sequence[str], point: tuple,
 
 
 def _residual_str(r: Scalar) -> str:
-    # float() unwraps numpy scalars, whose repr reads "np.float64(...)"
+    # float() prints a float subclass as a plain float
     return repr(float(r)) if isinstance(r, float) else str(r)
 
 
@@ -587,7 +603,42 @@ class OperatorCocycle(GroupCocycleCandidate):
 
 
 # ---------------------------------------------------------------------------
-# group <-> algebra consistency along flows
+# group <-> algebra: exact derivatives along the suspension
+
+
+def _eps_slot(jet: Jet) -> Scalar:
+    """Coefficient of eps, the last variable, in a jet of order >= 1."""
+    return jet.coefficient((0,) * (jet.dim - 1) + (1,))
+
+
+def suspension_log_volume(X: VectorField, x: tuple) -> Scalar:
+    """d/d eps of log det D(id + eps X) at x and eps = 0, exactly.
+
+    It is the eps-slot of det DS at (x, 0), S = ``suspension(X)``, with no
+    log, since det DS = 1 at eps = 0.  It equals ``divergence_cocycle(X, x)``.
+    """
+    n = X.dim
+    sj = suspension(X).eval_jet(tuple(x) + (0,), 2)
+    return _eps_slot(mat_det([[c.partial(j) for j in range(n + 1)] for c in sj]))
+
+
+def suspension_connection(X: VectorField, x: tuple) -> list:
+    """[k][i][j] values of d/d eps of C(id + eps X) against the flat
+    connection at x and eps = 0, exactly.
+
+    They are the eps-slots of the components k, i, j < n of C(S) at (x, 0),
+    S = ``suspension(X)``, and equal the values of
+    ``lie_derivative_connection(X, flat)``, d_i d_j X^k.
+    """
+    n = X.dim
+    flat = Connection.flat_connection(n + 1)
+    comps = cocycle_C(suspension(X), flat).components(tuple(x) + (0,), 1)
+    return [[[_eps_slot(comps[k][i][j]) for j in range(n)] for i in range(n)]
+            for k in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# group <-> algebra consistency along flows (library and test helper)
 
 
 def _nested_scale(v, s):
@@ -610,7 +661,9 @@ def group_algebra_consistency(X: VectorField, group_value: Callable,
                               algebra_value: Callable, t: float,
                               points: Sequence[tuple]) -> list[dict]:
     """Finite-difference bridge between a group cocycle and its algebra
-    shadow along the flow of a vector field.
+    shadow along the flow of a vector field, on floats.  A library and test
+    helper: ``verify`` checks the link exactly, with
+    :func:`suspension_log_volume` and :func:`suspension_connection`.
 
     For each point the derivative estimate (c(f_t) - c(id))/t is compared to
     the algebra value at t and t/2; first-order convergence (the residual

@@ -47,6 +47,7 @@ from .jets import (
     jet_compose,
     mat_inv,
     monomial_index,
+    partial_or_none,
 )
 from .maps import DiffeoMap, _shifted
 
@@ -223,8 +224,8 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         if with_inhomogeneous:
             for i in range(d):
                 for j in range(d):
-                    dj = jac1[c][j].partial(i)
-                    if not dj.is_zero():
+                    dj = partial_or_none(jac1[c][j], i)
+                    if dj is not None and not dj.is_zero():
                         plane[i][j] = dj if plane[i][j] is None else plane[i][j] + dj
         for k in range(d):
             w = jac_inv[k][c]

@@ -47,13 +47,14 @@ from .cocycles import (
     derham_quadrature,
     divergence_cocycle,
     divergence_field,
-    group_algebra_consistency,
     lie_derivative_connection,
     log_volume_cocycle,
     moyal_p3,
     run_case,
     scalar_field_action,
     schwarzian_1d,
+    suspension_connection,
+    suspension_log_volume,
     tensor_lie_derivative,
     algebra_cocycle_residual,
     vect_embedding_cocycle,
@@ -586,8 +587,8 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
                               lambda: sampler.base_point(n), "derham_quad")
         rows.append(run_case(
             "classical_cocycles", f"derham_quadrature@{idx}", [f.name], x,
-            lambda: abs(float(derham_cocycle(phi, f, x)) - derham_quadrature(phi, f, x)),
-            1e-9))
+            lambda: abs(derham_cocycle(phi, f, x) - derham_quadrature(phi, f, x)),
+            exact_tol))
 
     if n == 1:
         for idx, (a, b, c, d) in enumerate(((1, 0, 1, 1), (2, 1, 1, 1), (3, -1, 1, 2))):
@@ -680,33 +681,36 @@ def _suite_moyal(cfg, sampler, pool) -> list[CaseResult]:
 
 
 def _suite_consistency(cfg, sampler, pool) -> list[CaseResult]:
+    """Each group cocycle differentiates to its algebra cocycle, checked
+    exactly in the eps-slot of the suspension of a field."""
     rows = []
     n = cfg.dim
-    t = 1e-3
+    exact = cfg.backend == "exact"
+    one = 1 if exact else 1.0
     fields = [
         VectorField.from_polynomials(
-            [Polynomial(n, {tuple(1 if a == i else 0 for a in range(n)): 1.0})
-             for i in range(n)], name="linear_euler"),
-        VectorField.from_polynomials(
-            [Polynomial(n, {tuple(2 if a == i else 0 for a in range(n)): 1.0})
-             for i in range(n)], name="quadratic"),
+            [Polynomial(n, {tuple(e if a == i else 0 for a in range(n)): one})
+             for i in range(n)], name=name)
+        for e, name in ((1, "linear_euler"), (2, "quadratic"))
     ]
     flat = Connection.flat_connection(n)
-    pts = [tuple(0.25 + 0.125 * i for _ in range(n)) for i in range(cfg.samples)]
-    checks = (
-        ("logvol_divergence", log_volume_cocycle, divergence_cocycle, pts),
-        ("ell_lieGamma", lambda fmap, p: cocycle_C(fmap, flat).values(p),
-         lambda Z, p: lie_derivative_connection(Z, flat).values(p),
-         pts[: max(1, cfg.samples // 2)]),
-    )
+    pts = [tuple(Fraction(2 + i, 8) if exact else 0.25 + 0.125 * i for _ in range(n))
+           for i in range(cfg.samples)]
+
+    def logvol(X, p):
+        return abs(suspension_log_volume(X, p) - divergence_cocycle(X, p))
+
+    def ell(X, p):
+        grp, alg = suspension_connection(X, p), lie_derivative_connection(X, flat).values(p)
+        return _max_abs_entry(n, lambda k, i, j: grp[k][i][j] - alg[k][i][j])
+
+    checks = (("logvol_divergence", logvol, pts),
+              ("ell_lieGamma", ell, pts[: max(1, cfg.samples // 2)]))
     for X in fields:
-        for tag, group_value, algebra_value, where in checks:
-            recs = group_algebra_consistency(X, group_value, algebra_value, t, where)
-            for i, rec in enumerate(recs):
-                rows.append(CaseResult(
-                    "consistency", f"{tag}[{X.name}]@{i}", [X.name], pts[i],
-                    float(rec["residual_half"]) if "residual_half" in rec else None,
-                    rec["passed"], error=rec.get("error")))
+        for tag, residual, where in checks:
+            for i, p in enumerate(where):
+                rows.append(run_case("consistency", f"{tag}[{X.name}]@{i}", [X.name], p,
+                                     lambda: residual(X, p), cfg.case_tol))
     return rows
 
 

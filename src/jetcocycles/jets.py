@@ -38,7 +38,8 @@ each from its predecessor in one pass up.  ``jet_compose`` and the operator
 action read their powers from it.
 ``dot`` holds the zero-operand rule of the sums of products in every layer:
 a pair with a ``None`` or zero-jet operand is skipped and costs no product,
-so callers do not guard their terms.
+so callers do not guard their terms.  ``partial_or_none`` gives ``None`` for
+a derivative of a zero jet, so such a term costs no partial either.
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -60,6 +61,7 @@ __all__ = [
     "BAD_POINT_ERRORS",
     "Polynomial",
     "dot",
+    "partial_or_none",
     "jet_compose",
     "jet_invert",
     "mat_inv",
@@ -433,6 +435,12 @@ def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
     return acc
 
 
+def partial_or_none(jet: "Jet | None", axis: int) -> "Jet | None":
+    """``jet.partial(axis)``, or ``None`` when ``jet`` is ``None`` or a zero
+    jet; :func:`dot` skips the ``None``."""
+    return None if jet is None or not any(jet.coeffs) else jet.partial(axis)
+
+
 # ---------------------------------------------------------------------------
 # composition and reversion
 
@@ -553,6 +561,10 @@ def _is_zero_jet(entry) -> bool:
     return isinstance(entry, Jet) and entry.is_zero()
 
 
+def _is_zero(entry) -> bool:
+    return entry.is_zero() if isinstance(entry, Jet) else entry == 0
+
+
 def _invertible(entry) -> bool:
     if isinstance(entry, Jet):
         return entry.value != 0
@@ -591,25 +603,32 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
             if r == col:
                 continue
             factor = a[r][col]
-            if isinstance(factor, Jet):
-                if factor.is_zero():
-                    continue
-            elif factor == 0:
+            if _is_zero(factor):
                 continue
             a[r] = [x if y is zero else x - factor * y for x, y in zip(a[r], a[col])]
             eye[r] = [x if y is zero else x - factor * y for x, y in zip(eye[r], eye[col])]
     return eye
 
 
-def mat_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant by elimination; exact for exact inputs."""
+def mat_det(rows: Sequence[Sequence]) -> Scalar | Jet:
+    """Determinant by elimination; exact for exact inputs.
+
+    Entries may be scalars or jets.  A jet pivot must have a nonzero value:
+    when no entry of a column has one, the determinant's value is 0 but its
+    higher slots are not found by elimination, and
+    :class:`SingularJacobianError` is raised.
+    """
     n = len(rows)
-    exact = all(isinstance(x, (int, Fraction)) for r in rows for x in r)
+    jets = any(isinstance(x, Jet) for r in rows for x in r)
+    exact = not jets and all(isinstance(x, (int, Fraction)) for r in rows for x in r)
     a = [[Fraction(x) if exact else x for x in r] for r in rows]
-    det = Fraction(1) if exact else 1.0
+    # an int 1 keeps exact jets exact; a float scalar start keeps float dets float
+    det = 1 if jets else Fraction(1) if exact else 1.0
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
-        if a[pivot][col] == 0:
+        if not _invertible(a[pivot][col]):
+            if jets:
+                raise SingularJacobianError("no jet pivot with a nonzero value")
             return 0 * det
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
@@ -617,10 +636,10 @@ def mat_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         det = det * a[col][col]
         p = a[col][col]
         for r in range(col + 1, n):
-            if a[r][col] == 0:
+            if _is_zero(a[r][col]):
                 continue
             factor = a[r][col] / p
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            a[r] = [x if _is_zero_jet(y) else x - factor * y for x, y in zip(a[r], a[col])]
     return det
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "compose",
     "cotangent_lift",
     "flow_map",
+    "suspension",
 ]
 
 Point = tuple
@@ -212,9 +213,11 @@ class CotangentMap(DiffeoMap):
         base_axes = list(range(n))
         out = [fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
         xi_vars = [Jet.variable(2 * n, order, n + i, xi[i]) for i in range(n)]
-        # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber
-        return out + [dot(((jac_inv[i][j].embed(2 * n, base_axes), xi_vars[i]) for i in range(n)),
-                          Jet.zero(2 * n, order))
+        # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber;
+        # a zero entry is not embedded, and dot skips it
+        lifted = [[None if e.is_zero() else e.embed(2 * n, base_axes) for e in row]
+                  for row in jac_inv]
+        return out + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
                       for j in range(n)]
 
     def invert(self, at: Point) -> DiffeoMap:
@@ -454,7 +457,27 @@ def catalog_entries() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# flows
+# the suspension of a vector field, and flows
+
+
+def suspension(field: VectorField) -> DiffeoMap:
+    """The polynomial map ``S(x, eps) = (x + eps X(x), eps)`` of R^{n+1}.
+
+    For fixed ``eps`` it is ``id + eps X``, so the derivative at ``eps = 0``
+    of any jet built from S is its coefficient of ``eps``, the last
+    variable: dual-number forward differentiation (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 3) carried by the jet kernel.  Exact
+    whenever the field's jets are.
+    """
+    n = field.dim
+    axes = list(range(n))
+
+    def jet_fn(point, order):
+        x, eps = point[:n], Jet.variable(n + 1, order, n, point[n])
+        return [Jet.variable(n + 1, order, i, x[i]) + eps * c.embed(n + 1, axes)
+                for i, c in enumerate(field.eval_jet(x, order))] + [eps]
+
+    return DiffeoMap(n + 1, jet_fn, name=f"S({field.name})")
 
 
 # the highest jet order a flow map carries
@@ -467,8 +490,9 @@ def flow_map(field: VectorField, t: float, steps: int = 64) -> DiffeoMap:
     Classical RK4 with fixed step t/steps, integrating the jet of the flow
     map directly at the requested order (at most ``FLOW_ORDER``) so
     derivatives ride along (the variational equations in monomial
-    coordinates).  Float backend only; accuracy is the integrator's O(h^4),
-    good enough for consistency checks, not identities.
+    coordinates).  Float backend only; accuracy is the integrator's O(h^4).
+    A library and test helper: ``verify`` differentiates along
+    :func:`suspension` instead, exactly.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")

@@ -34,3 +34,18 @@ def jet_products(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", counted)
     monkeypatch.setattr(Jet, "__rmul__", counted)
     return calls
+
+
+@pytest.fixture
+def zero_jet_partials(monkeypatch):
+    """The axis of every ``Jet.partial`` call on a zero jet during the test."""
+    calls = []
+    partial = Jet.partial
+
+    def counted(self, axis):
+        if self.is_zero():
+            calls.append(axis)
+        return partial(self, axis)
+
+    monkeypatch.setattr(Jet, "partial", counted)
+    return calls

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import Jet, JetShapeError, Polynomial
-from jetcocycles.maps import VectorField, catalog_get
+from jetcocycles.jets import Jet, JetShapeError, Polynomial, mat_det
+from jetcocycles.maps import VectorField, catalog_get, suspension
 from jetcocycles.geometry import Connection, TensorField21, cocycle_C
 from jetcocycles.operators import Symbol
 from jetcocycles.cocycles import (
@@ -32,6 +32,8 @@ from jetcocycles.cocycles import (
     run_case,
     scalar_field_action,
     schwarzian_1d,
+    suspension_connection,
+    suspension_log_volume,
     tensor_lie_derivative,
     vect_embedding_cocycle,
     verify_group_cocycle,
@@ -152,6 +154,19 @@ def test_derham_quadrature_matches_difference():
         exact = float(derham_cocycle(phi, f, x))
         quad = derham_quadrature(phi, f, x)
         assert abs(exact - quad) < 1e-12
+
+
+@pytest.mark.parametrize("n, name, params", [
+    (n, name, {"eps": F(1, 8)} if name == "polynomial_perturbation" else {})
+    for n in (1, 2, 3) for name in ("polynomial_perturbation", "projective")
+] + [(3, "affine", {"A": [[2, 1, 0], [0, 1, 0], [1, 0, 1]], "b": [F(1, 2), 0, -1]})])
+def test_derham_quadrature_equals_difference_exactly(n, name, params):
+    rng = random.Random(19 + n)
+    phi = rand_poly(rng, n, 3)
+    f = catalog_get(name, {"dim": n, **params})
+    for _ in range(3):
+        x = rand_point(rng, n)
+        assert derham_quadrature(phi, f, x) == derham_cocycle(phi, f, x)
 
 
 # -- 1D third-order distortion ------------------------------------------------------
@@ -332,6 +347,19 @@ def test_lie_derivative_of_connection_computes_each_symmetric_pair_once(jet_prod
     assert sum(isinstance(o, Jet) for o in jet_products) <= 216
     assert all(comps[k][i][j] == comps[k][j][i]
                for k in range(3) for i in range(3) for j in range(3))
+
+
+def test_lie_derivative_and_p3_take_no_partial_of_a_zero_jet(zero_jet_partials):
+    rng = random.Random(61)
+    X = VectorField.from_polynomials(
+        [rand_poly(rng, 2), Polynomial(2, {(1, 0): F(1, 2)})], name="sparse")
+    p = rand_point(rng, 2)
+    comps = lie_derivative_connection(X, Connection.flat_connection(2)).components(p, 1)
+    assert comps[1][0][0].is_zero() and not comps[0][0][0].is_zero()
+    F3 = Polynomial(4, {(3, 0, 0, 0): 1, (0, 1, 0, 2): F(1, 2)})
+    G3 = Polynomial(4, {(0, 0, 3, 0): F(1, 3), (1, 0, 1, 1): 2})
+    assert moyal_p3(F3, G3, (F(1, 2), 0, F(1, 4), F(-1, 2)), order=1)
+    assert zero_jet_partials == []
 
 
 def test_lie_derivative_connection_algebra_identity_random():
@@ -553,7 +581,63 @@ def test_bridge_propagates_programming_errors():
     assert not rows[0]["passed"] and rows[0]["error"].startswith("ZeroDivisionError")
 
 
-# -- group <-> algebra bridge --------------------------------------------------------------
+# -- group <-> algebra: exact, along the suspension ------------------------------------
+
+
+def _eps_slot_residuals(X, p, sign=1, transpose=False, slot=None):
+    """Log-volume and connection residuals of the suspension check, built
+    from the public pieces so that each can be broken on purpose: ``sign``
+    scales the algebra side, ``transpose`` reads it as alg[i][k][j], and
+    ``slot`` reads another variable's coefficient in place of eps."""
+    n = X.dim
+    z = tuple(p) + (0,)
+    slot = n if slot is None else slot
+    unit = tuple(1 if a == slot else 0 for a in range(n + 1))
+    sj = suspension(X).eval_jet(z, 2)
+    det = mat_det([[c.partial(j) for j in range(n + 1)] for c in sj])
+    comps = cocycle_C(suspension(X), Connection.flat_connection(n + 1)).components(z, 1)
+    alg = lie_derivative_connection(X, Connection.flat_connection(n)).values(p)
+    logvol = abs(det.coefficient(unit) - sign * divergence_cocycle(X, p))
+    ell = max(abs(comps[k][i][j].coefficient(unit)
+                  - sign * (alg[i][k][j] if transpose else alg[k][i][j]))
+              for k in range(n) for i in range(n) for j in range(n))
+    return logvol, ell
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_suspension_residuals_are_exactly_zero(n):
+    rng = random.Random(83 + n)
+    flat = Connection.flat_connection(n)
+    for idx in range(3):
+        X = rand_field(rng, n, f"X{idx}")
+        p = rand_point(rng, n)
+        assert suspension_log_volume(X, p) == divergence_cocycle(X, p)
+        assert suspension_connection(X, p) == lie_derivative_connection(X, flat).values(p)
+        assert _eps_slot_residuals(X, p) == (0, 0)
+
+
+@pytest.mark.parametrize("mutation, dims, broken", [
+    ({"sign": -1}, (1, 2, 3), (True, True)),
+    ({"transpose": True}, (2, 3), (False, True)),
+    ({"slot": 0}, (1, 2, 3), (True, True)),
+])
+def test_suspension_residuals_see_a_broken_check(mutation, dims, broken):
+    for n in dims:
+        rng = random.Random(89 + n)
+        X = rand_field(rng, n)
+        p = rand_point(rng, n)
+        got = _eps_slot_residuals(X, p, **mutation)
+        assert tuple(r != 0 for r in got) == broken, (n, got)
+
+
+def test_suspension_jets_are_x_plus_eps_field():
+    X = VectorField.from_polynomials([Polynomial(1, {(2,): F(1, 2)})], name="half_sq")
+    x, eps = Jet.variable(2, 3, 0, F(1, 3)), Jet.variable(2, 3, 1)
+    sx, se = suspension(X).eval_jet((F(1, 3), 0), 3)
+    assert sx == x + eps * x * x * F(1, 2) and se == eps
+
+
+# -- group <-> algebra bridge along flows (library helper) ------------------------------
 
 
 def test_bridge_log_volume_divergence_euler():

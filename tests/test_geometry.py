@@ -365,3 +365,14 @@ def test_covariant_derivs_match_sympy_on_curved_connection():
                     want = sp.diff(h[b][a], x[c]) - sum(
                         g[e][c][b] * h[e][a] + g[e][c][a] * h[b][e] for e in range(d))
                     assert third[c][b][a] == value(want), (c, b, a)
+
+
+def test_affine_lift_takes_no_partial_of_a_zero_jet(zero_jet_partials):
+    # the lift's Jacobian and the pullback's inhomogeneous term both meet
+    # zero jets here: A has a zero entry and every second derivative vanishes
+    aff = catalog_get("affine", {"dim": 2, "A": [[1, 1], [0, 1]], "b": [F(1, 2), 0]})
+    flat = lift_connection(Connection.flat_connection(2))
+    z = (F(1, 4), F(-1, 2), F(3, 8), F(1, 8))
+    comps = cocycle_C(cotangent_lift(aff), flat).components(z, 1)
+    assert all(e.is_zero() for plane in comps for row in plane for e in row)
+    assert zero_jet_partials == []

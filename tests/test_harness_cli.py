@@ -158,6 +158,35 @@ def test_float_residuals_are_plain_numbers():
     assert quad and all(float(c["residual"]) <= 1e-9 for c in quad)
 
 
+def test_consistency_rows_are_exact_on_the_exact_backend():
+    report = run_scenario(quick_config(dim=2, suites=("consistency", "classical_cocycles")))
+    rows = [c for c in report["cases"]
+            if c["suite"] == "consistency" or c["case_id"].startswith("derham_quadrature")]
+    assert len(rows) == 6 + 2
+    assert all(c["pass"] and c["residual"] == "0" for c in rows)
+    assert {c["point"][0] for c in rows if c["suite"] == "consistency"} == {"1/4", "3/8"}
+
+
+def test_consistency_rows_fail_with_a_flipped_algebra_side(monkeypatch):
+    import jetcocycles.harness as harness
+
+    div = harness.divergence_cocycle
+    monkeypatch.setattr(harness, "divergence_cocycle", lambda X, p: -div(X, p))
+    report = run_scenario(quick_config(dim=2, suites=("consistency",)))
+    verdicts = {c["case_id"]: c["pass"] for c in report["cases"]}
+    assert len(verdicts) == 6
+    assert all(ok == c.startswith("ell_") for c, ok in verdicts.items())
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, jetcocycles.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_reports_differ_across_seeds():
     a = run_scenario(quick_config(seed=1))
     b = run_scenario(quick_config(seed=2))

@@ -335,6 +335,43 @@ def test_mat_det_exact_and_singular():
         mat_inv([[1, 2], [2, 4]])
 
 
+def _cofactor_det(rows):
+    """Laplace expansion along the first row: no elimination, no pivots."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for c, entry in enumerate(rows[0]):
+        minor = [r[:c] + r[c + 1:] for r in rows[1:]]
+        term = entry * _cofactor_det(minor)
+        total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mat_det_of_jets_matches_values_and_cofactor_expansion(n):
+    rng = random.Random(71 + n)
+    rows = [[rand_jet(rng, 2, 2) for _ in range(n)] for _ in range(n)]
+    det = mat_det(rows)
+    assert isinstance(det, Jet) and (det.dim, det.order) == (2, 2)
+    assert det.value == mat_det([[e.value for e in row] for row in rows])
+    assert det == _cofactor_det(rows)
+    assert all(type(c) in (int, Fraction) for c in det.coeffs)
+
+
+def test_mat_det_of_jets_pivots_past_a_zero_value_and_skips_zero_jets():
+    x, one = Jet.variable(2, 2, 0), Jet.constant(2, 2, 1)
+    zero = Jet.zero(2, 2)
+    # the first column's top entry has value 0: the rows swap, and the sign flips
+    rows = [[x, one + x], [one, zero]]
+    assert mat_det(rows) == _cofactor_det(rows) == -(one + x)
+
+
+def test_mat_det_of_jets_without_an_invertible_pivot_raises():
+    x = Jet.variable(2, 2, 0)
+    with pytest.raises(SingularJacobianError):
+        mat_det([[x, x], [x * x, Jet.constant(2, 2, 1)]])
+
+
 def test_polynomial_jets_exact():
     p = Polynomial(1, {(3,): 1, (1,): 1})  # x + x^3
     j = p.jet([Fraction(1, 2)], 4)
