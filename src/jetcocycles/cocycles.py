@@ -289,9 +289,12 @@ def poisson_bracket(F, G):
         n = F.dim // 2
         fj = F.jet(point, order + 1)
         gj = G.jet(point, order + 1)
+        # a derivative of a zero jet is None, which dot skips
+        f1 = [partial_or_none(fj, a) for a in range(F.dim)]
+        g1 = [partial_or_none(gj, a) for a in range(F.dim)]
         return dot([pair for i in range(n)
-                    for pair in ((fj.partial(i), gj.partial(n + i)),
-                                 (-fj.partial(n + i), gj.partial(i)))],
+                    for pair in ((f1[i], g1[n + i]),
+                                 (None if f1[n + i] is None else -f1[n + i], g1[i]))],
                    Jet.zero(F.dim, order))
 
     return _ScalarField(F.dim, fn)
@@ -439,19 +442,13 @@ class GroupCocycleCandidate:
     """Base class: subclasses provide value/action through ``residual``."""
 
     name = "cocycle"
-    arena = "scalar"
 
     def residual(self, f: DiffeoMap, h: DiffeoMap, point: tuple) -> Scalar:
         raise NotImplementedError
 
     def action_identity_defect(self, f: DiffeoMap, point: tuple) -> Scalar:
         """Residual of c(f o id) = id . c(f) + c(id); sanity for conventions."""
-        ident = _identity_like(f)
-        return self.residual(f, ident, point)
-
-
-def _identity_like(f: DiffeoMap) -> DiffeoMap:
-    return catalog_get("identity", {"dim": f.dim})
+        return self.residual(f, catalog_get("identity", {"dim": f.dim}), point)
 
 
 def verify_group_cocycle(candidate: GroupCocycleCandidate, f: DiffeoMap,
@@ -514,7 +511,6 @@ class ConnectionCompareCocycle(GroupCocycleCandidate):
     action, C(f o h) = h*C(f) + C(h), on the base manifold."""
 
     name = "connection_ell"
-    arena = "tensor21"
 
     def __init__(self, gamma: Connection):
         self.gamma = gamma
@@ -567,7 +563,6 @@ class OperatorCocycle(GroupCocycleCandidate):
     """
 
     name = "operator_L"
-    arena = "operator"
 
     def __init__(self, gamma: Connection):
         self.gamma = gamma

@@ -184,9 +184,7 @@ def lift_connection(gamma: Connection) -> Connection:
                     out[n + k][n + i][j] = -lift0(g0[i][k][j])
         return out
 
-    lifted = Connection(2 * n, fn, name=f"lift({gamma.name})", flat=False)
-    lifted.base = gamma
-    return lifted
+    return Connection(2 * n, fn, name=f"lift({gamma.name})", flat=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ Fiber convention for the cotangent lift, with J = Df(x):
     f~(x, xi) = (f(x), J^{-T} xi),   i.e.  xi'_j = (dx^i/df^j) xi_i.
 
 Base coordinates occupy slots 0..n-1 and fiber coordinates slots n..2n-1 on
-phase space.  Local inverses are anchored: an inverse map knows preimages of
-the points it was derived at and solves exactly there (Newton refinement is
-available on the float backend only).
+phase space.  A local inverse has one anchor: it is evaluable at the image
+of the point it was taken at, where :func:`inverse_jets` reverts the jets
+of its parent, and nowhere else.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "compose",
     "cotangent_lift",
     "flow_map",
+    "inverse_jets",
     "suspension",
 ]
 
@@ -92,11 +93,11 @@ class DiffeoMap:
     def jacobian_det(self, point: Point) -> Scalar:
         return mat_det(self.jacobian(point))
 
-    def invert(self, at: Point) -> "_LocalInverse":
-        """Local inverse anchored at the image of ``at``."""
+    def invert(self, at: Point) -> "_Inverse":
+        """Local inverse at the image of ``at``, evaluable at that image only."""
         if mat_det(self.jacobian(at)) == 0:
             raise SingularJacobianError(f"{self.name}: singular Jacobian at {at}")
-        return _LocalInverse(self, [tuple(at)])
+        return _Inverse(self, tuple(at))
 
     def __repr__(self):
         return f"DiffeoMap({self.name}, dim={self.dim})"
@@ -125,17 +126,17 @@ def compose(f: DiffeoMap, h: DiffeoMap) -> DiffeoMap:
     )
 
 
-class _LocalInverse(DiffeoMap):
-    """Inverse of a parent map, evaluable at registered image points.
+def inverse_jets(f: DiffeoMap, at: Point, order: int) -> list[Jet]:
+    """Shifted jets of f^-1 at f(at): the jets of the local inverse, each
+    less its value."""
+    return jet_invert(_shifted(f.eval_jet(at, order)))
 
-    Exact backends require the evaluation point to be the exact image of a
-    known anchor; float inputs fall back to Newton iteration seeded by the
-    nearest anchor.
-    """
 
-    def __init__(self, parent: DiffeoMap, anchors: list[Point]):
-        self.parent = parent
-        self.anchors = [tuple(a) for a in anchors]
+class _Inverse(DiffeoMap):
+    """Inverse of a parent map near one anchor; see :meth:`DiffeoMap.invert`."""
+
+    def __init__(self, parent: DiffeoMap, anchor: Point):
+        self.parent, self.anchor, self.image = parent, anchor, parent(anchor)
         super().__init__(
             parent.dim,
             self._inverse_jets,
@@ -143,49 +144,17 @@ class _LocalInverse(DiffeoMap):
             orientation_preserving=parent.orientation_preserving,
         )
 
-    def add_anchor(self, preimage: Point) -> "_LocalInverse":
-        p = tuple(preimage)
-        if p not in self.anchors:
-            self.anchors.append(p)
-        return self
-
-    def _preimage(self, point: Point) -> Point:
-        for a in self.anchors:
-            if tuple(self.parent(a)) == tuple(point):
-                return a
-        if all(isinstance(c, float) for c in point) and self.anchors:
-            return self._newton(point)
-        raise EvaluationError(
-            f"{self.name}: no anchor maps to {point}; register the preimage first"
-        )
-
-    def _newton(self, point: Point) -> Point:
-        guess = min(
-            self.anchors,
-            key=lambda a: sum((float(x) - float(y)) ** 2 for x, y in zip(self.parent(a), point)),
-        )
-        p = [float(c) for c in guess]
-        for _ in range(60):
-            val = self.parent(tuple(p))
-            resid = [float(v) - float(t) for v, t in zip(val, point)]
-            if max(abs(r) for r in resid) < 1e-13:
-                return tuple(p)
-            step = mat_inv(self.parent.jacobian(tuple(p)))
-            p = [
-                pi - sum(step[i][j] * resid[j] for j in range(self.dim))
-                for i, pi in enumerate(p)
-            ]
-        raise EvaluationError(f"{self.name}: Newton iteration failed near {point}")
+    def _check(self, point: Point) -> None:
+        if tuple(point) != self.image:
+            raise EvaluationError(f"{self.name}: evaluable at {self.image} only, not {point}")
 
     def _inverse_jets(self, point: Point, order: int) -> list[Jet]:
-        pre = self._preimage(point)
-        fj = self.parent.eval_jet(pre, order)
-        inv = jet_invert(_shifted(fj))
-        return [g + c for g, c in zip(inv, pre)]
+        self._check(point)
+        return [g + c for g, c in zip(inverse_jets(self.parent, self.anchor, order), self.anchor)]
 
     def invert(self, at: Point) -> DiffeoMap:
-        # the inverse of an anchored inverse is the parent
-        self._preimage(at)
+        # the inverse of a local inverse is its parent
+        self._check(at)
         return self.parent
 
 
@@ -219,11 +188,6 @@ class CotangentMap(DiffeoMap):
                   for row in jac_inv]
         return out + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
                       for j in range(n)]
-
-    def invert(self, at: Point) -> DiffeoMap:
-        inv = super().invert(at)
-        inv.name = f"T*{self.base.name}^-1"
-        return inv
 
 
 def cotangent_lift(f: DiffeoMap) -> CotangentMap:
@@ -297,16 +261,39 @@ def _polynomial_map(dim: int, polys: Sequence[Polynomial], **kw) -> DiffeoMap:
     return DiffeoMap(dim, jet_fn, **kw)
 
 
-def _as_matrix(a, n) -> list[list]:
-    if n == 1 and not isinstance(a, (list, tuple)):
-        return [[a]]
-    return [list(row) for row in a]
+def _array(key: str, value, shape: tuple[int, ...]) -> list:
+    """A vector or matrix parameter as lists of the given shape, or
+    ``ValueError``.  A bare scalar stands for a 1 or 1 x 1 array."""
+    if not isinstance(value, (list, tuple)) and set(shape) == {1}:
+        value = [[value]] if len(shape) == 2 else [value]
+
+    def fits(v, dims):
+        if not dims:
+            return not isinstance(v, (list, tuple))
+        return (isinstance(v, (list, tuple)) and len(v) == dims[0]
+                and all(fits(x, dims[1:]) for x in v))
+
+    if not fits(value, shape):
+        want = f"a {shape[0]} x {shape[1]} matrix" if len(shape) == 2 \
+            else f"a vector of length {shape[0]}"
+        raise ValueError(f"parameter {key!r} must be {want}, got {value!r}")
+    return [list(row) for row in value] if len(shape) == 2 else list(value)
 
 
 def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMap:
-    """Construct a catalog map; see :func:`catalog_entries` for schemas."""
+    """Construct a catalog map; see :func:`catalog_entries` for schemas.
+
+    ``KeyError`` for an unknown name; ``ValueError`` for a parameter the
+    family does not take or a vector or matrix of the wrong shape.
+    """
     params = dict(params or {})
     n = int(params.pop("dim", dim))
+    entry = next((e for e in catalog_entries() if e["name"] == name), None)
+    if entry is None:
+        raise KeyError(f"unknown catalog map '{name}'")
+    unknown = set(params) - {k for key in entry["params"] for k in key.split(",")}
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(sorted(unknown))}")
 
     if name == "identity":
         polys = [Polynomial.coordinate(n, i) for i in range(n)]
@@ -314,8 +301,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
                                orientation_preserving=True)
 
     if name == "translation":
-        c = params.get("c", [1] * n)
-        c = [c] if n == 1 and not isinstance(c, (list, tuple)) else list(c)
+        c = _array("c", params.get("c", [1] * n), (n,))
         polys = [
             Polynomial.coordinate(n, i) + Polynomial.constant(n, c[i]) for i in range(n)
         ]
@@ -323,9 +309,10 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
                                orientation_preserving=True)
 
     if name in ("linear", "affine"):
-        a = _as_matrix(params.get("A", 2 if n == 1 else [[1, 1], [0, 1]][:n]), n)
-        b = params.get("b", [0] * n) if name == "affine" else [0] * n
-        b = [b] if n == 1 and not isinstance(b, (list, tuple)) else list(b)
+        # the default is 2 at n = 1 and the shear I + E_01 above
+        shear = [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+        a = _array("A", params.get("A", 2 if n == 1 else shear), (n, n))
+        b = _array("b", params.get("b", [0] * n), (n,))
         det = mat_det(a)
         if det == 0:
             raise SingularJacobianError(f"{name}: matrix is singular")
@@ -388,7 +375,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
             m = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
             m[0][n] = Fraction(1, 4)
             m[n][0] = Fraction(1, 4)
-        m = [list(r) for r in m]
+        m = _array("A", m, (n + 1, n + 1))
         if mat_det(m) == 0:
             raise SingularJacobianError("projective: matrix is singular")
         rows = [
@@ -430,8 +417,6 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
             n, jet_fn, name="exp_scale", params={"lam": lam},
             orientation_preserving=lam > 0,
         )
-
-    raise KeyError(f"unknown catalog map '{name}'")
 
 
 def catalog_entries() -> list[dict]:

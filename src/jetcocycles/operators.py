@@ -44,12 +44,11 @@ from .jets import (
     _powers,
     dot,
     jet_compose,
-    jet_invert,
     mat_inv,
     monomials,
     monomial_index,
 )
-from .maps import DiffeoMap, _shifted, cotangent_lift
+from .maps import DiffeoMap, cotangent_lift, inverse_jets
 from .geometry import (Connection, _covariant_tables, _factorial_midx, _midx_add, _tadd,
                        cocycle_C, lift_connection)
 
@@ -222,17 +221,8 @@ def _provider_is_zero(c, tol: float) -> bool:
 
 def _comparison_jets(f: DiffeoMap, gamma: Connection, point: tuple, order: int):
     """Jets of the comparison tensor of the lifted map at a phase point."""
-    glifted = _lifted(gamma)
-    lift = cotangent_lift(f)
-    return cocycle_C(lift, glifted).components(point, order), glifted
-
-
-def _lifted(gamma: Connection) -> Connection:
-    cached = getattr(gamma, "_lifted_cache", None)
-    if cached is None:
-        cached = lift_connection(gamma)
-        gamma._lifted_cache = cached
-    return cached
+    glifted = lift_connection(gamma)
+    return cocycle_C(cotangent_lift(f), glifted).components(point, order), glifted
 
 
 def _finish(dim, table, point, keep_jets):
@@ -505,41 +495,28 @@ def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
 
 
 class _PullbackFunction:
-    """The function f . Q = Q o f~^-1 as a lazy jet provider."""
+    """The function f . Q = Q o f~^-1, evaluable at the lift images of its
+    anchors."""
 
     def __init__(self, f: DiffeoMap, q, anchors: Sequence[tuple] = ()):
         self.lift = cotangent_lift(f)
         self.q = q
         self.dim = 2 * f.dim
-        self._inverse = None
-        self._anchors = [tuple(a) for a in anchors]
-
-    def add_anchor(self, phase_point: tuple) -> "_PullbackFunction":
-        self._anchors.append(tuple(phase_point))
-        if self._inverse is not None:
-            self._inverse.add_anchor(tuple(phase_point))
-        return self
+        self._preimages = {self.lift(a): tuple(a) for a in anchors}
 
     def jet(self, point: tuple, order: int) -> Jet:
-        if self._inverse is None:
-            if not self._anchors:
-                raise EvaluationError(
-                    "pullback function needs at least one registered preimage"
-                )
-            self._inverse = self.lift.invert(self._anchors[0])
-            for a in self._anchors[1:]:
-                self._inverse.add_anchor(a)
-        inv_jets = self._inverse.eval_jet(point, order)
-        w = tuple(j.value for j in inv_jets)
-        outer = self.q.jet(w, order)
-        return jet_compose(outer, _shifted(inv_jets))
+        w = self._preimages.get(tuple(point))
+        if w is None:
+            raise EvaluationError(f"no anchor of the pullback function maps to {point}")
+        return jet_compose(self.q.jet(w, order), inverse_jets(self.lift, w, order))
 
 
 def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple] = ()) -> _PullbackFunction:
     """Module action on phase-space functions: compose with the inverse lift.
 
-    ``anchors`` registers base preimages w so the result can be evaluated at
-    the image points f~(w) on the exact backend (floats refine by Newton).
+    The result is evaluable at the images f~(w) of the phase points w in
+    ``anchors`` and nowhere else; there its jet is Q's jet at w composed
+    with the jets of f~^-1.
     """
     return _PullbackFunction(f, q, anchors)
 
@@ -555,9 +532,8 @@ def act_on_operator(f: DiffeoMap, op: LocalDiffOp, point: tuple) -> LocalDiffOp:
     powers serves every monomial of order at most three.
     """
     d = 2 * f.dim
-    fz = cotangent_lift(f).eval_jet(point, MAX_OP_ORDER)
     monos = monomials(d, MAX_OP_ORDER)
-    powers = _powers(jet_invert(_shifted(fz)), [True] * len(monos))
+    powers = _powers(inverse_jets(cotangent_lift(f), point, MAX_OP_ORDER), [True] * len(monos))
     powers[0] = Jet.constant(d, MAX_OP_ORDER, 1)
 
     coeffs: dict[tuple, Scalar] = {}

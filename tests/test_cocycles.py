@@ -359,6 +359,11 @@ def test_lie_derivative_and_p3_take_no_partial_of_a_zero_jet(zero_jet_partials):
     F3 = Polynomial(4, {(3, 0, 0, 0): 1, (0, 1, 0, 2): F(1, 2)})
     G3 = Polynomial(4, {(0, 0, 3, 0): F(1, 3), (1, 0, 1, 1): 2})
     assert moyal_p3(F3, G3, (F(1, 2), 0, F(1, 4), F(-1, 2)), order=1)
+    # p3 of quadratics is identically zero, so each bracket with it has a zero side
+    quadratics = [Polynomial(2, {(2, 0): 1, (1, 1): F(1, 2)}),
+                  Polynomial(2, {(0, 2): F(1, 3), (1, 0): 2}),
+                  Polynomial(2, {(1, 1): -1, (2, 0): F(1, 4), (0, 0): 3})]
+    assert chevalley_p3_residual(*quadratics, (F(1, 2), F(-1, 4))) == 0
     assert zero_jet_partials == []
 
 

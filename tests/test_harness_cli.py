@@ -262,10 +262,18 @@ def test_cli_empty_suites_is_usage_error(tmp_path):
     json.dumps({"maps": [["linear", {"A": float("nan")}]]}),
     json.dumps({"maps": [["translation", {"c": float("inf")}]]}),
     '{"maps": [["translation", {"c": 1e400}]]}',
+    json.dumps({"dim": 2, "maps": [["linear", {"A": [[1, 0]]}]]}),
+    json.dumps({"dim": 2, "maps": [["affine", {"b": [1]}]]}),
+    json.dumps({"dim": 2, "maps": [["projective", {"A": [[1, 0], [0, 1]]}]]}),
+    json.dumps({"dim": 2, "maps": [["translation", {"c": [1, 2, 3]}]]}),
+    json.dumps({"maps": [["linear", {"B": 3}]]}),
+    json.dumps({"maps": [["translation", {"eps": 3}]]}),
 ], ids=["dim_string", "unknown_map", "malformed_json", "singular_linear", "suites_string",
         "map_dim_mismatch", "tol_bool", "tol_string", "tol_huge_int", "jet_order_field",
         "degree_lowering_identity_only", "param_zero_denominator", "param_nan_string",
-        "param_inf_string", "param_json_nan", "param_json_infinity", "param_json_1e400"])
+        "param_inf_string", "param_json_nan", "param_json_infinity", "param_json_1e400",
+        "linear_matrix_short", "affine_vector_short", "projective_matrix_small",
+        "translation_vector_long", "linear_unknown_param", "translation_unknown_param"])
 def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_text(content)

@@ -67,6 +67,12 @@ def test_unknown_catalog_name():
         catalog_get("spiral")
 
 
+@pytest.mark.parametrize("name", ["linear", "affine"])
+def test_linear_default_is_the_shear_at_every_dim(name):
+    f = catalog_get(name, {"dim": 3})
+    assert f.jacobian((F(1, 2), F(0), F(-1, 4))) == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def catalog_case(sp, name, n):
     """Parameters of a catalog map, and its components written from the
     family's definition as sympy expressions in x0..x{n-1}."""
@@ -204,6 +210,29 @@ def test_inverse_needs_anchor_on_exact_backend():
     inv = f.invert((F(0),))
     with pytest.raises(EvaluationError):
         inv.eval_jet((F(1, 2),), 2)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_inverse_raises_away_from_its_anchor_image(backend):
+    f = catalog_get("polynomial_perturbation", {"eps": F(1, 8)})
+    at, step = (F(1, 4),), F(1, 64)
+    if backend == "float":
+        at, step = (0.25,), 1 / 64
+    inv = f.invert(at)
+    image = f(at)
+    assert inv.eval_jet(image, 2)[0].value == at[0]
+    with pytest.raises(EvaluationError):
+        inv.eval_jet((image[0] + step,), 2)
+    with pytest.raises(EvaluationError):
+        inv.invert((image[0] + step,))
+
+
+def test_invert_at_a_singular_point_raises():
+    f = catalog_get("polynomial_perturbation", {"eps": F(-1, 3)})  # x - x^3/3
+    with pytest.raises(SingularJacobianError):
+        f.invert((F(1),))
+    with pytest.raises(SingularJacobianError):
+        cotangent_lift(f).invert((F(1), F(2)))
 
 
 # -- cotangent lift ----------------------------------------------------------

@@ -350,6 +350,55 @@ def test_function_action_composes():
     assert lhs == rhs
 
 
+CONJUGATION_MAPS = [
+    (1, "moebius", {"a": 2, "b": 1, "c": 1, "d": 1}),
+    (1, "polynomial_perturbation", {"eps": F(1, 8)}),
+    (2, "projective", {}),
+    (2, "polynomial_perturbation", {"eps": F(1, 8)}),
+]
+
+
+@pytest.mark.parametrize("op_kind", ["covariant", "dense"])
+@pytest.mark.parametrize("n,name,params", CONJUGATION_MAPS,
+                         ids=[f"{name}-dim{n}" for n, name, _ in CONJUGATION_MAPS])
+def test_operator_and_function_actions_agree(n, name, params, op_kind):
+    # (h . T)(Q) at z is T applied to h . Q at h~(z): the two actions read
+    # the same inverse-lift jets
+    h = catalog_get(name, {"dim": n, **params})
+    rng = random.Random(53 + n)
+    monos = monomials(2 * n, 3)
+    q = Polynomial(2 * n, {m: F(rng.randint(-9, 9), rng.randint(1, 5)) for m in monos})
+    checked = 0
+    while checked < 2:
+        z = rand_point(rng, 2 * n)
+        if h.jacobian_det(z[:n]) == 0:
+            continue
+        hz = cotangent_lift(h)(z)
+        if op_kind == "covariant":
+            op = build_L_covariant(h, Connection.flat_connection(n), hz)
+        else:
+            op = LocalDiffOp(2 * n, {m: F(rng.randint(-9, 9), rng.randint(1, 5)) for m in monos},
+                             point=hz)
+        lhs = act_on_operator(h, op, z).apply_to_jet(q.jet(z, 3))
+        rhs = op.apply_to_jet(act_on_function(h, q, anchors=[z]).jet(hz, 3))
+        assert lhs == rhs
+        checked += 1
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_acted_function_raises_away_from_its_anchor_images(backend):
+    f = catalog_get("polynomial_perturbation", {"eps": F(1, 8)})
+    w = (F(1, 4), F(1, 2))
+    step = F(1, 64)
+    if backend == "float":
+        w, step = tuple(map(float, w)), 1 / 64
+    acted = act_on_function(f, Symbol.monomial(1, (2,)), anchors=[w])
+    z = cotangent_lift(f)(w)
+    assert acted.jet(z, 3).value == w[1] ** 2  # (f . Q)(f~(w)) = Q(w)
+    with pytest.raises(EvaluationError):
+        acted.jet((z[0] + step, z[1]), 3)
+
+
 def test_operator_action_identity():
     ident = catalog_get("identity")
     op = LocalDiffOp(2, {(1, 1): F(5, 2), (0, 3): -1})

@@ -1,14 +1,17 @@
-"""Compare the verify reports of two source trees, apart from timing.
+"""Compare the verify reports of two source trees, apart from timing, and
+the output of their ``list`` and ``demo`` commands.
 
     python3 tools/report_diff.py PARENT_TREE CHANGE_TREE
 
 Each tree is the root of a jetcocycles checkout.  In each, the script runs
 ``python -m jetcocycles.cli verify`` with every suite, ``--samples 2`` and
-seeds 1 and 2, at dims 1-3 on both backends: 12 reports per tree.  The
-program is imported from the tree's ``src``, so nothing needs installing.
-Reports are compared after dropping their ``timing`` block.  It prints one
-line per report and exits 1 when any report differs or is missing, else 0.
-Standard library only.
+seeds 1 and 2, at dims 1-3 on both backends: 12 reports per tree.  Reports
+are compared after dropping their ``timing`` block.  It also runs ``list``
+and each of the three demos and compares their standard output and exit
+code.  The program is imported from the tree's ``src``, so nothing needs
+installing.  It prints one line per report and per command, and exits 1
+when any of them differs or a report is missing, else 0.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -23,16 +26,21 @@ import tempfile
 SEEDS = (1, 2)
 DIMS = (1, 2, 3)
 BACKENDS = ("exact", "float")
+COMMANDS = (("list",), ("demo", "flat-cubic"), ("demo", "affine"), ("demo", "moebius"))
+
+
+def run_cli(tree: str, args, **kw) -> subprocess.CompletedProcess:
+    """``python -m jetcocycles.cli ARGS`` with the program imported from ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    return subprocess.run([sys.executable, "-m", "jetcocycles.cli", *args],
+                          cwd=tree, env=env, check=False, **kw)
 
 
 def run_report(tree: str, dim: int, backend: str, seed: int, out_dir: str):
     """The report of one verify call in ``tree`` without ``timing``, or None."""
     path = os.path.join(out_dir, f"d{dim}-{backend}-s{seed}.json")
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    subprocess.run([sys.executable, "-m", "jetcocycles.cli", "verify", "--dim", str(dim),
-                    "--backend", backend, "--samples", "2", "--seed", str(seed),
-                    "--json", path],
-                   cwd=tree, env=env, stdout=subprocess.DEVNULL, check=False)
+    run_cli(tree, ["verify", "--dim", str(dim), "--backend", backend, "--samples", "2",
+                   "--seed", str(seed), "--json", path], stdout=subprocess.DEVNULL)
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -84,7 +92,15 @@ def main(argv=None) -> int:
                     differ += not status.startswith("identical")
                     print(f"{name}: {status}", flush=True)
     print(f"{differ} of {len(SEEDS) * len(DIMS) * len(BACKENDS)} reports differ")
-    return 1 if differ else 0
+    differ_out = 0
+    for command in COMMANDS:
+        parent, change = (run_cli(tree, command, capture_output=True, text=True)
+                          for tree in (args.parent, args.change))
+        same = (parent.returncode, parent.stdout) == (change.returncode, change.stdout)
+        differ_out += not same
+        print(f"{' '.join(command)}: {'identical' if same else 'DIFFERS'}", flush=True)
+    print(f"{differ_out} of {len(COMMANDS)} command outputs differ")
+    return 1 if differ or differ_out else 0
 
 
 if __name__ == "__main__":
