@@ -735,15 +735,18 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     if cfg.checked != cfg._settings():
         cfg.validate()
     pool = cfg.pool
-    started = time.time()
+    started = time.perf_counter()
     rows: list[CaseResult] = []
+    suites_s: dict[str, float] = {}
     for suite in cfg.suites:
+        suite_started = time.perf_counter()
         sampler = Sampler(cfg)  # fresh stream per suite keeps suites independent
         try:
             rows.extend(_SUITE_FN[suite](cfg, sampler, pool))
         except EvaluationError as exc:  # raised outside any case, e.g. an exhausted sampler
             rows.append(CaseResult(suite, "aborted", [], (), None, False,
                                    error=f"{type(exc).__name__}: {exc}"))
+        suites_s[suite] = round(time.perf_counter() - suite_started, 3)
 
     rows.sort(key=lambda r: (r.suite, r.case_id))
     max_by_suite: dict[str, str] = {}
@@ -767,7 +770,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         "config": cfg.as_dict(),
         "cases": [r.as_record() for r in rows],
         "summary": summary,
-        "timing": {"elapsed_s": round(time.time() - started, 3)},
+        "timing": {"elapsed_s": round(time.perf_counter() - started, 3), "suites_s": suites_s},
     }
 
 

@@ -12,10 +12,15 @@ is a property of the inputs.  The jet product is the truncated Cauchy product
 of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13)
 over the nonzero terms of both operands, with slots from one cached plan per
 shape.  It looks at the scalar types: float coefficients multiply as they
-are, while exact operands that carry a ``Fraction`` are summed as integer
-numerators over one common denominator, as FLINT's ``fmpq_poly`` does, so
-each nonzero output is normalised once and every zero slot is ``int`` 0.
-Int-only operands give int coefficients.
+are, in the same order every time.  An exact jet (``int`` and ``Fraction``
+slots only) is read as integer numerators over one common denominator, as
+FLINT's ``fmpq_poly`` stores it; the form is made the first time a product
+needs it and kept in the jet, which never changes.  ``dot`` sums exact
+products, and its ``acc``, in one integer buffer over the lcm of the pair
+denominators, so each nonzero output is normalised once, by one
+``Fraction``, and every zero slot is ``int`` 0; a product is the same sum
+with one pair.  Int-only operands give int coefficients.  A float operand
+makes ``dot`` multiply and add term by term, left to right.
 Slot-wise operations do scalar work only on the slots they change.  A zero
 operand leaves the other slot as it is: ``a + 0``, ``a - 0``, ``s * 0`` and
 ``0 / s`` keep the slot, and an int 0 plus or minus ``b`` gives ``b`` or
@@ -29,7 +34,12 @@ term is written in closed form by the binomial Taylor shift of the term to
 the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
 shifts", ISSAC 1997).  An exact shift runs in integer numerators, with the
 point over one denominator and the coefficients over another, and makes one
-``Fraction`` per nonzero slot.
+``Fraction`` per nonzero slot.  A ``Polynomial`` keeps the highest-order
+jet it has made at the last point it was asked for, and serves a lower
+order there by truncation; callers ask for one point many times before
+they move on.  The memo lives as long as the polynomial and holds one jet,
+and its key holds the point's scalar types, so a float point is never
+served the jet of an equal exact one.
 Every monomial but the constant has a predecessor, itself less one power of
 its first variable.  One cached table per shape lists these; it builds the
 product plan row by row, and ``_powers`` holds the powers of inner jets: it
@@ -48,7 +58,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -161,14 +171,8 @@ def _mul_plan(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+_INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
-
-
-def _numerators(terms: list) -> tuple[list, int]:
-    """``(slot, int or Fraction)`` terms as integer numerators over their
-    common denominator, and that denominator."""
-    den = math.lcm(*[c.denominator for _, c in terms])
-    return [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +187,7 @@ class Jet:
     their base point; callers keep track of where they live.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "_numerators")
 
     def __init__(self, dim: int, order: int, coeffs: Sequence[Scalar]):
         n = len(monomials(dim, order))
@@ -194,6 +198,7 @@ class Jet:
         self.dim = dim
         self.order = order
         self.coeffs = tuple(coeffs)
+        self._numerators = None  # filled by _exact_terms
 
     # -- constructors ------------------------------------------------------
 
@@ -253,6 +258,26 @@ class Jet:
 
     # -- ring operations ---------------------------------------------------
 
+    def _exact_terms(self) -> "tuple[list, int] | None":
+        """The nonzero slots as ``(slot, integer numerator)`` over one common
+        denominator, with that denominator; ``None`` when a slot is not an
+        ``int`` or a ``Fraction``.  Made on the first call and kept, since a
+        jet never changes."""
+        form = self._numerators
+        if form is None:
+            c = self.coeffs
+            terms = [(i, c[i]) for i in compress(range(len(c)), c)]
+            types = {type(v) for _, v in terms}
+            if types <= _INT:
+                form = (terms, 1)
+            elif types <= _EXACT:
+                den = math.lcm(*[v.denominator for _, v in terms])
+                form = ([(i, v.numerator * (den // v.denominator)) for i, v in terms], den)
+            else:
+                form = False
+            self._numerators = form
+        return form or None
+
     def _check(self, other: "Jet"):
         if self.dim != other.dim or self.order != other.order:
             raise JetShapeError(
@@ -288,44 +313,21 @@ class Jet:
             return Jet(self.dim, self.order, [other * a if a else a for a in self.coeffs])
         self._check(other)
         ca, cb = self.coeffs, other.coeffs
-        slots = range(len(ca))
-        lhs = [(i, ca[i]) for i in compress(slots, ca)]
-        rhs = [(j, cb[j]) for j in compress(slots, cb)]
-        # An operand whose only term is its constant scales the other one, with
-        # no plan; an int 1 leaves it as it is.  Terms commute, so the
-        # constant is moved to the right.
-        scaled = self
-        if len(lhs) == 1 and not lhs[0][0]:
-            scaled, lhs, rhs = other, rhs, lhs
-        scale = len(rhs) == 1 and not rhs[0][0]
-        if scale and type(rhs[0][1]) is int and rhs[0][1] == 1:
-            return scaled
-        # Exact operands that carry a Fraction are summed as integer numerators
-        # over one denominator.  Floats (a float constant term settles it)
-        # multiply as they are, in the (i, j) order of every slot's sum.
-        den = 0
+        # an int constant 1 leaves the other operand as it is
+        if type(cb[0]) is int and cb[0] == 1 and not any(cb[1:]):
+            return self
+        if type(ca[0]) is int and ca[0] == 1 and not any(ca[1:]):
+            return other
+        # exact operands are dot's integer sum with one pair; a float constant
+        # term settles that they are floats
         if type(ca[0]) is not float and type(cb[0]) is not float:
-            types = {type(c) for _, c in lhs + rhs}
-            if Fraction in types and types <= _EXACT:
-                (lhs, den_a), (rhs, den_b) = _numerators(lhs), _numerators(rhs)
-                den = den_a * den_b
+            out = _exact_dot(((self, other),), None)
+            if out is not None:
+                return out
         out = [0] * len(ca)
-        if scale:
-            (_, c), = rhs
-            for i, a in lhs:
-                out[i] = a * c
-        else:
-            plan = _mul_plan(self.dim, self.order)
-            for i, a in lhs:
-                row = plan[i]
-                n = len(row)
-                for j, b in rhs:
-                    if j >= n:
-                        break
-                    out[row[j]] += a * b
-        if den > 1:
-            for k in compress(slots, out):
-                out[k] = Fraction(out[k], den)
+        slots = range(len(ca))
+        _add_product(out, [(i, ca[i]) for i in compress(slots, ca)],
+                     [(j, cb[j]) for j in compress(slots, cb)], self.dim, self.order)
         return Jet(self.dim, self.order, out)
 
     __rmul__ = __mul__
@@ -423,16 +425,99 @@ class Jet:
 
 
 def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
-    """``acc`` plus the sum of ``x * y`` over the ``(x, y)`` jet pairs, added
-    left to right.
+    """``acc`` plus the sum of ``x * y`` over the ``(x, y)`` jet pairs.
 
     A pair whose ``x`` or ``y`` is ``None`` or a zero jet is skipped, so it
     costs no product.  When nothing is added, ``acc`` is returned as it is.
+    Exact operands are summed in one integer buffer (:func:`_exact_dot`);
+    floats are multiplied and added left to right, so their rounding is that
+    of ``acc + x * y`` term by term.
     """
+    pairs = iter(pairs)
+    for x, y in pairs:
+        if x is not None and y is not None and any(x.coeffs) and any(y.coeffs):
+            break
+    else:
+        return acc
+    pairs = chain(((x, y),), pairs)
+    # a float constant term on the first live pair or on acc settles it at once
+    if (type(x.coeffs[0]) is not float and type(y.coeffs[0]) is not float
+            and (acc is None or type(acc.coeffs[0]) is not float)):
+        pairs = [(x, y) for x, y in pairs
+                 if x is not None and y is not None and any(x.coeffs) and any(y.coeffs)]
+        out = _exact_dot(pairs, acc)
+        if out is not None:
+            return out
     for x, y in pairs:
         if x is not None and y is not None and any(x.coeffs) and any(y.coeffs):
             acc = x * y if acc is None else acc + x * y
     return acc
+
+
+def _exact_dot(pairs: Sequence[tuple], acc: "Jet | None") -> "Jet | None":
+    """``acc`` plus the sum of ``x * y`` over live exact jet pairs, or
+    ``None`` when an operand has a float slot.
+
+    Every operand is read in its integer form (``Jet._exact_terms``).  The
+    products and ``acc`` are summed in one integer buffer over the lcm ``D``
+    of the pair denominators, and each nonzero slot becomes one
+    ``Fraction(n, D)``; zero slots stay ``int`` 0, and int-only operands
+    give int slots.
+    """
+    shape = pairs[0][0] if acc is None else acc
+    forms = []
+    for x, y in pairs:
+        shape._check(x)
+        x._check(y)
+        nx, ny = x._exact_terms(), y._exact_terms()
+        if not (nx and ny):
+            return None
+        forms.append((nx, ny))
+    na = None if acc is None else acc._exact_terms()
+    if acc is not None and not na:
+        return None
+    den = math.lcm(*[dx * dy for (_, dx), (_, dy) in forms], na[1] if na else 1)
+    out = [0] * len(shape.coeffs)
+    if na:
+        scale = den // na[1]
+        for i, a in na[0]:
+            out[i] = a * scale
+    for (lhs, dx), (rhs, dy) in forms:
+        scale = den // (dx * dy)
+        if scale != 1:
+            if len(lhs) > len(rhs):
+                lhs, rhs = rhs, lhs
+            lhs = [(i, a * scale) for i, a in lhs]
+        _add_product(out, lhs, rhs, shape.dim, shape.order)
+    if den > 1:
+        for k in compress(range(len(out)), out):
+            out[k] = Fraction(out[k], den)
+    return Jet(shape.dim, shape.order, out)
+
+
+def _add_product(out: list, lhs: list, rhs: list, dim: int, order: int) -> None:
+    """Add the truncated Cauchy product of two ``(slot, scalar)`` term lists,
+    in increasing slot order, into ``out``.
+
+    Terms commute, so an operand whose only term is its constant is moved to
+    the right, where it scales the other one without the plan.  Otherwise
+    every slot's sum runs in the ``(i, j)`` order of the terms.
+    """
+    if len(lhs) == 1 and not lhs[0][0]:
+        lhs, rhs = rhs, lhs
+    if len(rhs) == 1 and not rhs[0][0]:
+        c = rhs[0][1]
+        for i, a in lhs:
+            out[i] += a * c
+        return
+    plan = _mul_plan(dim, order)
+    for i, a in lhs:
+        row = plan[i]
+        n = len(row)
+        for j, b in rhs:
+            if j >= n:
+                break
+            out[row[j]] += a * b
 
 
 def partial_or_none(jet: "Jet | None", axis: int) -> "Jet | None":
@@ -659,7 +744,9 @@ class Polynomial:
     ``top``, a slot of degree ``t`` is an integer over
     ``den_c * den_p^(top - t)``, made a ``Fraction`` once if nonzero and left
     ``int`` 0 otherwise.  Int coefficients at an int point give int slots;
-    float inputs are shifted as they are.
+    float inputs are shifted as they are.  The highest-order jet at the last
+    point is kept, and a lower order there is its truncation, so the terms
+    must not change after the first jet.
     """
 
     def __init__(self, dim: int, terms: dict[tuple[int, ...], Scalar]):
@@ -668,6 +755,8 @@ class Polynomial:
         for m in self.terms:
             if len(m) != dim:
                 raise JetShapeError("term arity does not match dimension")
+        # the last point, its scalar types and the highest-order jet made there
+        self._last: "tuple[tuple, Jet] | None" = None
 
     @staticmethod
     def coordinate(dim: int, axis: int) -> "Polynomial":
@@ -688,6 +777,15 @@ class Polynomial:
         return total
 
     def jet(self, point: Sequence[Scalar], order: int) -> Jet:
+        # 0.5 and Fraction(1, 2) compare equal, so the key holds the types
+        point = tuple(point)
+        key = (point, tuple(map(type, point)))
+        last = self._last
+        if last is None or last[0] != key or last[1].order < order:
+            last = self._last = (key, self._shift(point, order))
+        return last[1].truncated(order)
+
+    def _shift(self, point: Sequence[Scalar], order: int) -> Jet:
         monos = monomials(self.dim, order)
         idx = monomial_index(self.dim, order)
         out = [0] * len(monos)

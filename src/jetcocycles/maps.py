@@ -128,8 +128,10 @@ def compose(f: DiffeoMap, h: DiffeoMap) -> DiffeoMap:
 
 def inverse_jets(f: DiffeoMap, at: Point, order: int) -> list[Jet]:
     """Shifted jets of f^-1 at f(at): the jets of the local inverse, each
-    less its value."""
-    return jet_invert(_shifted(f.eval_jet(at, order)))
+    less its value.  The inverse needs the Jacobian, which lives in the
+    order-1 slots, so an order-0 inverse is an order-1 one truncated."""
+    jets = jet_invert(_shifted(f.eval_jet(at, max(order, 1))))
+    return [g.truncated(order) for g in jets]
 
 
 class _Inverse(DiffeoMap):

@@ -192,6 +192,26 @@ def test_schwarzian_vanishes_on_fractional_linear():
         assert val == 0
 
 
+@pytest.mark.parametrize("name", ["polynomial_perturbation", "moebius"])
+def test_schwarzian_matches_sympy(name):
+    # S(f) = f'''/f' - 3/2 (f''/f')^2 from sympy's derivatives of the
+    # family's definition
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    if name == "moebius":
+        params = {"a": 2, "b": 1, "c": F(1, 2), "d": 3}
+        expr = (2 * x + 1) / (sp.Rational(1, 2) * x + 3)
+    else:
+        params = {"eps": F(1, 5)}
+        expr = x + sp.Rational(1, 5) * x ** 3
+    d1, d2, d3 = (sp.diff(expr, x, k) for k in (1, 2, 3))
+    s = d3 / d1 - sp.Rational(3, 2) * (d2 / d1) ** 2
+    f = catalog_get(name, params)
+    for point in (F(1, 3), F(-5, 7)):
+        want = s.subs(x, sp.Rational(point.numerator, point.denominator))
+        assert schwarzian_1d(f, (point,)) == F(int(want.p), int(want.q)), point
+
+
 def test_schwarzian_of_exponential():
     e = catalog_get("exp_scale", {"lam": 1.0})
     for x in (0.0, 0.7, -1.2):

@@ -151,6 +151,14 @@ def test_report_deterministic_excluding_timing():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_timing_holds_the_seconds_of_each_suite():
+    timing = run_scenario(quick_config())["timing"]
+    assert set(timing) == {"elapsed_s", "suites_s"}
+    assert list(timing["suites_s"]) == list(quick_config().suites)
+    assert all(isinstance(t, float) and t >= 0 for t in timing["suites_s"].values())
+    assert sum(timing["suites_s"].values()) <= timing["elapsed_s"] + 0.01
+
+
 def test_float_residuals_are_plain_numbers():
     report = run_scenario(quick_config(suites=("classical_cocycles",)))
     assert "np." not in json.dumps(report)

@@ -479,6 +479,32 @@ def test_polynomial_jet_makes_no_jet_products(jet_products):
     assert jet_products == []
 
 
+def test_polynomial_jet_serves_a_lower_order_from_the_higher_one():
+    terms = {(2, 1, 0): Fraction(1, 3), (0, 3, 1): -2, (1, 1, 1): 5, (0, 0, 0): 5}
+    p = Polynomial(3, terms)
+    pt = (Fraction(1, 2), Fraction(-1, 3), 2)
+    high = p.jet(pt, 4)
+    low = p.jet(pt, 2)
+    fresh = Polynomial(3, dict(terms)).jet(pt, 2)
+    assert low == high.truncated(2) == fresh
+    assert [type(c) for c in low.coeffs] == [type(c) for c in fresh.coeffs]
+    assert p.jet(pt, 4) is high
+    # another point in between, then the first one again at a higher order
+    other = (Fraction(-1, 4), 1, Fraction(2, 3))
+    assert p.jet(other, 3) == Polynomial(3, dict(terms)).jet(other, 3)
+    assert p.jet(pt, 5) == Polynomial(3, dict(terms)).jet(pt, 5)
+    assert p.jet(pt, 5).truncated(4) == high
+
+
+def test_polynomial_jet_tells_a_float_point_from_an_equal_fraction_point():
+    p = Polynomial(2, {(2, 1): 3, (0, 1): Fraction(1, 2)})
+    exact = p.jet((Fraction(1, 2), Fraction(1, 4)), 3)
+    floats = p.jet((0.5, 0.25), 2)
+    assert all(type(c) is float for c in floats.coeffs if c)
+    assert floats == exact.truncated(2)
+    assert all(type(c) is not float for c in p.jet((Fraction(1, 2), Fraction(1, 4)), 1).coeffs)
+
+
 # -- series reversion against a sympy oracle -----------------------------------
 #
 # The inverse of a polynomial map F with invertible linear part is solved for
@@ -574,6 +600,8 @@ def shape_id(shape):
 
 
 def scalars(backend):
+    if backend == "int":
+        return st.integers(-6, 6)
     if backend == "exact":
         return st.one_of(st.integers(-6, 6),
                          st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 8])))
@@ -778,6 +806,58 @@ def test_exact_product_zero_slots_are_int_zero():
     q = Jet(1, 4, [Fraction(2), Fraction(-3), 0, 0, 0]) * Jet(1, 4, [1, 1, 0, 0, 0])
     assert list(q.coeffs) == [2, -1, -3, 0, 0]
     assert all(type(c) is int for c in q.coeffs)
+
+
+# -- dot against the left fold (Hypothesis) ------------------------------------
+#
+# Exact operands are summed in one integer buffer and floats term by term; in
+# both cases ``dot`` equals ``acc + x * y`` folded left to right, with float
+# slots equal bit for bit.
+
+
+@st.composite
+def dot_operands(draw, shape, backend):
+    """0-4 pairs whose operands may be ``None`` or a zero jet, and an
+    ``acc`` that may be ``None``."""
+    def operand():
+        kind = draw(st.sampled_from(["jet", "jet", "jet", "zero", "none"]))
+        if kind == "none":
+            return None
+        return Jet.zero(*shape) if kind == "zero" else draw(jets(shape, backend))
+
+    pairs = [(operand(), operand()) for _ in range(draw(st.integers(0, 4)))]
+    acc = draw(st.sampled_from([None, "jet"]))
+    return pairs, acc if acc is None else draw(jets(shape, backend))
+
+
+def left_fold(pairs, acc):
+    for x, y in pairs:
+        if x is not None and y is not None and not x.is_zero() and not y.is_zero():
+            acc = x * y if acc is None else acc + x * y
+    return acc
+
+
+def bits(j):
+    return None if j is None else [(type(c), repr(c)) for c in j.coeffs]
+
+
+@pytest.mark.parametrize("backend", ["exact", "int", "float"])
+@pytest.mark.parametrize("shape", [(1, 4), (2, 3), (3, 2), (6, 0), (6, 3)], ids=shape_id)
+@given(data=st.data())
+def test_dot_equals_the_left_fold(shape, backend, data):
+    pairs, acc = data.draw(dot_operands(shape, backend))
+    got, want = dot(pairs, acc), left_fold(pairs, acc)
+    if backend == "float":
+        assert bits(got) == bits(want)
+        return
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert list(got.coeffs) == list(want.coeffs)
+    if got is not acc:  # something was summed: every zero slot is int 0
+        assert all(type(c) is int for c in got.coeffs if c == 0)
+    if backend == "int":
+        assert all(type(c) is int for c in got.coeffs)
 
 
 # -- slot-wise operations (Hypothesis) -----------------------------------------

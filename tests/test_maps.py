@@ -227,6 +227,18 @@ def test_inverse_raises_away_from_its_anchor_image(backend):
         inv.invert((image[0] + step,))
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_inverse_evaluates_at_order_zero(backend):
+    # calling a map asks for order-0 jets, which hold no Jacobian
+    f = catalog_get("polynomial_perturbation", {"eps": F(1, 8)})
+    a = (F(1, 4),)
+    if backend == "float":
+        f, a = catalog_get("polynomial_perturbation", {"eps": 0.125}), (0.25,)
+    inv = f.invert(a)
+    assert inv(f(a)) == a
+    assert inv.eval_jet(f(a), 0)[0].coeffs == inv.eval_jet(f(a), 2)[0].coeffs[:1]
+
+
 def test_invert_at_a_singular_point_raises():
     f = catalog_get("polynomial_perturbation", {"eps": F(-1, 3)})  # x - x^3/3
     with pytest.raises(SingularJacobianError):
@@ -253,6 +265,36 @@ def test_lift_of_identity():
     jets = lift.eval_jet(p, 3)
     ident = [Jet.variable(4, 3, k, p[k]) for k in range(4)]
     assert jets_equal(jets, ident)
+
+
+@pytest.mark.parametrize("name", ["polynomial_perturbation", "projective"])
+def test_cotangent_lift_jets_match_sympy(name):
+    # (f(x), Df(x)^-T xi) written by sympy from the family's definition and
+    # expanded to order 3 at two phase points, against the lift's jets
+    sp = pytest.importorskip("sympy")
+    n, order = 2, 3
+    params, comps = catalog_case(sp, name, n)
+    xs, xis = sp.symbols(f"x0:{n}"), sp.symbols(f"xi0:{n}")
+    jac = sp.Matrix([[sp.diff(c, x) for x in xs] for c in comps])
+    fiber = (jac.adjugate() / jac.det()).T * sp.Matrix(xis)
+    lift = cotangent_lift(catalog_get(name, {**params, "dim": n}))
+    variables = xs + xis
+    # by degree, so that each multi-index comes after its predecessor
+    indices = sorted((b for b in itertools.product(range(order + 1), repeat=2 * n)
+                      if sum(b) <= order), key=sum)
+    for point in [(F(1, 3), F(-2, 5), F(1, 2), F(-3)), (F(3, 4), F(1, 6), F(-2, 3), F(5, 4))]:
+        jets = lift.eval_jet(point, order)
+        at = dict(zip(variables, map(sp.Rational, point)))
+        for expr, j in zip(comps + list(fiber), jets):
+            # d^b expr / b!, each derivative taken from its predecessor's
+            derivs = {indices[0]: expr}
+            for b in indices[1:]:
+                k = next(a for a, e in enumerate(b) if e)
+                pred = b[:k] + (b[k] - 1,) + b[k + 1:]
+                derivs[b] = sp.diff(derivs[pred], variables[k])
+                want = derivs[b].xreplace(at) / sp.Mul(*[sp.factorial(e) for e in b])
+                assert j.coefficient(b) == F(int(want.p), int(want.q)), (point, b)
+            assert j.value == F(*map(int, sp.fraction(expr.xreplace(at))))
 
 
 def symplectic_defect(lift_jacobian, n):

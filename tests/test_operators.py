@@ -320,6 +320,18 @@ def test_function_action_linear_map():
     assert got == expect_jet
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_function_action_at_order_zero_is_the_value_at_the_anchor(backend):
+    q = Symbol(1, {(2,): Polynomial.coordinate(1, 0), (0,): 3})
+    f = catalog_get("polynomial_perturbation", {"eps": F(1, 8)})
+    z = (F(1, 4), F(-1, 2))
+    if backend == "float":
+        f, z = catalog_get("polynomial_perturbation", {"eps": 0.125}), (0.25, -0.5)
+    acted = act_on_function(f, q, anchors=[z])
+    got = acted.jet(cotangent_lift(f)(z), 0)
+    assert got.order == 0 and got.value == q.jet(z, 0).value
+
+
 def test_function_action_preserves_fiber_degree():
     # pulling a fiber polynomial back through a lift keeps its fiber degree
     f = catalog_get("moebius", {"a": 2, "b": 1, "c": 1, "d": 1})
