@@ -29,7 +29,8 @@ functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -389,6 +390,8 @@ class CaseResult:
     passed: bool
     error: str | None = None
     witness: bool = False  # value asserts nonvanishing, not a defect size
+    # seconds spent in the residual; kept out of the record and of ==
+    seconds: float | None = field(default=None, compare=False)
 
     def as_record(self) -> dict:
         return {
@@ -417,20 +420,24 @@ def run_case(suite: str, case_id: str, maps: Sequence[str], point: tuple,
     An ordinary case passes by :func:`passes`; a witness asserts that its
     residual does not vanish, so it passes exactly when the residual is a
     number that fails :func:`passes`.  A bad point becomes an error row; a
-    shape mismatch is a bug and propagates.
+    shape mismatch is a bug and propagates.  The case keeps the seconds its
+    residual took, an error row's included.
     """
     maps, point = list(maps), tuple(point)
+    started = time.perf_counter()
     try:
         r = residual_fn()
     except JetShapeError:
         raise
     except BAD_POINT_ERRORS as exc:
         return CaseResult(suite, case_id, maps, point, None, False,
-                          error=f"{type(exc).__name__}: {exc}", witness=witness)
+                          error=f"{type(exc).__name__}: {exc}", witness=witness,
+                          seconds=time.perf_counter() - started)
+    seconds = time.perf_counter() - started
     ok = passes(r, tol)
     if witness:
         ok = bool(r == r) and not ok  # r != r only for NaN, which witnesses nothing
-    return CaseResult(suite, case_id, maps, point, r, ok, witness=witness)
+    return CaseResult(suite, case_id, maps, point, r, ok, witness=witness, seconds=seconds)
 
 
 def _residual_str(r: Scalar) -> str:

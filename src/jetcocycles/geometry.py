@@ -20,7 +20,12 @@ Pullback of a connection along a map F uses, with J = DF(x),
     (F*G)^k_ij(x) = (J^-1)^k_c [ G^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j ]
 
 so that (F o H)* = H* o F*; dropping the inhomogeneous dJ term gives the
-plain (2,1)-tensor pullback used on connection differences.
+plain (2,1)-tensor pullback used on connection differences.  The map
+supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
+symplectic transpose, any other map eliminates.  A map keeps its jets at
+the last point it was asked for (``maps``), so pulling several fields back
+along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
+taken once per pair i <= j.
 
 Iterated covariant derivatives of scalars,
 
@@ -45,7 +50,6 @@ from .jets import (
     Scalar,
     dot,
     jet_compose,
-    mat_inv,
     monomial_index,
     partial_or_none,
 )
@@ -200,7 +204,8 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
     image = tuple(j.value for j in fj)
     jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]  # order + 1
     jac = [[e.truncated(order) for e in row] for row in jac1]
-    jac_inv = [[None if e.is_zero() else e for e in row] for row in mat_inv(jac)]
+    jac_inv = [[None if e.is_zero() else e for e in row]
+               for row in mapping.jacobian_inverse(jac)]
     jac_t = list(zip(*jac))
 
     g_img = shifted = None
@@ -220,11 +225,13 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
             tj = [[dot(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
             plane = [[dot(zip(jac_t[i], tj[j])) for j in range(d)] for i in range(d)]
         if with_inhomogeneous:
+            # d_i J^c_j = d_i d_j F^c: one partial per pair i <= j fills both
             for i in range(d):
-                for j in range(d):
+                for j in range(i, d):
                     dj = partial_or_none(jac1[c][j], i)
                     if dj is not None and not dj.is_zero():
-                        plane[i][j] = dj if plane[i][j] is None else plane[i][j] + dj
+                        for a, b in {(i, j), (j, i)}:
+                            plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
         for k in range(d):
             w = jac_inv[k][c]
             for i in range(d):

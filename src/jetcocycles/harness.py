@@ -765,12 +765,20 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         "max_abs_residual_by_suite": max_by_suite,
     }
     summary["pass"] = summary["passed"] == summary["total"]
+    # seconds per "suite/case_id"; a map listed twice repeats an id, whose
+    # entry is then the sum
+    cases_s: dict[str, float] = {}
+    for r in rows:
+        if r.seconds is not None:
+            key = f"{r.suite}/{r.case_id}"
+            cases_s[key] = cases_s.get(key, 0.0) + r.seconds
     return {
         "schema": SCHEMA_VERSION,
         "config": cfg.as_dict(),
         "cases": [r.as_record() for r in rows],
         "summary": summary,
-        "timing": {"elapsed_s": round(time.perf_counter() - started, 3), "suites_s": suites_s},
+        "timing": {"elapsed_s": round(time.perf_counter() - started, 3), "suites_s": suites_s,
+                   "cases_s": {key: round(t, 6) for key, t in cases_s.items()}},
     }
 
 

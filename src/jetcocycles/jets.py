@@ -11,11 +11,12 @@ Two scalar backends flow through the same code paths: exact rationals
 is a property of the inputs.  The jet product is the truncated Cauchy product
 of Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13)
 over the nonzero terms of both operands, with slots from one cached plan per
-shape.  It looks at the scalar types: float coefficients multiply as they
-are, in the same order every time.  An exact jet (``int`` and ``Fraction``
-slots only) is read as integer numerators over one common denominator, as
-FLINT's ``fmpq_poly`` stores it; the form is made the first time a product
-needs it and kept in the jet, which never changes.  ``dot`` sums exact
+shape; order-0 jets, with one slot, multiply as scalars.  It looks at the
+scalar types: float coefficients multiply as they are, in the same order
+every time.  An exact jet (``int`` and ``Fraction`` slots only) is read as
+integer numerators over one common denominator, as FLINT's ``fmpq_poly``
+stores it; the form is made the first time a product needs it and kept in
+the jet, which never changes.  ``dot`` sums exact
 products, and its ``acc``, in one integer buffer over the lcm of the pair
 denominators, so each nonzero output is normalised once, by one
 ``Fraction``, and every zero slot is ``int`` 0; a product is the same sum
@@ -34,12 +35,13 @@ term is written in closed form by the binomial Taylor shift of the term to
 the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
 shifts", ISSAC 1997).  An exact shift runs in integer numerators, with the
 point over one denominator and the coefficients over another, and makes one
-``Fraction`` per nonzero slot.  A ``Polynomial`` keeps the highest-order
-jet it has made at the last point it was asked for, and serves a lower
-order there by truncation; callers ask for one point many times before
-they move on.  The memo lives as long as the polynomial and holds one jet,
-and its key holds the point's scalar types, so a float point is never
-served the jet of an equal exact one.
+``Fraction`` per nonzero slot.  A ``PointMemo`` keeps the highest-order
+jets a provider has made at the last point it was asked for, and serves a
+lower order there by truncation; callers ask for one point many times
+before they move on.  ``Polynomial.jet`` and ``maps.DiffeoMap.eval_jet``
+both read through one.  The memo lives as long as its provider and holds
+the jets of one point, and its key holds the point's scalar types, so a
+float point is never served the jets of an equal exact one.
 Every monomial but the constant has a predecessor, itself less one power of
 its first variable.  One cached table per shape lists these; it builds the
 product plan row by row, and ``_powers`` holds the powers of inner jets: it
@@ -65,6 +67,7 @@ Scalar = Union[int, Fraction, float]
 
 __all__ = [
     "Jet",
+    "PointMemo",
     "JetShapeError",
     "SingularJacobianError",
     "EvaluationError",
@@ -318,6 +321,11 @@ class Jet:
             return self
         if type(ca[0]) is int and ca[0] == 1 and not any(ca[1:]):
             return other
+        if len(ca) == 1:  # order 0: the product of two scalars
+            a, b = ca[0], cb[0]
+            c = a * b if a and b else 0
+            # a float product that underflows to -0.0 is added to 0, as in a sum
+            return Jet(self.dim, 0, (c if c else 0 + c,))
         # exact operands are dot's integer sum with one pair; a float constant
         # term settles that they are floats
         if type(ca[0]) is not float and type(cb[0]) is not float:
@@ -422,6 +430,29 @@ class Jet:
             sign = -sign
             fact *= k
         return self._series(derivs)
+
+
+class PointMemo:
+    """The highest-order jets a provider has made at the last point asked.
+
+    ``jets(point, order, make)`` serves a lower or equal order at that point
+    by truncation, and otherwise calls ``make(point, order)`` for a list of
+    jets and keeps it.  0.5 and Fraction(1, 2) compare equal, so the key
+    holds the point's scalar types.  When ``make`` raises, the memo keeps
+    what it had.  The provider's jets must not change after the first call.
+    """
+
+    __slots__ = ("_key", "_order", "_jets")
+
+    def __init__(self):
+        self._key = self._order = self._jets = None
+
+    def jets(self, point: tuple, order: int, make) -> list:
+        key = (point, tuple(map(type, point)))
+        if self._jets is None or key != self._key or self._order < order:
+            jets = make(point, order)
+            self._key, self._order, self._jets = key, order, jets
+        return [j.truncated(order) for j in self._jets]
 
 
 def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
@@ -744,9 +775,9 @@ class Polynomial:
     ``top``, a slot of degree ``t`` is an integer over
     ``den_c * den_p^(top - t)``, made a ``Fraction`` once if nonzero and left
     ``int`` 0 otherwise.  Int coefficients at an int point give int slots;
-    float inputs are shifted as they are.  The highest-order jet at the last
-    point is kept, and a lower order there is its truncation, so the terms
-    must not change after the first jet.
+    float inputs are shifted as they are.  A :class:`PointMemo` keeps the
+    highest-order jet at the last point, so the terms must not change after
+    the first jet.
     """
 
     def __init__(self, dim: int, terms: dict[tuple[int, ...], Scalar]):
@@ -755,8 +786,7 @@ class Polynomial:
         for m in self.terms:
             if len(m) != dim:
                 raise JetShapeError("term arity does not match dimension")
-        # the last point, its scalar types and the highest-order jet made there
-        self._last: "tuple[tuple, Jet] | None" = None
+        self._memo = PointMemo()
 
     @staticmethod
     def coordinate(dim: int, axis: int) -> "Polynomial":
@@ -777,20 +807,15 @@ class Polynomial:
         return total
 
     def jet(self, point: Sequence[Scalar], order: int) -> Jet:
-        # 0.5 and Fraction(1, 2) compare equal, so the key holds the types
-        point = tuple(point)
-        key = (point, tuple(map(type, point)))
-        last = self._last
-        if last is None or last[0] != key or last[1].order < order:
-            last = self._last = (key, self._shift(point, order))
-        return last[1].truncated(order)
+        return self._memo.jets(tuple(point), order, self._shift)[0]
 
-    def _shift(self, point: Sequence[Scalar], order: int) -> Jet:
+    def _shift(self, point: Sequence[Scalar], order: int) -> list[Jet]:
+        """The jet at ``point``, as a list of one."""
         monos = monomials(self.dim, order)
         idx = monomial_index(self.dim, order)
         out = [0] * len(monos)
         if not self.terms:
-            return Jet(self.dim, order, out)
+            return [Jet(self.dim, order, out)]
         # term m is scaled by den_p^(top - |m|) so that slots of one degree
         # share a denominator; float inputs keep both denominators 1
         den_p = den_c = 1
@@ -818,7 +843,7 @@ class Polynomial:
         if den_c * den_p > 1:
             for k in compress(range(len(out)), out):
                 out[k] = Fraction(out[k], den_c * den_p ** (top - sum(monos[k])))
-        return Jet(self.dim, order, out)
+        return [Jet(self.dim, order, out)]
 
     def partial(self, axis: int) -> "Polynomial":
         out: dict[tuple[int, ...], Scalar] = {}

@@ -14,6 +14,15 @@ Base coordinates occupy slots 0..n-1 and fiber coordinates slots n..2n-1 on
 phase space.  A local inverse has one anchor: it is evaluable at the image
 of the point it was taken at, where :func:`inverse_jets` reverts the jets
 of its parent, and nowhere else.
+
+A map supplies the inverse of its Jacobian jets to pullbacks through
+:meth:`DiffeoMap.jacobian_inverse`: by elimination in general, and for a
+cotangent lift, which is symplectic, as the signed transpose
+``J^-1 = -Omega J^T Omega`` with no arithmetic.  Each map keeps the
+highest-order jets it has made at the last point it was asked for (a
+``jets.PointMemo``) and serves a lower order there by truncation, so a
+pullback, a composition and a lift that evaluate one map at one point make
+its jets once.  The memo lives as long as the map.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .jets import (
     EvaluationError,
     Jet,
     JetShapeError,
+    PointMemo,
     Polynomial,
     Scalar,
     SingularJacobianError,
@@ -77,11 +87,12 @@ class DiffeoMap:
         self.name = name
         self.params = params or {}
         self.orientation_preserving = orientation_preserving
+        self._memo = PointMemo()
 
     def eval_jet(self, point: Point, order: int) -> list[Jet]:
         if len(point) != self.dim:
             raise JetShapeError(f"{self.name}: point has wrong dimension")
-        return self._jet_fn(tuple(point), order)
+        return self._memo.jets(tuple(point), order, self._jet_fn)
 
     def __call__(self, point: Point) -> Point:
         return tuple(j.value for j in self.eval_jet(point, 0))
@@ -92,6 +103,11 @@ class DiffeoMap:
 
     def jacobian_det(self, point: Point) -> Scalar:
         return mat_det(self.jacobian(point))
+
+    def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
+        """Inverse of this map's Jacobian jets ``jac[a][i] = d_i f^a`` at a
+        point, by elimination."""
+        return mat_inv(jac)
 
     def invert(self, at: Point) -> "_Inverse":
         """Local inverse at the image of ``at``, evaluable at that image only."""
@@ -190,6 +206,17 @@ class CotangentMap(DiffeoMap):
                   for row in jac_inv]
         return out + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
                       for j in range(n)]
+
+    def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
+        """``J^-1 = -Omega J^T Omega``, since a lift is symplectic.
+
+        Entry ``[k][c]`` is ``J[(c + n) % 2n][(k + n) % 2n]``, negated when
+        exactly one of ``k``, ``c`` is a fiber slot: a transpose with the
+        base and fiber blocks swapped, exact slot for slot on jets.
+        """
+        n, d = self.base.dim, self.dim
+        return [[jac[(c + n) % d][(k + n) % d] if (k < n) == (c < n)
+                 else -jac[(c + n) % d][(k + n) % d] for c in range(d)] for k in range(d)]
 
 
 def cotangent_lift(f: DiffeoMap) -> CotangentMap:

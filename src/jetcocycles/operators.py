@@ -109,12 +109,16 @@ class LocalDiffOp:
         return max((abs(c) for c in self.coeffs.values()), default=0)
 
     def __add__(self, other: "LocalDiffOp") -> "LocalDiffOp":
+        """The sum, at the point of whichever operand has one; operators
+        built at two different points do not add."""
         if self.dim != other.dim:
             raise JetShapeError("operator dimension mismatch")
+        if None not in (self.point, other.point) and self.point != other.point:
+            raise EvaluationError("operators built at different points cannot be added")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return LocalDiffOp(self.dim, out, point=self.point)
+        return LocalDiffOp(self.dim, out, point=other.point if self.point is None else self.point)
 
     def __sub__(self, other: "LocalDiffOp") -> "LocalDiffOp":
         return self + (other * -1)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from jetcocycles import maps
+from jetcocycles.harness import ScenarioConfig, run_scenario
 from jetcocycles.jets import Jet, JetShapeError, Polynomial, mat_det
-from jetcocycles.maps import VectorField, catalog_get, suspension
+from jetcocycles.maps import CotangentMap, VectorField, catalog_get, suspension
 from jetcocycles.geometry import Connection, TensorField21, cocycle_C
 from jetcocycles.operators import Symbol
 from jetcocycles.cocycles import (
@@ -530,6 +532,24 @@ def test_engine_detects_sabotaged_convention():
     z = (F(1, 4), F(1, 2))
     assert good.residual(f, h, z) == 0
     assert bad.residual(f, h, z) != 0
+
+
+class TransposeLift(CotangentMap):
+    """A lift whose J^-1 is the plain transpose, right for orthogonal J only."""
+
+    def jacobian_inverse(self, jac):
+        return [list(col) for col in zip(*jac)]
+
+
+def test_engine_detects_a_lift_inverse_by_plain_transpose(monkeypatch):
+    def failing(suite):
+        cfg = ScenarioConfig(dim=1, samples=1, seed=1, suites=(suite,)).validate()
+        return [c["case_id"] for c in run_scenario(cfg)["cases"]
+                if c["case_id"].startswith(suite + "[") and not c["pass"]]
+
+    assert failing("cocycle_C") == failing("operator_L") == []
+    monkeypatch.setattr(maps, "CotangentMap", TransposeLift)
+    assert failing("cocycle_C") and failing("operator_L")
 
 
 def test_engine_records_errors_per_point():

@@ -153,10 +153,19 @@ def test_report_deterministic_excluding_timing():
 
 def test_timing_holds_the_seconds_of_each_suite():
     timing = run_scenario(quick_config())["timing"]
-    assert set(timing) == {"elapsed_s", "suites_s"}
+    assert set(timing) == {"elapsed_s", "suites_s", "cases_s"}
     assert list(timing["suites_s"]) == list(quick_config().suites)
     assert all(isinstance(t, float) and t >= 0 for t in timing["suites_s"].values())
     assert sum(timing["suites_s"].values()) <= timing["elapsed_s"] + 0.01
+
+
+def test_timing_holds_the_seconds_of_each_case():
+    report = run_scenario(quick_config())
+    cases_s = report["timing"]["cases_s"]
+    assert list(cases_s) == [f"{c['suite']}/{c['case_id']}" for c in report["cases"]]
+    assert all(isinstance(t, float) and t >= 0 for t in cases_s.values())
+    for suite, t in report["timing"]["suites_s"].items():
+        assert sum(v for k, v in cases_s.items() if k.startswith(suite + "/")) <= t + 0.01
 
 
 def test_float_residuals_are_plain_numbers():

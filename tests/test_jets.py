@@ -14,6 +14,8 @@ from jetcocycles.jets import (
     JetShapeError,
     Polynomial,
     SingularJacobianError,
+    _add_product,
+    _exact_dot,
     dot,
     jet_compose,
     jet_invert,
@@ -658,6 +660,33 @@ def test_mul_matches_reference_product(shape, backend, data):
     if backend == "exact":
         # zero slots are int 0, whatever cancelled into them
         assert all(type(c) is int for c in prod.coeffs if c == 0)
+
+
+def plan_product(a, b):
+    """The product by the general path: the integer sum of exact operands,
+    else the plan's term lists."""
+    out = _exact_dot(((a, b),), None)
+    if out is None:
+        out = [0]
+        _add_product(out, [(0, a.value)] if a.value else [], [(0, b.value)] if b.value else [],
+                     a.dim, 0)
+        out = Jet(a.dim, 0, out)
+    return out
+
+
+@pytest.mark.parametrize("backend", ["int", "exact", "float"])
+@given(data=st.data())
+def test_order_zero_product_is_the_scalar_product(backend, data):
+    dim = data.draw(st.integers(1, 6))
+    # an int 1 operand returns the other operand itself, before either path
+    operand = scalars(backend).filter(lambda v: not (type(v) is int and v == 1))
+    a, b = (Jet(dim, 0, [data.draw(operand)]) for _ in range(2))
+    got, ref = (a * b).value, plan_product(a, b).value
+    assert got == ref
+    if backend == "float":
+        assert repr(got) == repr(ref)  # bit for bit
+    elif got == 0:
+        assert type(got) is int
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

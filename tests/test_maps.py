@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from jetcocycles.harness import default_map_pool
 from jetcocycles.jets import (EvaluationError, Jet, JetShapeError, Polynomial,
-                              SingularJacobianError)
+                              SingularJacobianError, dot, mat_inv)
 from jetcocycles.maps import (
     FLOW_ORDER,
     VectorField,
@@ -328,6 +329,26 @@ def test_lift_jacobians_symplectic_exact():
             assert symplectic_defect(lift.jacobian(z), 2) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_jacobian_inverse_is_the_eliminated_inverse(n):
+    # the signed transpose equals Gauss-Jordan slot for slot, and inverts J
+    points = [(F(1, 4), F(-1, 3), F(1, 5))[:n] + (F(2, 3), F(-1, 2), F(3, 7))[:n],
+              (F(-1, 8), F(1, 6), F(-2, 9))[:n] + (F(1, 2), F(5, 4), F(-1, 3))[:n]]
+    for name, params in default_map_pool(n, "exact"):
+        lift = cotangent_lift(catalog_get(name, dict(params, dim=n)))
+        for z in points:
+            fj = lift.eval_jet(z, 3)
+            jac = [[fj[a].partial(i) for i in range(2 * n)] for a in range(2 * n)]
+            inv = lift.jacobian_inverse(jac)
+            ref = mat_inv(jac)
+            for k in range(2 * n):
+                for c in range(2 * n):
+                    assert inv[k][c].coeffs == ref[k][c].coeffs, (name, z, k, c)
+                    product = dot(((jac[k][a], inv[a][c]) for a in range(2 * n)),
+                                  Jet.zero(2 * n, 2))
+                    assert product == Jet.constant(2 * n, 2, int(k == c))
+
+
 def test_lift_functoriality_on_jets():
     rng = random.Random(29)
     f = catalog_get("projective", {"dim": 2})
@@ -479,3 +500,64 @@ def test_flow_rejects_orders_above_what_it_carries():
     assert f.eval_jet((1.0,), FLOW_ORDER)[0].order == FLOW_ORDER
     with pytest.raises(JetShapeError, match="order 3"):
         f.eval_jet((1.0,), FLOW_ORDER + 1)
+    # the jets kept at the point still serve the orders the flow carries
+    assert f.eval_jet((1.0,), 1)[0].order == 1
+
+
+# -- the jets a map keeps at its last point ------------------------------------
+
+
+def counted(m):
+    """Record the (point, order) of each call to the map's jet recipe."""
+    calls, recipe = [], m._jet_fn
+
+    def jet_fn(point, order):
+        calls.append((point, order))
+        return recipe(point, order)
+
+    m._jet_fn = jet_fn
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog_get("projective", {"dim": 2}),
+    lambda: cotangent_lift(catalog_get("polynomial_perturbation", {"dim": 2, "eps": F(1, 8)})),
+    lambda: compose(catalog_get("projective", {"dim": 2}), catalog_get("linear", {"dim": 2})),
+])
+def test_eval_jet_serves_a_lower_order_from_the_jets_kept(make):
+    m = make()
+    calls = counted(m)
+    z = (F(1, 3), F(-1, 4), F(2), F(1, 2))[:m.dim]
+    high = m.eval_jet(z, 4)
+    low = m.eval_jet(z, 2)
+    assert low == [j.truncated(2) for j in high] == make().eval_jet(z, 2)
+    assert m(z) == tuple(j.value for j in high)
+    assert calls == [(z, 4)]
+    m.eval_jet(z, 5)  # a higher order is made afresh, and kept
+    m.eval_jet(z, 3)
+    assert calls == [(z, 4), (z, 5)]
+
+
+def test_eval_jet_keys_on_the_scalar_types_of_the_point():
+    m = cotangent_lift(catalog_get("moebius", {"a": 2, "b": 1, "c": 1, "d": 1}))
+    exact = m.eval_jet((F(1, 2), F(3, 4)), 3)
+    floats = m.eval_jet((0.5, 0.75), 2)
+    assert any(isinstance(c, Fraction) for j in exact for c in j.coeffs)
+    assert all(type(j.value) is float for j in floats)
+    assert not any(isinstance(c, Fraction) for j in floats for c in j.coeffs)
+    assert jets_equal(floats, [j.truncated(2) for j in exact], tol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_inverse_raises_away_from_its_image_after_a_kept_jet(backend):
+    f = catalog_get("polynomial_perturbation", {"eps": F(1, 8)})
+    at, step = (F(1, 4),), F(1, 64)
+    if backend == "float":
+        at, step = (0.25,), 1 / 64
+    inv = f.invert(at)
+    image = f(at)
+    inv.eval_jet(image, 3)
+    assert inv.eval_jet(image, 1)[0].value == at[0]
+    with pytest.raises(EvaluationError):
+        inv.eval_jet((image[0] + step,), 1)
+    assert inv(image) == at

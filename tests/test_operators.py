@@ -86,6 +86,86 @@ def test_flat_coefficients_from_map_derivatives():
     assert op.coeffs[(0, 3)] == xi / f1 * (3 * f2 * f2 / f1 - f3)
 
 
+# -- an independent oracle for the flat formula ---------------------------------
+
+
+def sympy_maps(sp, xs):
+    """Default exact pool maps as sympy expressions, written from the catalog
+    definitions: (name, params, components)."""
+    n = len(xs)
+    eighth, quarter = sp.Rational(1, 8), sp.Rational(1, 4)
+    if n == 1:
+        x, = xs
+        return [("polynomial_perturbation", {"eps": F(1, 8)}, [x + eighth * x**3]),
+                ("projective", {}, [(x + quarter) / (quarter * x + 1)]),
+                ("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}, [x / (x + 1)]),
+                ("moebius", {"a": 2, "b": 1, "c": 1, "d": 1}, [(2 * x + 1) / (x + 1)])]
+    den = quarter * xs[0] + 1
+    return [("polynomial_perturbation", {"eps": F(1, 8)},
+             [xs[i] + eighth * (xs[i] + xs[(i + 1) % n])**3 for i in range(n)]),
+            ("projective", {},
+             [(xs[0] + quarter) / den] + [xs[i] / den for i in range(1, n)])]
+
+
+def sympy_flat_operator(sp, fs, xs, xis):
+    """build_L_flat's three groups in sympy: {phase multi-index: coefficient
+    as a function of (x, xi)}."""
+    n = len(xs)
+    jinv = sp.Matrix(n, n, lambda a, i: sp.diff(fs[a], xs[i])).inv()
+    f2 = [[[sp.diff(fs[p], xs[i], xs[j]) for j in range(n)] for i in range(n)] for p in range(n)]
+    table = {}
+
+    def add(slots, value):
+        m = tuple(slots.count(a) for a in range(2 * n))
+        table[m] = table.get(m, 0) + value
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                add((i, n + j, n + k), 3 * sum(jinv[i, p] * f2[p][j][k] for p in range(n)))
+                add((n + i, n + j, n + k), sum(
+                    sum(jinv[m, q] * xis[m] for m in range(n))
+                    * (3 * sum(jinv[l, p] * f2[p][i][j] * f2[q][l][k]
+                               for l in range(n) for p in range(n))
+                       - sp.diff(fs[q], xs[i], xs[j], xs[k]))
+                    for q in range(n)))
+            add((n + i, n + j), 3 * sum(f2[k][q][i] * jinv[m, k] * f2[l][j][m] * jinv[q, l]
+                                        for q in range(n) for k in range(n)
+                                        for m in range(n) for l in range(n)))
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_builder_matches_sympy_transcription(n):
+    # sympy differentiates and inverts the Jacobian; no jet arithmetic here
+    sp = pytest.importorskip("sympy")
+    xs, xis = sp.symbols(f"x0:{n}"), sp.symbols(f"xi0:{n}")
+    points = [(F(1, 4), F(-1, 3))[:n] + (F(2, 3), F(-1, 2))[:n],
+              (F(-1, 8), F(1, 6))[:n] + (F(5, 4), F(3, 7))[:n]]
+    for name, params, fs in sympy_maps(sp, xs):
+        f = catalog_get(name, dict(params, dim=n))
+        table = sympy_flat_operator(sp, fs, xs, xis)
+        for z in points:
+            subs = dict(zip(xs + xis, (sp.Rational(c.numerator, c.denominator) for c in z)))
+            expect = {m: sp.simplify(c.subs(subs)) for m, c in table.items()}
+            expect = {m: F(int(v.p), int(v.q)) for m, v in expect.items() if v != 0}
+            assert build_L_flat(f, z).coeffs == expect, (name, z)
+
+
+def test_cubic_worked_value_derived_in_sympy():
+    # x -> x + x^3 at x = 0: the flat operator sends xi^3 to -36 xi
+    sp = pytest.importorskip("sympy")
+    x, xi = sp.symbols("x xi")
+    table = sympy_flat_operator(sp, [x + x**3], (x,), (xi,))
+    p = xi**3
+    out = sum(c * sp.diff(p, *([x] * m[0] + [xi] * m[1])) for m, c in table.items())
+    assert sp.expand(out.subs(x, 0)) == -36 * xi
+    f = catalog_get("polynomial_perturbation", {"eps": 1})
+    op = build_L_flat(f, (F(0), F(0)), coeff_order=4)
+    assert apply_op_to_symbol(op, Symbol.monomial(1, (3,)), (F(0),)).coefficient_value(
+        (1,), (F(0),)) == -36
+
+
 # -- the flat-case triangle -----------------------------------------------------
 
 
@@ -161,6 +241,19 @@ def test_coordinate_matches_flat_formula_termwise():
 
 
 # -- application ----------------------------------------------------------------
+
+
+def test_operators_built_at_different_points_do_not_add():
+    a = LocalDiffOp(2, {(1, 0): 1}, point=(F(0), F(1)))
+    b = LocalDiffOp(2, {(0, 1): 1}, point=(F(1, 2), F(1)))
+    with pytest.raises(EvaluationError, match="different points"):
+        a + b
+    with pytest.raises(EvaluationError, match="different points"):
+        a - b
+    # one point, or none on one side: the sum lives at that point
+    assert (a + LocalDiffOp(2, {(0, 1): 2}, point=(F(0), F(1)))).point == a.point
+    assert (LocalDiffOp(2, {(0, 1): 2}) + a).point == a.point
+    assert (a + LocalDiffOp(2, {(0, 1): 2})).coeffs == {(1, 0): 1, (0, 1): 2}
 
 
 def test_apply_zero_operator():
