@@ -25,7 +25,8 @@ supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
 symplectic transpose, any other map eliminates.  A map keeps its jets at
 the last point it was asked for (``maps``), so pulling several fields back
 along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
-taken once per pair i <= j.
+taken once per pair i <= j.  The final (J^-1)^k_c contraction multiplies by
+hand; every other sum of jet products here goes through ``jets.dot``.
 
 Iterated covariant derivatives of scalars,
 
@@ -35,7 +36,9 @@ Iterated covariant derivatives of scalars,
 
 are written once, as tables of partial derivatives with jet coefficients
 (``_covariant_tables``); the covariant operator build contracts them and
-``covariant_derivs`` applies them to a scalar's jet.
+``covariant_derivs`` applies them to a scalar's jet.  A table coefficient is
+one ``jets.dot`` over the (factor, jet) pairs listed under its multi-index
+(``_sums``), so zero terms are skipped there and nowhere else.
 """
 
 from __future__ import annotations
@@ -232,6 +235,7 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                     if dj is not None and not dj.is_zero():
                         for a, b in {(i, j), (j, i)}:
                             plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
+        # not through dot: on order-0 jets its per-call overhead costs more than the products
         for k in range(d):
             w = jac_inv[k][c]
             for i in range(d):
@@ -287,75 +291,63 @@ def cocycle_C(mapping: DiffeoMap, gamma: Connection) -> TensorField21:
 
 def _covariant_tables(gamma: Connection, point: tuple, order: int):
     """D2[b][a] and D3[c][b][a]: nabla_b nabla_a and nabla_c nabla_b nabla_a
-    as tables {multi-index m: jet coefficient of d^m}.
+    as tables {multi-index m: jet coefficient of d^m}, to order ``order``.
 
-    D2 coefficients carry jets of order ``order + 1`` (one derivative is
-    spent forming D3); D3 coefficients carry order ``order``.
+    Each D3 coefficient is one :func:`_sums` entry over its Leibniz terms
+    (d_c of D2, read at order ``order + 1``) and its Christoffel terms.
     """
     d = gamma.dim
-    unit = [tuple(1 if k == ax else 0 for k in range(d)) for ax in range(d)]
+    zero = (0,) * d
+    one = Jet.constant(d, order, 1)
 
     if gamma.flat:
-        one2 = Jet.constant(d, order + 1, 1)
-        one3 = Jet.constant(d, order, 1)
-        D2 = [[{_midx_add(unit[b], unit[a]): one2} for a in range(d)] for b in range(d)]
-        D3 = [
-            [[{_midx_add(_midx_add(unit[c], unit[b]), unit[a]): one3} for a in range(d)]
-             for b in range(d)]
-            for c in range(d)
-        ]
+        D2 = [[{_bump(zero, b, a): one} for a in range(d)] for b in range(d)]
+        D3 = [[[{_bump(zero, c, b, a): one} for a in range(d)] for b in range(d)]
+              for c in range(d)]
         return D2, D3
 
     g2 = gamma.components(point, order + 1)
-    D2 = []
-    for b in range(d):
-        row = []
-        for a in range(d):
-            t: dict[tuple, Jet] = {_midx_add(unit[b], unit[a]): Jet.constant(d, order + 1, 1)}
-            for c in range(d):
-                gc = g2[c][b][a]
-                if not gc.is_zero():
-                    t[unit[c]] = t.get(unit[c], Jet.zero(d, order + 1)) - gc
-            row.append(t)
-        D2.append(row)
+    one2 = Jet.constant(d, order + 1, 1)
+    D2hi = [[{_bump(zero, b, a): one2,
+              **{_bump(zero, c): -g2[c][b][a] for c in range(d) if not g2[c][b][a].is_zero()}}
+             for a in range(d)] for b in range(d)]
+    D2 = [[{m: cj.truncated(order) for m, cj in t.items()} for t in row] for row in D2hi]
+    neg_g = [[[-e.truncated(order) for e in row] for row in plane] for plane in g2]
 
-    g1 = [[[g2[k][i][j].truncated(order) for j in range(d)] for i in range(d)]
-          for k in range(d)]
-    D3 = []
-    for c in range(d):
-        plane = []
-        for b in range(d):
-            row = []
-            for a in range(d):
-                t: dict[tuple, Jet] = {}
-                # Leibniz: partial_c composed with D2[b][a]
-                for m, cj in D2[b][a].items():
-                    _tadd(t, _midx_add(m, unit[c]), cj.truncated(order))
-                    dc = cj.partial(c)
-                    if not dc.is_zero():
-                        _tadd(t, m, dc)
-                for e in range(d):
-                    gcb = g1[e][c][b]
-                    if not gcb.is_zero():
-                        for m, cj in D2[e][a].items():
-                            _tadd(t, m, -(gcb * cj.truncated(order)))
-                    gca = g1[e][c][a]
-                    if not gca.is_zero():
-                        for m, cj in D2[b][e].items():
-                            _tadd(t, m, -(gca * cj.truncated(order)))
-                row.append(t)
-            plane.append(row)
-        D3.append(plane)
+    def terms(c, b, a):
+        # d_c composed with D2[b][a], then -G^e_cb D2[e][a] - G^e_ca D2[b][e]
+        for m, cj in D2hi[b][a].items():
+            yield _bump(m, c), one, D2[b][a][m]
+            yield m, one, cj.partial(c)
+        for e in range(d):
+            for m, cj in D2[e][a].items():
+                yield m, neg_g[e][c][b], cj
+            for m, cj in D2[b][e].items():
+                yield m, neg_g[e][c][a], cj
+
+    D3 = [[[_sums(terms(c, b, a)) for a in range(d)] for b in range(d)] for c in range(d)]
     return D2, D3
 
 
-def _midx_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+def _bump(m: tuple, *axes: int) -> tuple:
+    """The multi-index ``m`` raised by one along each of ``axes``."""
+    out = list(m)
+    for ax in axes:
+        out[ax] += 1
+    return tuple(out)
 
 
-def _tadd(table: dict, m: tuple, jet: Jet):
-    cur = table.get(m)
-    table[m] = jet if cur is None else cur + jet
+def _sums(terms) -> dict:
+    """``{m: dot of the pairs (x, y) listed under m}`` from ``(m, x, y)`` terms.
+
+    A multi-index keeps the place of its first term and its pairs their
+    order; one whose pairs all vanish is left out.
+    """
+    pairs: dict[tuple, list] = {}
+    for m, x, y in terms:
+        pairs.setdefault(m, []).append((x, y))
+    sums = {m: dot(p) for m, p in pairs.items()}
+    return {m: s for m, s in sums.items() if s is not None}
 
 
 def _factorial_midx(m: tuple[int, ...]) -> int:

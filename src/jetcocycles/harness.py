@@ -351,6 +351,14 @@ def _pair_points(sampler: Sampler, f: DiffeoMap, h: DiffeoMap, count: int, label
                               lambda: maker(n), label) for _ in range(count)]
 
 
+def _regular_point(sampler: Sampler, m: DiffeoMap, label: str, phase: bool = False):
+    """A sampled point (a phase point when ``phase``) over whose base part
+    ``m`` is a local diffeomorphism."""
+    n = m.dim
+    maker = sampler.phase_point if phase else sampler.base_point
+    return sampler.point_for(lambda p: m.jacobian_det(p[:n]) != 0, lambda: maker(n), label)
+
+
 def _max_abs_value(field, point):
     v = field.values(point)
     return _max_abs_entry(field.dim, lambda k, i, j: v[k][i][j])
@@ -365,10 +373,8 @@ def _degree_excess(out: Symbol, k: int, tol: float) -> Fraction:
 def _action_identity_case(suite: str, cand, cfg: ScenarioConfig, sampler: Sampler,
                           pool) -> CaseResult:
     """Action-convention sanity: the identity map must act trivially."""
-    n = cfg.dim
     probe = pool[min(1, len(pool) - 1)]
-    z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
-                          lambda: sampler.phase_point(n), "action_identity")
+    z = _regular_point(sampler, probe, "action_identity", phase=True)
     return run_case(suite, "action_identity", [probe.name], z,
                     lambda: cand.action_identity_defect(probe, z), cfg.case_tol)
 
@@ -493,8 +499,7 @@ def _suite_operator_L(cfg, sampler, pool) -> list[CaseResult]:
     # non-vanishing on the fractional-linear family
     probe = catalog_get("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}) if n == 1 \
         else catalog_get("projective", {"dim": n})
-    z = sampler.point_for(lambda p: probe.jacobian_det(p[:n]) != 0,
-                          lambda: sampler.phase_point(n), "nonvanishing")
+    z = _regular_point(sampler, probe, "nonvanishing", phase=True)
     rows.append(run_case("operator_L", f"nonvanishing[{probe.name}]", [probe.name], z,
                          lambda: build_L_covariant(probe, flat, z).max_abs(), tol,
                          witness=True))
@@ -510,8 +515,7 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
     for k in (2, 3, 4, 5):
         for idx in range(max(1, cfg.samples - 2)):
             m = usable[(k + idx) % len(usable)]
-            x = sampler.point_for(lambda p: m.jacobian_det(p) != 0,
-                                  lambda: sampler.base_point(n), "degree_lowering")
+            x = _regular_point(sampler, m, "degree_lowering")
             mu = [0] * n
             left = k
             for axis in range(n):
@@ -583,8 +587,7 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     # de Rham quadrature witness against the potential difference
     f = pool[min(4, len(pool) - 1)]
     for idx in range(cfg.samples):
-        x = sampler.point_for(lambda p: f.jacobian_det(p) != 0,
-                              lambda: sampler.base_point(n), "derham_quad")
+        x = _regular_point(sampler, f, "derham_quad")
         rows.append(run_case(
             "classical_cocycles", f"derham_quadrature@{idx}", [f.name], x,
             lambda: abs(derham_cocycle(phi, f, x) - derham_quadrature(phi, f, x)),
@@ -593,8 +596,7 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     if n == 1:
         for idx, (a, b, c, d) in enumerate(((1, 0, 1, 1), (2, 1, 1, 1), (3, -1, 1, 2))):
             m = catalog_get("moebius", {"a": a, "b": b, "c": c, "d": d})
-            x = sampler.point_for(lambda p: m.jacobian_det(p) != 0,
-                                  lambda: sampler.base_point(1), "schwarzian_kernel")
+            x = _regular_point(sampler, m, "schwarzian_kernel")
             rows.append(run_case("classical_cocycles", f"schwarzian_moebius_zero@{idx}",
                                  [m.name], x, lambda: abs(schwarzian_1d(m, x)), exact_tol))
 

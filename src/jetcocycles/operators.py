@@ -16,9 +16,13 @@ agree exactly in the flat case; the measured proportionality constant is
 :data:`COVARIANT_TO_COORDINATE` and is pinned by the test suite.
 
 Operators are point-local: a coefficient table over mixed partials of total
-order at most three.  Builders can optionally carry the coefficients as jets
-(based at fiber origin) so that the operator can be applied to fiber
-polynomials with honest degree bookkeeping.
+order at most three.  Each builder lists, per multi-index, the (factor, jet)
+pairs whose products make that coefficient, and sums each list with one
+``jets.dot`` (``geometry._sums``), in the order the formula writes them.
+Builders can optionally carry the coefficients as jets (based at fiber
+origin) so that the operator can be applied to fiber polynomials with
+honest degree bookkeeping; a sum of two operators carrying jets carries
+their sum.
 
 Action conventions.  Functions carry the pullback action ``f . Q = Q o f~^-1``.
 Operators carry the conjugation whose cocycle identity reads
@@ -49,7 +53,7 @@ from .jets import (
     monomial_index,
 )
 from .maps import DiffeoMap, cotangent_lift, inverse_jets
-from .geometry import (Connection, _covariant_tables, _factorial_midx, _midx_add, _tadd,
+from .geometry import (Connection, _bump, _covariant_tables, _factorial_midx, _sums,
                        cocycle_C, lift_connection)
 
 __all__ = [
@@ -110,15 +114,19 @@ class LocalDiffOp:
 
     def __add__(self, other: "LocalDiffOp") -> "LocalDiffOp":
         """The sum, at the point of whichever operand has one; operators
-        built at two different points do not add."""
+        built at two different points do not add.  It carries coefficient
+        jets when both operands do."""
         if self.dim != other.dim:
             raise JetShapeError("operator dimension mismatch")
         if None not in (self.point, other.point) and self.point != other.point:
             raise EvaluationError("operators built at different points cannot be added")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return LocalDiffOp(self.dim, out, point=other.point if self.point is None else self.point)
+        jets = None
+        if None not in (self.coeff_jets, other.coeff_jets):
+            jets = {m: j for m, j in _add_tables(self.coeff_jets, other.coeff_jets).items()
+                    if not j.is_zero()}
+        return LocalDiffOp(self.dim, _add_tables(self.coeffs, other.coeffs),
+                           point=other.point if self.point is None else self.point,
+                           coeff_jets=jets)
 
     def __sub__(self, other: "LocalDiffOp") -> "LocalDiffOp":
         return self + (other * -1)
@@ -144,6 +152,14 @@ class LocalDiffOp:
 
     def __repr__(self):
         return f"LocalDiffOp(dim={self.dim}, {len(self.coeffs)} terms)"
+
+
+def _add_tables(a: dict, b: dict) -> dict:
+    """Entrywise sum of two coefficient tables."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out[m] + c if m in out else c
+    return out
 
 
 class AnchoredJet:
@@ -230,9 +246,9 @@ def _comparison_jets(f: DiffeoMap, gamma: Connection, point: tuple, order: int):
 
 
 def _finish(dim, table, point, keep_jets):
-    coeffs = {m: j.value for m, j in table.items() if not j.is_zero()}
-    jets = {m: j for m, j in table.items() if not j.is_zero()} if keep_jets else None
-    return LocalDiffOp(dim, coeffs, point=point, coeff_jets=jets)
+    live = {m: j for m, j in table.items() if not j.is_zero()}
+    return LocalDiffOp(dim, {m: j.value for m, j in live.items()}, point=point,
+                       coeff_jets=live if keep_jets else None)
 
 
 def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
@@ -267,28 +283,24 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
 
     D2, D3 = _covariant_tables(glifted, point, mo)
 
-    table: dict[tuple, Jet] = {}
+    terms = []
     for (i, j, k), a_hat in sym.items():
-        if a_hat is None:
-            continue
-        # distinct orderings of the multiset {i,j,k} in the operator sum
-        for p, q, r in set(itertools.permutations((i, j, k))):
-            for m, opj in D3[p][q][r].items():
-                _tadd(table, m, a_hat * opj)
+        if a_hat is not None:
+            # distinct orderings of the multiset {i,j,k} in the operator sum
+            for p, q, r in set(itertools.permutations((i, j, k))):
+                terms.extend((m, a_hat, opj) for m, opj in D3[p][q][r].items())
 
     # second group: -(3/2) Sym_{n,m,i}(C^n_{lk} g^{ml} g^{ik}) C^j_{mn} D2[i][j]
     half3 = Fraction(3, 2)
     for i in range(d):
         for j in range(d):
-            coeff = dot(((sym[tuple(sorted((nn, mm, i)))], cj[j][mm][nn])
-                         for nn in range(d) for mm in range(d)), Jet.zero(d, mo))
-            if coeff.is_zero():
-                continue
-            coeff = coeff * (-half3)
-            for m, opj in D2[i][j].items():
-                _tadd(table, m, coeff * opj.truncated(mo))
+            coeff = dot((sym[tuple(sorted((nn, mm, i)))], cj[j][mm][nn])
+                        for nn in range(d) for mm in range(d))
+            if coeff is not None:
+                coeff = coeff * (-half3)
+                terms.extend((m, coeff, opj) for m, opj in D2[i][j].items())
 
-    return _finish(d, table, point, coeff_order > 0)
+    return _finish(d, _sums(terms), point, coeff_order > 0)
 
 
 def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,
@@ -300,40 +312,23 @@ def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,
         raise JetShapeError("expected a phase-space point")
     mo = coeff_order
     cj, _ = _comparison_jets(f, gamma, point, mo)
-    base_axes = list(range(n))
-    unit = [tuple(1 if k == ax else 0 for k in range(d)) for ax in range(d)]
+    one, three = Jet.constant(d, mo, 1), Jet.constant(d, mo, 3)
+    zero = (0,) * d
+    # 2 G^k_jm as phase-space jets
+    g2 = [[[2 * g.embed(d, range(n)) for g in row] for row in plane]
+          for plane in gamma.components(point[:n], mo)]
 
-    gbase = None
-    if not gamma.flat:
-        gbase = gamma.components(point[:n], mo)
-
-    table: dict[tuple, Jet] = {}
+    terms = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                c = cj[i][j][k]
-                if not c.is_zero():
-                    m = _midx_add(_midx_add(unit[n + j], unit[n + k]), unit[i])
-                    _tadd(table, m, c * 3)
-                c3 = cj[n + i][j][k]
-                if not c3.is_zero():
-                    m = _midx_add(_midx_add(unit[n + i], unit[n + j]), unit[n + k])
-                    _tadd(table, m, c3)
-            coeff = Jet.zero(d, mo)
-            for m_ in range(n):
-                for k in range(n):
-                    if gbase is not None:
-                        gkm = gbase[k][j][m_]
-                        if not gkm.is_zero():
-                            coeff = coeff + 2 * cj[m_][i][k] * gkm.embed(d, base_axes)
-                    ck = cj[k][m_][j]
-                    if not ck.is_zero():
-                        coeff = coeff + cj[m_][k][i] * ck
-            if not coeff.is_zero():
-                m = _midx_add(unit[n + i], unit[n + j])
-                _tadd(table, m, coeff * 3)
+                terms.append((_bump(zero, n + j, n + k, i), cj[i][j][k], three))
+                terms.append((_bump(zero, n + i, n + j, n + k), cj[n + i][j][k], one))
+            coeff = dot(pair for m_ in range(n) for k in range(n)
+                        for pair in ((cj[m_][i][k], g2[k][j][m_]), (cj[m_][k][i], cj[k][m_][j])))
+            terms.append((_bump(zero, n + i, n + j), coeff, three))
 
-    return _finish(d, table, point, coeff_order > 0)
+    return _finish(d, _sums(terms), point, coeff_order > 0)
 
 
 def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffOp:
@@ -343,84 +338,41 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
     if len(point) != d:
         raise JetShapeError("expected a phase-space point")
     mo = coeff_order
-    x = point[:n]
-    base_axes = list(range(n))
-    fj = f.eval_jet(x, mo + 3)
-    jac = [[fj[a].partial(i) for i in range(n)] for a in range(n)]  # order mo+2
-    jinv2 = mat_inv(jac)  # jets of dx/df, order mo+2
-    f2 = [[[jac[l][i].partial(j) for j in range(n)] for i in range(n)] for l in range(n)]
-    f3 = [
-        [[[f2[l][i][j].partial(k) for k in range(n)] for j in range(n)] for i in range(n)]
-        for l in range(n)
-    ]
-    jinv = [[jinv2[a][b].truncated(mo) for b in range(n)] for a in range(n)]
-    f2 = [[[f2[l][i][j].truncated(mo) for j in range(n)] for i in range(n)] for l in range(n)]
-    f3 = [[[[f3[l][i][j][k].truncated(mo) for k in range(n)] for j in range(n)]
-           for i in range(n)] for l in range(n)]
+    base = range(n)
+    fj = f.eval_jet(point[:n], mo + 3)
+    jac = [[fj[a].partial(i) for i in base] for a in base]  # order mo+2
+    jinv = [[e.truncated(mo) for e in row] for row in mat_inv(jac)]  # jets of dx/df
+    f2 = [[[jac[l][i].partial(j) for j in base] for i in base] for l in base]
+    f3 = [[[[e.partial(k) for k in base] for e in row] for row in plane] for plane in f2]
+    f2 = [[[e.truncated(mo) for e in row] for row in plane] for plane in f2]
+    three = Jet.constant(n, mo, 3)
+    zero = (0,) * d
 
-    def lift0(j: Jet) -> Jet:
-        return j.embed(d, base_axes)
+    # the two fiber-free groups, summed as jets in x and then lifted
+    terms = []
+    for i, j, k in itertools.product(base, repeat=3):
+        terms.append((_bump(zero, n + j, n + k, i),
+                      dot((f2[l][j][k], jinv[i][l]) for l in base), three))
+    for i, j in itertools.product(base, repeat=2):
+        terms.append((_bump(zero, n + i, n + j),
+                      dot((f2[k][q][i] * jinv[m_][k] * f2[l][j][m_], jinv[q][l])
+                          for q in base for k in base for m_ in base for l in base), three))
+    table = {m: s.embed(d, base) for m, s in _sums(terms).items()}
 
-    unit = [tuple(1 if kk == ax else 0 for kk in range(d)) for ax in range(d)]
-    xi_vars = [Jet.variable(d, mo, n + a, point[n + a]) for a in range(n)]
-    table: dict[tuple, Jet] = {}
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = Jet.zero(n, mo)
-                for l in range(n):
-                    t = f2[l][j][k]
-                    if t.is_zero():
-                        continue
-                    acc = acc + t * jinv[i][l]
-                if not acc.is_zero():
-                    m = _midx_add(_midx_add(unit[n + j], unit[n + k]), unit[i])
-                    _tadd(table, m, lift0(acc) * 3)
-
-    for i in range(n):
-        for j in range(n):
-            acc = Jet.zero(n, mo)
-            for q in range(n):
-                for k in range(n):
-                    a1 = f2[k][q][i]
-                    if a1.is_zero():
-                        continue
-                    for m_ in range(n):
-                        a2 = jinv[m_][k]
-                        for l in range(n):
-                            a3 = f2[l][j][m_]
-                            if a3.is_zero():
-                                continue
-                            acc = acc + a1 * a2 * a3 * jinv[q][l]
-            if not acc.is_zero():
-                m = _midx_add(unit[n + i], unit[n + j])
-                _tadd(table, m, lift0(acc) * 3)
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                coeff = Jet.zero(d, mo)
-                for q in range(n):
-                    inner = Jet.zero(n, mo)
-                    for l in range(n):
-                        for p in range(n):
-                            a1 = f2[p][i][j]
-                            a2 = f2[q][l][k]
-                            if a1.is_zero() or a2.is_zero():
-                                continue
-                            inner = inner + jinv[l][p] * a1 * a2
-                    inner = inner * 3 - f3[q][i][j][k]
-                    if inner.is_zero():
-                        continue
-                    pref = Jet.zero(d, mo)
-                    for m_ in range(n):
-                        pref = pref + lift0(jinv[m_][q]) * xi_vars[m_]
-                    coeff = coeff + pref * lift0(inner)
-                if not coeff.is_zero():
-                    m = _midx_add(_midx_add(unit[n + i], unit[n + j]), unit[n + k])
-                    _tadd(table, m, coeff)
-
+    # the fiber group; the pulled-back fiber covector sum_m (J^-1)^m_q xi_m
+    # is made once per q
+    xi = [Jet.variable(d, mo, n + a, point[n + a]) for a in base]
+    pulled_xi = [dot((jinv[m_][q].embed(d, base), xi[m_]) for m_ in base) for q in base]
+    one = Jet.constant(d, mo, 1)
+    terms = []
+    for i, j, k in itertools.product(base, repeat=3):
+        inner = []
+        for q in base:
+            # 3 (J^-1)^l_p F^p_ij F^q_lk - F^q_ijk
+            s = dot((jinv[l][p] * f2[p][i][j], f2[q][l][k]) for l in base for p in base)
+            inner.append(dot([(s, three)], -f3[q][i][j][k]).embed(d, base))
+        terms.append((_bump(zero, n + i, n + j, n + k), dot(zip(pulled_xi, inner)), one))
+    table.update(_sums(terms))
     return _finish(d, table, point, coeff_order > 0)
 
 

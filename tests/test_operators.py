@@ -201,12 +201,11 @@ def test_triangle_exact_over_random_draws():
     assert draws >= 20
 
 
-def test_coordinate_matches_covariant_with_curved_connection():
-    # the two independent builds agree beyond the flat case as well
+def curved_cases():
+    """(map, curved base connection, phase point) at dims 1, 2 and 3."""
     gamma = Connection.from_polynomials(1, {(0, 0, 0): Polynomial(1, {(1,): 1})})
     f = catalog_get("moebius", {"a": 2, "b": 1, "c": 1, "d": 1})
     z = (F(1, 5), F(-3, 4))
-    assert (build_L_covariant(f, gamma, z) - build_L_coordinate(f, gamma, z)).is_zero()
 
     gamma2 = Connection.from_polynomials(2, {
         (0, 0, 0): Polynomial(2, {(1, 0): 1}),
@@ -214,7 +213,6 @@ def test_coordinate_matches_covariant_with_curved_connection():
     })
     f2 = catalog_get("projective", {"dim": 2})
     z2 = (F(1, 4), F(-1, 8), F(1, 2), F(1, 3))
-    assert (build_L_covariant(f2, gamma2, z2) - build_L_coordinate(f2, gamma2, z2)).is_zero()
 
     gamma3 = Connection.from_polynomials(3, {
         (0, 0, 1): Polynomial(3, {(0, 0, 1): 1}),
@@ -223,9 +221,34 @@ def test_coordinate_matches_covariant_with_curved_connection():
     })
     f3 = catalog_get("projective", {"dim": 3})
     z3 = (F(1, 4), F(-1, 8), F(1, 2), F(1, 3), F(-1, 2), F(2, 5))
-    op3 = build_L_covariant(f3, gamma3, z3)
-    assert not op3.is_zero()
-    assert (op3 - build_L_coordinate(f3, gamma3, z3)).is_zero()
+    return [(f, gamma, z), (f2, gamma2, z2), (f3, gamma3, z3)]
+
+
+def test_coordinate_matches_covariant_with_curved_connection():
+    # the two independent builds agree beyond the flat case as well
+    for f, gamma, z in curved_cases():
+        op = build_L_covariant(f, gamma, z)
+        assert not op.is_zero()
+        assert (op - build_L_coordinate(f, gamma, z)).is_zero()
+
+
+def test_builders_agree_jet_for_jet():
+    # equal values are not enough: the higher slots of every coefficient jet
+    # carry the fiber and x dependence that symbol application reads
+    for f, gamma, z in curved_cases():
+        cov = build_L_covariant(f, gamma, z, coeff_order=2)
+        assert cov.coeff_jets
+        assert cov.coeff_jets == build_L_coordinate(f, gamma, z, coeff_order=2).coeff_jets
+    rng = random.Random(29)
+    for n in (1, 2):
+        flat = Connection.flat_connection(n)
+        for name in ("polynomial_perturbation", "projective"):
+            f = catalog_get(name, {"dim": n})
+            z = tuple(F(rng.randint(1, 8), 16) for _ in range(2 * n))
+            cov = build_L_covariant(f, flat, z, coeff_order=2)
+            assert cov.coeff_jets
+            assert cov.coeff_jets == build_L_coordinate(f, flat, z, coeff_order=2).coeff_jets
+            assert cov.coeff_jets == build_L_flat(f, z, coeff_order=2).coeff_jets
 
 
 def test_coordinate_matches_flat_formula_termwise():
@@ -340,6 +363,22 @@ def test_apply_to_symbol_worked_example():
     out = apply_op_to_symbol(op, Symbol.monomial(1, (3,)), (F(0),))
     assert out.degree() == 1
     assert out.coefficient_value((1,), (F(0),)) == -36
+
+
+def test_sum_of_operators_keeps_coefficient_jets():
+    f = catalog_get("polynomial_perturbation", {"eps": 1})
+    op = build_L_covariant(f, FLAT1, (F(0), F(0)), coeff_order=4)
+
+    def cubic(o):
+        return apply_op_to_symbol(o, Symbol.monomial(1, (3,)), (F(0),)).coefficient_value(
+            (1,), (F(0),))
+
+    assert cubic(op * 2) == cubic(op + op) == -72
+    assert cubic(op + op - op) == -36
+    # a zero sum keeps no jet, as it keeps no coefficient
+    assert (op - op).coeff_jets == {} and (op - op).is_zero()
+    # one operand without jets: the sum has none
+    assert (op + LocalDiffOp(2, {(0, 2): 1})).coeff_jets is None
 
 
 def test_apply_to_symbol_affine_gives_zero():
