@@ -25,8 +25,10 @@ supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
 symplectic transpose, any other map eliminates.  A map keeps its jets at
 the last point it was asked for (``maps``), so pulling several fields back
 along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
-taken once per pair i <= j.  The final (J^-1)^k_c contraction multiplies by
-hand; every other sum of jet products here goes through ``jets.dot``.
+taken once per pair i <= j.  Every sum of jet products here goes through
+``jets.dot``, the final (J^-1)^k_c contraction too: for each (i, j) the
+c-planes with a live entry are listed once, and one ``dot`` per k sums them
+(as scalars on order-0 jets).
 
 Iterated covariant derivatives of scalars,
 
@@ -36,9 +38,10 @@ Iterated covariant derivatives of scalars,
 
 are written once, as tables of partial derivatives with jet coefficients
 (``_covariant_tables``); the covariant operator build contracts them and
-``covariant_derivs`` applies them to a scalar's jet.  A table coefficient is
-one ``jets.dot`` over the (factor, jet) pairs listed under its multi-index
-(``_sums``), so zero terms are skipped there and nowhere else.
+``covariant_derivs`` applies them to a scalar's jet, one ``jets.slot_sum``
+per table.  A table coefficient is one ``jets.dot`` over the (factor, jet)
+pairs listed under its multi-index (``_sums``), so zero terms are skipped
+there and nowhere else.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .jets import (
     jet_compose,
     monomial_index,
     partial_or_none,
+    slot_sum,
 )
 from .maps import DiffeoMap, _shifted
 
@@ -218,7 +222,7 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
     # over b, then a, then c, 3 d^4 products instead of 2 d^6.
-    acc = [[[None] * d for _ in range(d)] for _ in range(d)]
+    planes = []
     for c in range(d):
         if g_img is None:
             plane = [[None] * d for _ in range(d)]
@@ -235,16 +239,19 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                     if dj is not None and not dj.is_zero():
                         for a, b in {(i, j), (j, i)}:
                             plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
-        # not through dot: on order-0 jets its per-call overhead costs more than the products
-        for k in range(d):
-            w = jac_inv[k][c]
-            for i in range(d):
-                for j in range(d):
-                    p = plane[i][j]
-                    if w is not None and p is not None:
-                        acc[k][i][j] = w * p if acc[k][i][j] is None else acc[k][i][j] + w * p
+        planes.append(plane)
     zero = Jet.zero(d, order)
-    return [[[zero if e is None else e for e in row] for row in rows] for rows in acc]
+    out = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            live = [(c, plane[i][j]) for c, plane in enumerate(planes) if plane[i][j] is not None]
+            if not live:
+                continue
+            for k in range(d):
+                s = dot((jac_inv[k][c], p) for c, p in live)
+                if s is not None:
+                    out[k][i][j] = s
+    return out
 
 
 def pullback_connection(mapping: DiffeoMap, gamma: Connection) -> Connection:
@@ -370,10 +377,7 @@ def covariant_derivs(q, gamma: Connection, point: tuple):
 
     def apply(table: dict) -> Scalar:
         # d^m q at the point is m! times the jet coefficient of m
-        total = 0
-        for m, c in table.items():
-            total = total + c.value * _factorial_midx(m) * qj.coeffs[idx[m]]
-        return total
+        return slot_sum(qj, [(idx[m], c.value * _factorial_midx(m)) for m, c in table.items()])
 
     D2, D3 = _covariant_tables(gamma, point, 0)
     grad = [qj.partial(a).value for a in range(d)]

@@ -21,7 +21,10 @@ products, and its ``acc``, in one integer buffer over the lcm of the pair
 denominators, so each nonzero output is normalised once, by one
 ``Fraction``, and every zero slot is ``int`` 0; a product is the same sum
 with one pair.  Int-only operands give int coefficients.  A float operand
-makes ``dot`` multiply and add term by term, left to right.
+makes ``dot`` multiply and add term by term, left to right.  On order-0
+jets ``dot`` takes the same sums on the one slot, as scalars: exact ones in
+one integer sum, divided once, floats left to right.  ``slot_sum`` weighs a
+jet's slots by the same rules; it applies an operator to a jet.
 Slot-wise operations do scalar work only on the slots they change.  A zero
 operand leaves the other slot as it is: ``a + 0``, ``a - 0``, ``s * 0`` and
 ``0 / s`` keep the slot, and an int 0 plus or minus ``b`` gives ``b`` or
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -74,6 +77,7 @@ __all__ = [
     "BAD_POINT_ERRORS",
     "Polynomial",
     "dot",
+    "slot_sum",
     "partial_or_none",
     "jet_compose",
     "jet_invert",
@@ -462,27 +466,92 @@ def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
     costs no product.  When nothing is added, ``acc`` is returned as it is.
     Exact operands are summed in one integer buffer (:func:`_exact_dot`);
     floats are multiplied and added left to right, so their rounding is that
-    of ``acc + x * y`` term by term.
+    of ``acc + x * y`` term by term.  Order-0 operands take the same sums on
+    their one slot, as scalars (:func:`_slot_dot`).
     """
-    pairs = iter(pairs)
-    for x, y in pairs:
-        if x is not None and y is not None and any(x.coeffs) and any(y.coeffs):
-            break
-    else:
+    live = [(x, y) for x, y in pairs
+            if x is not None and y is not None and any(x.coeffs) and any(y.coeffs)]
+    if not live:
         return acc
-    pairs = chain(((x, y),), pairs)
+    x, y = live[0]
+    if len(x.coeffs) == 1:
+        return _slot_dot(live, acc)
     # a float constant term on the first live pair or on acc settles it at once
     if (type(x.coeffs[0]) is not float and type(y.coeffs[0]) is not float
             and (acc is None or type(acc.coeffs[0]) is not float)):
-        pairs = [(x, y) for x, y in pairs
-                 if x is not None and y is not None and any(x.coeffs) and any(y.coeffs)]
-        out = _exact_dot(pairs, acc)
+        out = _exact_dot(live, acc)
         if out is not None:
             return out
-    for x, y in pairs:
-        if x is not None and y is not None and any(x.coeffs) and any(y.coeffs):
-            acc = x * y if acc is None else acc + x * y
+    for x, y in live:
+        acc = x * y if acc is None else acc + x * y
     return acc
+
+
+def _slot_dot(pairs: Sequence[tuple], acc: "Jet | None") -> Jet:
+    """:func:`dot` on live order-0 jet pairs.
+
+    Each pair's one slot is multiplied and added as a scalar, by the slot
+    rules of ``Jet.__mul__`` and ``Jet.__add__``: exact scalars make one
+    integer sum (:func:`_exact_sum`), so an exact zero is int 0; floats are
+    added left to right, and a product that underflows to -0.0 adds as 0.
+    """
+    shape = pairs[0][0]
+    if acc is not None:
+        shape._check(acc)
+    for x, y in pairs:
+        shape._check(x)
+        x._check(y)
+    live = [(x.coeffs[0], y.coeffs[0]) for x, y in pairs]
+    total = _exact_sum(live, 0 if acc is None else acc.coeffs[0])
+    if total is None:
+        total = None if acc is None else acc.coeffs[0]
+        for a, b in live:
+            c = a * b
+            if total is None:
+                total = 0 + c  # -0.0 becomes 0.0
+            elif c:
+                total = total + c
+    return Jet(shape.dim, 0, (total,))
+
+
+def _exact_sum(pairs: Iterable[tuple], start: Scalar = 0) -> "Scalar | None":
+    """``start`` plus the sum of ``a * b`` over scalar pairs, or ``None`` when
+    a scalar is not an ``int`` or a ``Fraction``.
+
+    The sum runs in integers over the lcm of the denominators and is divided
+    once at the end: a zero sum is int 0, and operands whose denominators
+    are all 1 give an int, as in :func:`_exact_dot`.
+    """
+    if type(start) not in _EXACT:
+        return None
+    num, den = start.numerator, start.denominator
+    for a, b in pairs:
+        if type(a) not in _EXACT or type(b) not in _EXACT:
+            return None
+        if a and b:
+            d = a.denominator * b.denominator
+            if den % d:
+                lcm = den // math.gcd(den, d) * d
+                num, den = num * (lcm // den), lcm
+            num += a.numerator * b.numerator * (den // d)
+    return Fraction(num, den) if num and den > 1 else num
+
+
+def slot_sum(jet: Jet, weights: Iterable[tuple]) -> Scalar:
+    """``Σ w · jet.coeffs[s]`` over the ``(s, w)`` pairs of ``weights``.
+
+    Exact weights on exact slots make one integer sum (:func:`_exact_sum`);
+    otherwise the terms are added left to right as ``total + w * c`` from
+    int 0, so float sums keep their rounding.
+    """
+    coeffs = jet.coeffs
+    pairs = [(w, coeffs[s]) for s, w in weights]
+    total = _exact_sum(pairs)
+    if total is None:
+        total = 0
+        for w, c in pairs:
+            total = total + w * c
+    return total
 
 
 def _exact_dot(pairs: Sequence[tuple], acc: "Jet | None") -> "Jet | None":

@@ -21,15 +21,19 @@ pairs whose products make that coefficient, and sums each list with one
 ``jets.dot`` (``geometry._sums``), in the order the formula writes them.
 Builders can optionally carry the coefficients as jets (based at fiber
 origin) so that the operator can be applied to fiber polynomials with
-honest degree bookkeeping; a sum of two operators carrying jets carries
-their sum.
+honest degree bookkeeping; a sum or multiple of operators carrying jets
+carries their sum or multiple, without zero jets.  Applied to a jet, an
+operator is one ``jets.slot_sum`` of the jet's slots with the weights
+``c * m!``, made once per operator.
 
 Action conventions.  Functions carry the pullback action ``f . Q = Q o f~^-1``.
 Operators carry the conjugation whose cocycle identity reads
 ``L(f o h) = h . L(f) + L(h)``; concretely ``(h . T)(Q)(z) = [T(Q o h~^-1)]
 (h~(z))``, which evaluates T at the image point, exactly as tensors pull
 back.  Composing the two printed actions for the inverse map yields the same
-arrangement, and it is the one the verification engine certifies.
+arrangement, and it is the one the verification engine certifies.  The
+zero operator is fixed by every action, so acting on it makes no inverse
+jets.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .jets import (
     mat_inv,
     monomials,
     monomial_index,
+    slot_sum,
 )
 from .maps import DiffeoMap, cotangent_lift, inverse_jets
 from .geometry import (Connection, _bump, _covariant_tables, _factorial_midx, _sums,
@@ -101,6 +106,7 @@ class LocalDiffOp:
                 self.coeffs[tuple(m)] = c
         self.point = tuple(point) if point is not None else None
         self.coeff_jets = coeff_jets
+        self._weights = None  # (slot, c * m!) pairs, made by apply_to_jet
 
     @staticmethod
     def zero(dim: int, point: tuple | None = None) -> "LocalDiffOp":
@@ -122,8 +128,7 @@ class LocalDiffOp:
             raise EvaluationError("operators built at different points cannot be added")
         jets = None
         if None not in (self.coeff_jets, other.coeff_jets):
-            jets = {m: j for m, j in _add_tables(self.coeff_jets, other.coeff_jets).items()
-                    if not j.is_zero()}
+            jets = _nonzero(_add_tables(self.coeff_jets, other.coeff_jets))
         return LocalDiffOp(self.dim, _add_tables(self.coeffs, other.coeffs),
                            point=other.point if self.point is None else self.point,
                            coeff_jets=jets)
@@ -132,26 +137,35 @@ class LocalDiffOp:
         return self + (other * -1)
 
     def __mul__(self, s: Scalar) -> "LocalDiffOp":
+        jets = None
+        if self.coeff_jets is not None:
+            jets = _nonzero({m: j * s for m, j in self.coeff_jets.items()})
         return LocalDiffOp(self.dim, {m: c * s for m, c in self.coeffs.items()},
-                           point=self.point, coeff_jets=None if self.coeff_jets is None
-                           else {m: j * s for m, j in self.coeff_jets.items()})
+                           point=self.point, coeff_jets=jets)
 
     __rmul__ = __mul__
 
     def apply_to_jet(self, q: Jet) -> Scalar:
-        """Value of T(Q) at the operator's point from Q's jet there."""
+        """Value of T(Q) at the operator's point from Q's jet there: the sum
+        of ``c * m! * q[m]``, one :func:`jets.slot_sum`.  The weights
+        ``c * m!`` are made on the first call; graded order gives ``m`` the
+        same slot at every jet order that holds it, so they serve them all."""
         if q.dim != self.dim:
             raise JetShapeError("jet dimension mismatch")
         if q.order < MAX_OP_ORDER and any(sum(m) > q.order for m in self.coeffs):
             raise JetShapeError("jet order too low for this operator")
-        idx = monomial_index(q.dim, q.order)
-        total = 0
-        for m, c in self.coeffs.items():
-            total = total + c * _factorial_midx(m) * q.coeffs[idx[m]]
-        return total
+        if self._weights is None:
+            idx = monomial_index(self.dim, MAX_OP_ORDER)
+            self._weights = [(idx[m], c * _factorial_midx(m)) for m, c in self.coeffs.items()]
+        return slot_sum(q, self._weights)
 
     def __repr__(self):
         return f"LocalDiffOp(dim={self.dim}, {len(self.coeffs)} terms)"
+
+
+def _nonzero(jets: dict) -> dict:
+    """The entries of a table of coefficient jets that are not zero jets."""
+    return {m: j for m, j in jets.items() if not j.is_zero()}
 
 
 def _add_tables(a: dict, b: dict) -> dict:
@@ -246,7 +260,7 @@ def _comparison_jets(f: DiffeoMap, gamma: Connection, point: tuple, order: int):
 
 
 def _finish(dim, table, point, keep_jets):
-    live = {m: j for m, j in table.items() if not j.is_zero()}
+    live = _nonzero(table)
     return LocalDiffOp(dim, {m: j.value for m, j in live.items()}, point=point,
                        coeff_jets=live if keep_jets else None)
 
@@ -293,9 +307,10 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
     # second group: -(3/2) Sym_{n,m,i}(C^n_{lk} g^{ml} g^{ik}) C^j_{mn} D2[i][j]
     half3 = Fraction(3, 2)
     for i in range(d):
+        live = [(s, mm, nn) for nn in range(d) for mm in range(d)
+                if (s := sym[tuple(sorted((nn, mm, i)))]) is not None]
         for j in range(d):
-            coeff = dot((sym[tuple(sorted((nn, mm, i)))], cj[j][mm][nn])
-                        for nn in range(d) for mm in range(d))
+            coeff = dot((s, cj[j][mm][nn]) for s, mm, nn in live)
             if coeff is not None:
                 coeff = coeff * (-half3)
                 terms.extend((m, coeff, opj) for m, opj in D2[i][j].items())
@@ -348,15 +363,16 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
     three = Jet.constant(n, mo, 3)
     zero = (0,) * d
 
-    # the two fiber-free groups, summed as jets in x and then lifted
+    # the two fiber-free groups, summed as jets in x and then lifted; both
+    # read H^i_jk = sum_l (J^-1)^i_l F^l_jk, the second as sum_qm H^m_qi H^q_jm
+    h = [[[dot((f2[l][j][k], jinv[i][l]) for l in base) for k in base] for j in base]
+         for i in base]
     terms = []
     for i, j, k in itertools.product(base, repeat=3):
-        terms.append((_bump(zero, n + j, n + k, i),
-                      dot((f2[l][j][k], jinv[i][l]) for l in base), three))
+        terms.append((_bump(zero, n + j, n + k, i), h[i][j][k], three))
     for i, j in itertools.product(base, repeat=2):
         terms.append((_bump(zero, n + i, n + j),
-                      dot((f2[k][q][i] * jinv[m_][k] * f2[l][j][m_], jinv[q][l])
-                          for q in base for k in base for m_ in base for l in base), three))
+                      dot((h[m_][q][i], h[q][j][m_]) for q in base for m_ in base), three))
     table = {m: s.embed(d, base) for m, s in _sums(terms).items()}
 
     # the fiber group; the pulled-back fiber covector sum_m (J^-1)^m_q xi_m
@@ -488,6 +504,10 @@ def act_on_operator(f: DiffeoMap, op: LocalDiffOp, point: tuple) -> LocalDiffOp:
     powers serves every monomial of order at most three.
     """
     d = 2 * f.dim
+    if op.dim != d:
+        raise JetShapeError("operator dimension mismatch")
+    if not op.coeffs:  # the zero operator is fixed by every action
+        return LocalDiffOp.zero(d, point=tuple(point))
     monos = monomials(d, MAX_OP_ORDER)
     powers = _powers(inverse_jets(cotangent_lift(f), point, MAX_OP_ORDER), [True] * len(monos))
     powers[0] = Jet.constant(d, MAX_OP_ORDER, 1)

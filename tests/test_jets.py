@@ -23,6 +23,7 @@ from jetcocycles.jets import (
     mat_inv,
     monomial_index,
     monomials,
+    slot_sum,
 )
 
 
@@ -887,6 +888,91 @@ def test_dot_equals_the_left_fold(shape, backend, data):
         assert all(type(c) is int for c in got.coeffs if c == 0)
     if backend == "int":
         assert all(type(c) is int for c in got.coeffs)
+
+
+def order_zero_scalars(backend):
+    """Scalars for order-0 jets; on floats, also magnitudes whose products
+    underflow to -0.0 or 0.0."""
+    if backend == "float":
+        return st.one_of(scalars("float"), st.sampled_from([1e-200, -1e-200, 3e-170, -0.0]))
+    return scalars(backend)
+
+
+def same_scalar(got, ref):
+    """A float reference is matched bit for bit; an exact one by value, with
+    an exact zero as int 0."""
+    if isinstance(ref, float):
+        assert repr(got) == repr(ref) and type(got) is float
+    else:
+        assert got == ref and type(got) is not float
+        if got == 0:
+            assert type(got) is int
+
+
+@pytest.mark.parametrize("backend", ["exact", "int", "float"])
+@given(data=st.data())
+def test_order_zero_dot_equals_the_left_fold(backend, data):
+    dim = data.draw(st.integers(1, 6))
+
+    def operand():
+        v = data.draw(st.none() | order_zero_scalars(backend))
+        return None if v is None else Jet(dim, 0, [v])
+
+    pairs = [(operand(), operand()) for _ in range(data.draw(st.integers(0, 6)))]
+    acc = operand()
+    got, want = dot(pairs, acc), left_fold(pairs, acc)
+    if got is None or got is acc:
+        assert got is want
+        return
+    same_scalar(got.value, want.value)
+    assert (got.dim, got.order) == (dim, 0)
+    if backend == "int":
+        assert type(got.value) is int
+
+
+def test_order_zero_dot_underflow_cancellation_and_shapes():
+    tiny, neg, one = (Jet(2, 0, [v]) for v in (1e-200, -1e-200, 1.0))
+    assert repr((tiny * neg).value) == "0.0"
+    # a product that underflows to -0.0 is added as 0, as Jet.__add__ adds it
+    for pairs, acc in (([(tiny, neg)], None), ([(tiny, neg)], one),
+                       ([(one, one), (tiny, neg)], None), ([(tiny, neg), (one, neg)], None)):
+        assert bits(dot(pairs, acc)) == bits(left_fold(pairs, acc))
+    half, minus = Jet(2, 0, [Fraction(1, 2)]), Jet(2, 0, [-1])
+    cancelled = dot([(half, Jet(2, 0, [1])), (half, minus)])
+    assert cancelled.coeffs == (0,) and type(cancelled.value) is int
+    assert dot([(half, minus)], Jet(2, 0, [Fraction(1, 2)])).coeffs == (0,)
+    with pytest.raises(JetShapeError):
+        dot([(half, Jet(3, 0, [1]))])
+    with pytest.raises(JetShapeError):
+        dot([(half, half), (Jet(2, 1, [1, 1, 0]), Jet(2, 1, [1, 0, 0]))])
+    with pytest.raises(JetShapeError):
+        dot([(half, half)], Jet(2, 1, [1, 0, 0]))
+
+
+@pytest.mark.parametrize("weight_backend", ["exact", "float"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("shape", [(2, 3), (4, 4), (6, 3)], ids=shape_id)
+@given(data=st.data())
+def test_slot_sum_equals_the_left_to_right_sum(shape, backend, weight_backend, data):
+    jet = data.draw(jets(shape, backend, max_terms=10))
+    slot = st.integers(0, len(jet.coeffs) - 1)
+    weights = data.draw(st.lists(st.tuples(slot, scalars(weight_backend)), max_size=10))
+    ref = 0
+    for s, w in weights:
+        ref = ref + w * jet.coeffs[s]
+    same_scalar(slot_sum(jet, weights), ref)
+
+
+def test_slot_sum_examples():
+    jet = Jet(1, 3, [Fraction(1, 3), Fraction(1, 2), 0, Fraction(-1, 6)])
+    got = slot_sum(jet, [(0, 1), (1, Fraction(2, 3)), (2, 5), (3, 2)])
+    assert got == Fraction(1, 3) and type(got) is Fraction
+    # the terms cancel: int 0, not Fraction(0)
+    assert type(slot_sum(jet, [(0, 1), (1, Fraction(-2, 3))])) is int
+    # int weights on int slots stay int; a float weight gives the float sum
+    assert slot_sum(Jet(1, 1, [2, 3]), [(0, 4), (1, -1)]) == 5
+    assert repr(slot_sum(jet, [(2, 0.5)])) == "0.0"
+    assert slot_sum(jet, []) == 0
 
 
 # -- slot-wise operations (Hypothesis) -----------------------------------------

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import (EvaluationError, Jet, Polynomial, jet_compose, jet_invert,
-                              monomials)
+from jetcocycles.jets import (EvaluationError, Jet, JetShapeError, Polynomial, jet_compose,
+                              jet_invert, monomials)
 from jetcocycles.maps import catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import Connection
 from jetcocycles.operators import (
@@ -307,6 +307,32 @@ def test_apply_linear_in_function():
         assert op.apply_to_jet(q1 * lam + q2) == lam * op.apply_to_jet(q1) + op.apply_to_jet(q2)
 
 
+def test_apply_to_jet_matches_the_termwise_formula():
+    # one operator, applied to jets of orders 3 and 4 in turn, against the
+    # sum of c * m! * q[m] term by term; its weights serve both orders
+    rng = random.Random(11)
+    op = build_L_covariant(catalog_get("projective", {"dim": 2}), FLAT2,
+                           (F(1, 4), F(-1, 3), F(1, 2), F(2, 5)))
+    assert len(op.coeffs) > 3
+
+    def termwise(q):
+        idx = {m: s for s, m in enumerate(monomials(q.dim, q.order))}
+        total = 0
+        for m, c in op.coeffs.items():
+            total = total + c * math.prod(map(math.factorial, m)) * q.coeffs[idx[m]]
+        return total
+
+    for order in (3, 4, 3, 4):
+        count = len(monomials(4, order))
+        exact = Jet(4, order, [F(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(count)])
+        assert op.apply_to_jet(exact) == termwise(exact)
+        floats = Jet(4, order, [rng.uniform(-2, 2) for _ in range(count)])
+        assert repr(op.apply_to_jet(floats)) == repr(termwise(floats))
+        # every slot the operator reads is zero: an exact int 0
+        cancelled = Jet(4, order, [0] * count)
+        assert op.apply_to_jet(cancelled) == 0 and type(op.apply_to_jet(cancelled)) is int
+
+
 def test_apply_requires_enough_jet_order():
     m = catalog_get("moebius", {"a": 1, "b": 0, "c": 1, "d": 1})
     op = build_L_flat(m, (F(1), F(2)))
@@ -379,6 +405,15 @@ def test_sum_of_operators_keeps_coefficient_jets():
     assert (op - op).coeff_jets == {} and (op - op).is_zero()
     # one operand without jets: the sum has none
     assert (op + LocalDiffOp(2, {(0, 2): 1})).coeff_jets is None
+
+
+def test_scaling_by_zero_keeps_no_coefficient_jet():
+    op = build_L_covariant(catalog_get("projective", {"dim": 1}), FLAT1, (F(1, 4), F(0)),
+                           coeff_order=4)
+    assert op.coeff_jets
+    zero = op * 0
+    assert zero.coeffs == {} and zero.coeff_jets == {}
+    assert apply_op_to_symbol(zero, Symbol.monomial(1, (3,)), (F(1, 4),)).degree() == -1
 
 
 def test_apply_to_symbol_affine_gives_zero():
@@ -603,6 +638,28 @@ def test_operator_action_matches_unit_probe_definition(n):
         got = act_on_operator(f, op, z)
         assert got.coeffs == act_by_unit_probes(f, op, z)
         assert got.coeffs, f.name
+
+
+def test_action_on_the_zero_operator_makes_no_inverse(monkeypatch):
+    import jetcocycles.maps as maps_module
+
+    inverses = []
+
+    def counted(jets):
+        inverses.append(jets)
+        return jet_invert(jets)
+
+    monkeypatch.setattr(maps_module, "jet_invert", counted)
+    f = catalog_get("moebius", {"a": 2, "b": 1, "c": 1, "d": 1})
+    z = (F(1, 3), F(2))
+    out = act_on_operator(f, LocalDiffOp.zero(2, cotangent_lift(f)(z)), z)
+    assert out.is_zero() and out.point == z and out.dim == 2
+    assert inverses == []
+    # a nonzero operator makes its one inverse
+    act_on_operator(f, LocalDiffOp(2, {(0, 1): 1}), z)
+    assert len(inverses) == 1
+    with pytest.raises(JetShapeError):
+        act_on_operator(f, LocalDiffOp.zero(4), z)
 
 
 # -- cocycle identity with a curved connection -----------------------------------
