@@ -260,7 +260,10 @@ def algebra_cocycle_residual(cocycle: Callable, action: Callable,
 
 def _field_max_abs_diff(lhs, pos, neg, point) -> Scalar:
     if isinstance(lhs, TensorField21):
-        a, b, c = lhs.values(point), pos.values(point), neg.values(point)
+        # the actions read their field at one order above lhs, so evaluated
+        # first they leave jets that lhs is served by truncation
+        b, c = pos.values(point), neg.values(point)
+        a = lhs.values(point)
         return _max_abs_entry(lhs.dim, lambda k, i, j: a[k][i][j] - b[k][i][j] + c[k][i][j])
     av = lhs.jet(point, 0).value
     bv = pos.jet(point, 0).value

@@ -25,10 +25,13 @@ supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
 symplectic transpose, any other map eliminates.  A map keeps its jets at
 the last point it was asked for (``maps``), so pulling several fields back
 along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
-taken once per pair i <= j.  Every sum of jet products here goes through
+taken once per pair i <= j.  A connection is symmetric in (i, j), so its
+pullback contracts only i <= j and mirrors the rest; a tensor's components
+are all contracted.  Every sum of jet products here goes through
 ``jets.dot``, the final (J^-1)^k_c contraction too: for each (i, j) the
 c-planes with a live entry are listed once, and one ``dot`` per k sums them
-(as scalars on order-0 jets).
+(as scalars on order-0 jets).  A flat connection keeps its lift and, per
+order, its covariant tables, which do not depend on the point.
 
 Iterated covariant derivatives of scalars,
 
@@ -111,6 +114,9 @@ class Connection(_Field21):
     def __init__(self, dim, component_fn, name="Gamma", flat=False):
         super().__init__(dim, component_fn, name=name)
         self.flat = flat
+        # a flat connection keeps its lift and, per order, its covariant tables
+        self._lift = None
+        self._flat_tables: dict[int, tuple] = {}
 
     @staticmethod
     def flat_connection(dim: int) -> "Connection":
@@ -157,9 +163,10 @@ def lift_connection(gamma: Connection) -> Connection:
     n = gamma.dim
 
     if gamma.flat:
-        lifted = Connection.flat_connection(2 * n)
-        lifted.name = f"lift({gamma.name})"
-        return lifted
+        if gamma._lift is None:
+            gamma._lift = Connection.flat_connection(2 * n)
+            gamma._lift.name = f"lift({gamma.name})"
+        return gamma._lift
 
     def fn(point, order):
         x = point[:n]
@@ -221,16 +228,19 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         shifted = [j.truncated(order) for j in _shifted(fj)]
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
-    # over b, then a, then c, 3 d^4 products instead of 2 d^6.
+    # over b, then a, then c, 3 d^4 products instead of 2 d^6.  A connection
+    # is symmetric in (i, j), so only i <= j is contracted and mirrored.
+    sym = isinstance(field, Connection)
+    pairs = [(i, j) for i in range(d) for j in range(i if sym else 0, d)]
     planes = []
     for c in range(d):
-        if g_img is None:
-            plane = [[None] * d for _ in range(d)]
-        else:
+        plane = [[None] * d for _ in range(d)]
+        if g_img is not None:
             tc = [[None if g.is_zero() else jet_compose(g, shifted) for g in row]
                   for row in g_img[c]]
             tj = [[dot(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
-            plane = [[dot(zip(jac_t[i], tj[j])) for j in range(d)] for i in range(d)]
+            for i, j in pairs:
+                plane[i][j] = dot(zip(jac_t[i], tj[j]))
         if with_inhomogeneous:
             # d_i J^c_j = d_i d_j F^c: one partial per pair i <= j fills both
             for i in range(d):
@@ -242,15 +252,16 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         planes.append(plane)
     zero = Jet.zero(d, order)
     out = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            live = [(c, plane[i][j]) for c, plane in enumerate(planes) if plane[i][j] is not None]
-            if not live:
-                continue
-            for k in range(d):
-                s = dot((jac_inv[k][c], p) for c, p in live)
-                if s is not None:
-                    out[k][i][j] = s
+    for i, j in pairs:
+        live = [(c, plane[i][j]) for c, plane in enumerate(planes) if plane[i][j] is not None]
+        if not live:
+            continue
+        for k in range(d):
+            s = dot((jac_inv[k][c], p) for c, p in live)
+            if s is not None:
+                out[k][i][j] = s
+                if sym:
+                    out[k][j][i] = s
     return out
 
 
@@ -301,18 +312,22 @@ def _covariant_tables(gamma: Connection, point: tuple, order: int):
     as tables {multi-index m: jet coefficient of d^m}, to order ``order``.
 
     Each D3 coefficient is one :func:`_sums` entry over its Leibniz terms
-    (d_c of D2, read at order ``order + 1``) and its Christoffel terms.
+    (d_c of D2, read at order ``order + 1``) and its Christoffel terms.  A
+    flat connection's tables do not depend on the point: they are made once
+    per order and kept on the connection, and callers only read them.
     """
     d = gamma.dim
     zero = (0,) * d
-    one = Jet.constant(d, order, 1)
-
     if gamma.flat:
-        D2 = [[{_bump(zero, b, a): one} for a in range(d)] for b in range(d)]
-        D3 = [[[{_bump(zero, c, b, a): one} for a in range(d)] for b in range(d)]
-              for c in range(d)]
-        return D2, D3
+        if order not in gamma._flat_tables:
+            one = Jet.constant(d, order, 1)
+            D2 = [[{_bump(zero, b, a): one} for a in range(d)] for b in range(d)]
+            D3 = [[[{_bump(zero, c, b, a): one} for a in range(d)] for b in range(d)]
+                  for c in range(d)]
+            gamma._flat_tables[order] = D2, D3
+        return gamma._flat_tables[order]
 
+    one = Jet.constant(d, order, 1)
     g2 = gamma.components(point, order + 1)
     one2 = Jet.constant(d, order + 1, 1)
     D2hi = [[{_bump(zero, b, a): one2,

@@ -55,6 +55,9 @@ action read their powers from it.
 a pair with a ``None`` or zero-jet operand is skipped and costs no product,
 so callers do not guard their terms.  ``partial_or_none`` gives ``None`` for
 a derivative of a zero jet, so such a term costs no partial either.
+A matrix of jets is inverted by Gauss-Jordan elimination (``mat_inv``) or,
+when it is small, by cofactors (``cofactor_inv``), each a ``dot``, over one
+reciprocal of the determinant jet.
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -82,6 +85,7 @@ __all__ = [
     "jet_compose",
     "jet_invert",
     "mat_inv",
+    "cofactor_inv",
     "mat_det",
     "monomials",
     "monomial_index",
@@ -793,6 +797,47 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
             a[r] = [x if y is zero else x - factor * y for x, y in zip(a[r], a[col])]
             eye[r] = [x if y is zero else x - factor * y for x, y in zip(eye[r], eye[col])]
     return eye
+
+
+def cofactor_inv(rows: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
+    """Inverse of a square matrix of jets by cofactors: entry ``[j][i]`` is
+    the cofactor ``C_ij`` times the reciprocal of the determinant.
+
+    A cofactor is the signed determinant of a minor, expanded along its first
+    row with one :func:`dot` per expansion, so a zero entry costs no product;
+    the determinant is the first row against its cofactors, and its
+    reciprocal is made once.  The work grows as n!, so this suits a base
+    Jacobian (n <= 3: nine cofactors of two products each at n = 3);
+    :func:`mat_inv` eliminates elsewhere.  Raises
+    :class:`SingularJacobianError` when the determinant's value is 0.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise JetShapeError("matrix must be square")
+    proto = rows[0][0]
+    neg = [[-e for e in r] for r in rows]
+
+    def minor_det(rs: list, cs: list, negate: bool) -> "Jet | None":
+        # the determinant of rows rs and columns cs, negated when asked
+        if not cs:
+            return Jet.constant(proto.dim, proto.order, -1 if negate else 1)
+        if len(cs) == 1:
+            return (neg if negate else rows)[rs[0]][cs[0]]
+        return dot(((neg if k % 2 != negate else rows)[rs[0]][c],
+                    minor_det(rs[1:], cs[:k] + cs[k + 1:], False)) for k, c in enumerate(cs))
+
+    def others(k: int) -> list:
+        return [r for r in range(n) if r != k]
+
+    cof = [[minor_det(others(i), others(j), (i + j) % 2 == 1) for j in range(n)]
+           for i in range(n)]
+    det = dot(zip(rows[0], cof[0]))
+    if det is None or det.value == 0:
+        raise SingularJacobianError("singular matrix")
+    rec = det.reciprocal()
+    zero = Jet.zero(proto.dim, proto.order)
+    return [[zero if cof[i][j] is None else cof[i][j] * rec for i in range(n)]
+            for j in range(n)]
 
 
 def mat_det(rows: Sequence[Sequence]) -> Scalar | Jet:

@@ -18,7 +18,11 @@ of its parent, and nowhere else.
 A map supplies the inverse of its Jacobian jets to pullbacks through
 :meth:`DiffeoMap.jacobian_inverse`: by elimination in general, and for a
 cotangent lift, which is symplectic, as the signed transpose
-``J^-1 = -Omega J^T Omega`` with no arithmetic.  Each map keeps the
+``J^-1 = -Omega J^T Omega`` with no arithmetic.  The lift itself inverts
+its base Jacobian jets by cofactors (``jets.cofactor_inv``: minors summed
+with ``dot``, over one reciprocal of the determinant jet), which raises at
+a singular base point; elimination (``jets.mat_inv``) stays for every other
+inverse, ``jet_invert`` and the flat operator oracle included.  Each map keeps the
 highest-order jets it has made at the last point it was asked for (a
 ``jets.PointMemo``) and serves a lower order there by truncation, so a
 pullback, a composition and a lift that evaluate one map at one point make
@@ -39,6 +43,7 @@ from .jets import (
     Polynomial,
     Scalar,
     SingularJacobianError,
+    cofactor_inv,
     dot,
     jet_compose,
     jet_invert,
@@ -194,9 +199,10 @@ class CotangentMap(DiffeoMap):
         x, xi = point[:n], point[n:]
         fj = self.base.eval_jet(x, order + 1)
         jac = [[fj[a].partial(i) for i in range(n)] for a in range(n)]
-        if mat_det([[jac[a][i].value for i in range(n)] for a in range(n)]) == 0:
-            raise SingularJacobianError(f"{self.base.name}: singular Jacobian at {x}")
-        jac_inv = mat_inv(jac)  # entries are jets of (dx/df)^i_a at x
+        try:
+            jac_inv = cofactor_inv(jac)  # entries are jets of (dx/df)^i_a at x
+        except SingularJacobianError:
+            raise SingularJacobianError(f"{self.base.name}: singular Jacobian at {x}") from None
         base_axes = list(range(n))
         out = [fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
         xi_vars = [Jet.variable(2 * n, order, n + i, xi[i]) for i in range(n)]

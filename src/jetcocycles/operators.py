@@ -26,6 +26,12 @@ carries their sum or multiple, without zero jets.  Applied to a jet, an
 operator is one ``jets.slot_sum`` of the jet's slots with the weights
 ``c * m!``, made once per operator.
 
+``build_L_covariant`` reads only the comparison tensor C: when C is zero
+(affine maps) it returns the zero operator and builds no table.  Each exact
+Sym entry is one signed sum of its at most six C entries in one integer
+buffer, the 1/6 in its denominator; floats keep the signed fold, left to
+right, then one scaling by 1/6.
+
 Action conventions.  Functions carry the pullback action ``f . Q = Q o f~^-1``.
 Operators carry the conjugation whose cocycle identity reads
 ``L(f o h) = h . L(f) + L(h)``; concretely ``(h . T)(Q)(z) = [T(Q o h~^-1)]
@@ -49,6 +55,7 @@ from .jets import (
     Polynomial,
     Scalar,
     _exact_div,
+    _exact_dot,
     _powers,
     dot,
     jet_compose,
@@ -275,25 +282,22 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
         raise JetShapeError("expected a phase-space point")
     mo = coeff_order
     cj, glifted = _comparison_jets(f, gamma, point, mo)
+    if all(e.is_zero() for plane in cj for row in plane for e in row):
+        return _finish(d, {}, point, coeff_order > 0)  # L is built from C alone
 
     # Raising both lower indices of C with the canonical bivector relabels
     # base slot i as fiber slot i+n and back; the two signs multiply to -1
     # exactly when one index is a base slot and the other a fiber slot.
     # Sym over the three slots is a function of the sorted index triple, so
     # one table serves both groups below; None marks a vanishing entry.
-    sixth = Fraction(1, 6)
+    plus, minus = Jet.constant(d, mo, Fraction(1, 6)), Jet.constant(d, mo, Fraction(-1, 6))
     sym: dict[tuple, Jet | None] = {}
     for triple in itertools.combinations_with_replacement(range(d), 3):
-        acc = None
-        for p, q, r in itertools.permutations(triple):
-            t = cj[p][(q + n) % d][(r + n) % d]
-            if t.is_zero():
-                continue
-            if (q < n) == (r < n):
-                acc = t if acc is None else acc + t
-            else:
-                acc = -t if acc is None else acc - t
-        sym[triple] = None if acc is None or acc.is_zero() else acc * sixth
+        terms = [(t, plus if (q < n) == (r < n) else minus)
+                 for p, q, r in itertools.permutations(triple)
+                 if not (t := cj[p][(q + n) % d][(r + n) % d]).is_zero()]
+        acc = _sym_entry(terms) if terms else None
+        sym[triple] = None if acc is None or acc.is_zero() else acc
 
     D2, D3 = _covariant_tables(glifted, point, mo)
 
@@ -316,6 +320,24 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
                 terms.extend((m, coeff, opj) for m, opj in D2[i][j].items())
 
     return _finish(d, _sums(terms), point, coeff_order > 0)
+
+
+def _sym_entry(terms: list) -> Jet:
+    """One Sym entry from its live ``(t, ±1/6 constant jet)`` terms.
+
+    Exact terms make one signed sum in one integer buffer, the 1/6 in its
+    denominator (``jets._exact_dot``).  Floats keep the fold
+    ``(±t ± t ...) * (1/6)``, left to right, so their bits do not move.
+    """
+    acc = _exact_dot(terms, None)
+    if acc is not None:
+        return acc
+    for t, w in terms:
+        if acc is None:
+            acc = t if w.value > 0 else -t
+        else:
+            acc = acc + t if w.value > 0 else acc - t
+    return acc * Fraction(1, 6)
 
 
 def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,

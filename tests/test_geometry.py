@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import Polynomial, monomials
+from jetcocycles.jets import Jet, Polynomial, jet_compose, mat_inv, monomials
 from jetcocycles.maps import DiffeoMap, catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import (
     Connection,
+    _covariant_tables,
     cocycle_C,
     covariant_derivs,
     lift_connection,
@@ -175,6 +176,45 @@ def test_pullback_matches_sympy(pullback, inhomogeneous):
                 want = want.subs(at)
                 assert want.is_Rational
                 assert got[k][i][j] == F(int(want.p), int(want.q)), (k, i, j)
+
+
+def pullback_over_all_pairs(f, gamma, point, order):
+    """(J^-1)^k_c [G^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j] for every (k, i, j),
+    written out term by term in jets."""
+    d = f.dim
+    fj = f.eval_jet(point, order + 2)
+    jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]
+    jac = [[e.truncated(order) for e in row] for row in jac1]
+    jinv = mat_inv(jac)
+    shifted = [(j - j.value).truncated(order) for j in fj]
+    g = gamma.components(tuple(j.value for j in fj), order)
+    g = [[[jet_compose(e, shifted) for e in row] for row in plane] for plane in g]
+    out = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                total = Jet.zero(d, order)
+                for c in range(d):
+                    inner = jac1[c][j].partial(i)
+                    for a in range(d):
+                        for b in range(d):
+                            inner = inner + g[c][a][b] * jac[a][i] * jac[b][j]
+                    total = total + jinv[k][c] * inner
+                out[k][i][j] = total
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_connection_pullback_equals_the_contraction_over_all_pairs(dim):
+    rng = random.Random(7 + dim)
+    for name in ("projective", "polynomial_perturbation"):
+        f = catalog_get(name, {"dim": dim})
+        gamma = rand_connection(rng, dim)
+        point = rand_point(rng, dim)
+        for order in (0, 2):
+            got = pullback_connection(f, gamma).components(point, order)
+            want = pullback_over_all_pairs(f, gamma, point, order)
+            assert got == want, (name, order)
 
 
 # -- comparison tensor ---------------------------------------------------------
@@ -365,6 +405,18 @@ def test_covariant_derivs_match_sympy_on_curved_connection():
                     want = sp.diff(h[b][a], x[c]) - sum(
                         g[e][c][b] * h[e][a] + g[e][c][a] * h[b][e] for e in range(d))
                     assert third[c][b][a] == value(want), (c, b, a)
+
+
+def test_flat_connection_keeps_its_lift_and_tables():
+    flat = Connection.flat_connection(2)
+    lifted = lift_connection(flat)
+    assert lift_connection(flat) is lifted
+    assert lifted.flat and lifted.dim == 4 and lifted.name == "lift(flat)"
+    D2, D3 = tables = _covariant_tables(lifted, (F(1, 2),) * 4, 2)
+    assert _covariant_tables(lifted, (F(-1, 3),) * 4, 2) is tables
+    assert _covariant_tables(lifted, (F(1, 2),) * 4, 1) is not tables
+    assert D2[0][3] == {(1, 0, 0, 1): Jet.constant(4, 2, 1)}
+    assert D3[2][0][2] == {(1, 0, 2, 0): Jet.constant(4, 2, 1)}
 
 
 def test_affine_lift_takes_no_partial_of_a_zero_jet(zero_jet_partials):

@@ -16,6 +16,7 @@ from jetcocycles.jets import (
     SingularJacobianError,
     _add_product,
     _exact_dot,
+    cofactor_inv,
     dot,
     jet_compose,
     jet_invert,
@@ -818,6 +819,36 @@ def test_mat_inv_with_zero_entries(shape, backend, data):
         for j in range(n):
             entry = sum((inv[i][k] * a[k][j] for k in range(n)), Jet.zero(*shape))
             assert_same(entry, Jet.constant(*shape, 1 if i == j else 0), backend)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_cofactor_inverse_equals_mat_inv_on_exact_jets(n, data):
+    order = data.draw(st.integers(0, 6))
+    shape = (data.draw(st.integers(1, 2)), order)
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            if i != k and data.draw(st.booleans()):
+                row.append(Jet.zero(*shape))
+            else:
+                c0 = data.draw(st.sampled_from([3, -4, Fraction(7, 2)] if i == k
+                                               else [0, 1, -1, Fraction(1, 3)]))
+                row.append(data.draw(jets(shape, "exact", max_terms=4, constant=c0)))
+        rows.append(row)
+    a = [rows[p] for p in data.draw(st.permutations(range(n)))]
+    assert cofactor_inv(a) == mat_inv(a)
+
+
+def test_cofactor_inverse_of_a_singular_matrix_raises():
+    x, one = Jet.variable(2, 3, 0, 1), Jet.constant(2, 3, 1)
+    with pytest.raises(SingularJacobianError):
+        cofactor_inv([[x, one], [one, x]])  # det x^2 - 1: value 0, higher slots not
+    with pytest.raises(SingularJacobianError):
+        cofactor_inv([[Jet.zero(1, 2)]])
+    with pytest.raises(JetShapeError):
+        cofactor_inv([[x, x]])
 
 
 def test_int_product_keeps_int_coefficients():

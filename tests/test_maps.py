@@ -12,6 +12,7 @@ from jetcocycles.jets import (EvaluationError, Jet, JetShapeError, Polynomial,
                               SingularJacobianError, dot, mat_inv)
 from jetcocycles.maps import (
     FLOW_ORDER,
+    DiffeoMap,
     VectorField,
     catalog_get,
     compose,
@@ -246,6 +247,20 @@ def test_invert_at_a_singular_point_raises():
         f.invert((F(1),))
     with pytest.raises(SingularJacobianError):
         cotangent_lift(f).invert((F(1), F(2)))
+
+
+def test_lift_jets_raise_at_a_singular_base_point():
+    # x - x^3/3 at x = 1, and at dim 2 a point where the Jacobian determinant
+    # (1 - x^2)(1 - y^2) vanishes, though not every entry of it does
+    f = catalog_get("polynomial_perturbation", {"eps": F(-1, 3)})
+    with pytest.raises(SingularJacobianError, match="singular Jacobian at"):
+        cotangent_lift(f).eval_jet((F(1), F(2)), 2)
+    g = DiffeoMap(2, lambda p, k: [Polynomial(2, {(1, 0): 1, (3, 0): F(-1, 3)}).jet(p, k),
+                                   Polynomial(2, {(0, 1): 1, (0, 3): F(-1, 3), (1, 0): 1})
+                                   .jet(p, k)], name="g")
+    for order in (0, 2):
+        with pytest.raises(SingularJacobianError):
+            cotangent_lift(g).eval_jet((F(1), F(1, 2), F(1), F(1)), order)
 
 
 # -- cotangent lift ----------------------------------------------------------

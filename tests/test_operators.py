@@ -1,5 +1,6 @@
 """The three operator builders, their agreement, applications and actions."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -249,6 +250,105 @@ def test_builders_agree_jet_for_jet():
             assert cov.coeff_jets
             assert cov.coeff_jets == build_L_coordinate(f, flat, z, coeff_order=2).coeff_jets
             assert cov.coeff_jets == build_L_flat(f, z, coeff_order=2).coeff_jets
+
+
+def test_zero_comparison_tensor_builds_no_tables(monkeypatch):
+    import jetcocycles.operators as operators_module
+
+    calls = []
+    tables = operators_module._covariant_tables
+
+    def counted(*args):
+        calls.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(operators_module, "_covariant_tables", counted)
+    for n in (1, 2, 3):
+        flat = Connection.flat_connection(n)
+        z = tuple(F(k + 1, 5) for k in range(2 * n))
+        for name in ("identity", "translation", "affine"):
+            f = catalog_get(name, {"dim": n})
+            for order in (0, 1, 3):
+                op = build_L_covariant(f, flat, z, coeff_order=order)
+                assert op.is_zero() and op.point == z and op.dim == 2 * n
+                assert op.coeff_jets == ({} if order else None)
+    assert calls == []
+    # a nonzero comparison tensor reads the tables once
+    z = (F(1, 4), F(-1, 8), F(1, 2), F(1, 3))
+    assert not build_L_covariant(catalog_get("projective", {"dim": 2}), FLAT2, z,
+                                 coeff_order=1).is_zero()
+    assert len(calls) == 1
+
+
+def covariant_by_signed_fold(f, gamma, point, coeff_order):
+    """``build_L_covariant`` with each Sym entry summed jet by jet, in
+    permutation order, and then scaled by 1/6."""
+    from jetcocycles.geometry import _covariant_tables, _sums
+    from jetcocycles.operators import _comparison_jets, _finish
+
+    n = f.dim
+    d = 2 * n
+    cj, glifted = _comparison_jets(f, gamma, point, coeff_order)
+    sym = {}
+    for triple in itertools.combinations_with_replacement(range(d), 3):
+        acc = None
+        for p, q, r in itertools.permutations(triple):
+            t = cj[p][(q + n) % d][(r + n) % d]
+            if t.is_zero():
+                continue
+            if (q < n) == (r < n):
+                acc = t if acc is None else acc + t
+            else:
+                acc = -t if acc is None else acc - t
+        sym[triple] = None if acc is None or acc.is_zero() else acc * F(1, 6)
+    D2, D3 = _covariant_tables(glifted, point, coeff_order)
+    terms = []
+    for (i, j, k), a_hat in sym.items():
+        if a_hat is not None:
+            for p, q, r in set(itertools.permutations((i, j, k))):
+                terms.extend((m, a_hat, opj) for m, opj in D3[p][q][r].items())
+    for i in range(d):
+        for j in range(d):
+            coeff = None
+            for nn in range(d):
+                for mm in range(d):
+                    s = sym[tuple(sorted((nn, mm, i)))]
+                    if s is not None and not cj[j][mm][nn].is_zero():
+                        coeff = s * cj[j][mm][nn] if coeff is None \
+                            else coeff + s * cj[j][mm][nn]
+            if coeff is not None and not coeff.is_zero():
+                coeff = coeff * F(-3, 2)
+                terms.extend((m, coeff, opj) for m, opj in D2[i][j].items())
+    return _finish(d, _sums(terms), point, coeff_order > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_covariant_sym_entries_equal_the_signed_fold(n, backend):
+    rng = random.Random(41 + n)
+    flat = Connection.flat_connection(n)
+    for name in ("projective", "polynomial_perturbation"):
+        f = catalog_get(name, {"dim": n})
+        z = tuple(F(rng.randint(-6, 6), 16) for _ in range(2 * n))
+        if backend == "float":
+            z = tuple(float(c) for c in z)
+        for order in range(5):
+            got = build_L_covariant(f, flat, z, coeff_order=order)
+            want = covariant_by_signed_fold(f, flat, z, order)
+            assert got.coeffs == want.coeffs, (name, order)
+            assert not got.is_zero()
+            if backend == "float":
+                # bit for bit, signed zeros too
+                assert [repr(c) for c in got.coeffs.values()] == \
+                    [repr(c) for c in want.coeffs.values()]
+            if order:
+                assert got.coeff_jets.keys() == want.coeff_jets.keys()
+                for m, j in got.coeff_jets.items():
+                    w = want.coeff_jets[m]
+                    if backend == "float":
+                        assert list(map(repr, j.coeffs)) == list(map(repr, w.coeffs))
+                    else:
+                        assert j == w, (name, order, m)
 
 
 def test_coordinate_matches_flat_formula_termwise():

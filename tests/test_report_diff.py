@@ -1,0 +1,48 @@
+"""How ``tools/report_diff.py`` sizes a drift between canned reports, with no
+subprocess."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+report_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_diff)
+
+
+def case(case_id, residual, passed=True):
+    return {"case_id": case_id, "suite": "cocycle_C", "residual": residual, "pass": passed}
+
+
+def report(*cases):
+    return {"cases": list(cases), "summary": {"passed": sum(c["pass"] for c in cases)}}
+
+
+def test_float_drift_is_counted_and_sized():
+    parent = report(case("a", "0"), case("c", "1e-15"), case("b", "2.220446049250313e-16"),
+                    case("d", "1/3"))
+    change = report(case("a", "0"), case("c", "4e-15"), case("b", "3.3306690738754696e-16"),
+                    case("d", "2/3"))
+    count, largest = report_diff.residual_drift(parent, change)
+    # d's exact residuals do not size the drift; a float residual that moves
+    # off an exact 0 does
+    assert count == 3
+    assert largest == pytest.approx(3e-15)
+    assert report_diff.residual_drift(report(case("a", "0")), report(case("a", "5e-16"))) \
+        == (1, 5e-16)
+    assert report_diff.describe(parent, change) == (
+        "DIFFERS in 3 cases, largest float |delta| 3e-15; "
+        "first at /cases[1]/residual: '1e-15' vs '4e-15'")
+
+
+def test_drift_without_float_residuals():
+    parent = report(case("a", "0"), case("b", "1/2"))
+    change = report(case("a", "0", passed=False), case("b", "1/2"), case("c", "0"))
+    # a differs in its pass field and c is in one report only
+    assert report_diff.residual_drift(parent, change) == (2, None)
+    assert report_diff.residual_drift(report(case("b", "1/2")), report(case("b", "1/3"))) \
+        == (1, None)
+    assert report_diff.residual_drift(parent, parent) == (0, None)
+    assert report_diff.describe(parent, change).startswith("DIFFERS in 2 cases; first at ")

@@ -10,8 +10,10 @@ are compared after dropping their ``timing`` block.  It also runs ``list``
 and each of the three demos and compares their standard output and exit
 code.  The program is imported from the tree's ``src``, so nothing needs
 installing.  It prints one line per report and per command, and exits 1
-when any of them differs or a report is missing, else 0.  Standard library
-only.
+when any of them differs or a report is missing, else 0.  A report that
+differs is sized next to its first difference: how many cases differ, and
+the largest |delta| between the residuals of those cases that read as
+floats.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,6 +69,45 @@ def first_difference(a, b, where="") -> str:
     return f"{where}: {a!r} vs {b!r}"
 
 
+def _is_int(text) -> bool:
+    try:
+        int(text)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def residual_drift(a: dict, b: dict) -> tuple:
+    """How many cases differ between two reports, taken in order (a case
+    only one report has counts), and the largest |delta| between the
+    residuals of differing cases, over the pairs where one residual is a
+    float and both read as numbers; None when there is no such pair.  An
+    exact residual is an integer or a ``p/q`` string."""
+    ca, cb = a.get("cases", []), b.get("cases", [])
+    differ = abs(len(ca) - len(cb))
+    largest = None
+    for x, y in zip(ca, cb):
+        if x == y:
+            continue
+        differ += 1
+        rx, ry = x.get("residual"), y.get("residual")
+        if _is_int(rx) and _is_int(ry):
+            continue
+        try:
+            delta = abs(float(rx) - float(ry))
+        except (TypeError, ValueError):
+            continue
+        largest = delta if largest is None else max(largest, delta)
+    return differ, largest
+
+
+def describe(a: dict, b: dict) -> str:
+    """The status of two reports that differ: their drift and first difference."""
+    count, largest = residual_drift(a, b)
+    size = "" if largest is None else f", largest float |delta| {largest:.3g}"
+    return f"DIFFERS in {count} cases{size}; first at {first_difference(a, b)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the reference source tree")
@@ -88,7 +129,7 @@ def main(argv=None) -> int:
                     elif reports[0] == reports[1]:
                         status = f"identical ({len(reports[0]['cases'])} cases)"
                     else:
-                        status = "DIFFERS " + first_difference(*reports)
+                        status = describe(*reports)
                     differ += not status.startswith("identical")
                     print(f"{name}: {status}", flush=True)
     print(f"{differ} of {len(SEEDS) * len(DIMS) * len(BACKENDS)} reports differ")
