@@ -22,9 +22,9 @@ Pullback of a connection along a map F uses, with J = DF(x),
 so that (F o H)* = H* o F*; dropping the inhomogeneous dJ term gives the
 plain (2,1)-tensor pullback used on connection differences.  The map
 supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
-symplectic transpose, any other map eliminates.  A map keeps its jets at
-the last point it was asked for (``maps``), so pulling several fields back
-along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
+symplectic transpose, any other map its cofactor inverse.  A map keeps its
+jets at the last point it was asked for (``maps``), so pulling several
+fields back along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
 taken once per pair i <= j.  A connection is symmetric in (i, j), so its
 pullback contracts only i <= j and mirrors the rest; a tensor's components
 are all contracted.  Every sum of jet products here goes through

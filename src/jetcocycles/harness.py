@@ -325,6 +325,14 @@ class Sampler:
             terms[(0,) * dim] = Fraction(1, 8) if self.backend == "exact" else 0.125
         return Polynomial(dim, terms)
 
+    def connection(self, dim: int) -> Connection:
+        """A symmetric connection with one degree-2 :meth:`fraction_poly`
+        per ``Gamma^k_ij``, ``i <= j``, drawn in that order."""
+        return Connection.from_polynomials(
+            dim, {(k, i, j): self.fraction_poly(dim, 2)
+                  for k in range(dim) for i in range(dim) for j in range(i, dim)},
+            name="random_poly")
+
     def vector_field(self, dim: int, tag: str) -> VectorField:
         return VectorField.from_polynomials(
             [self.fraction_poly(dim, 3) for _ in range(dim)], name=tag)
@@ -389,12 +397,7 @@ def _suite_lift(cfg: ScenarioConfig, sampler: Sampler, pool) -> list[CaseResult]
     tol = cfg.case_tol
     flat = Connection.flat_connection(n)
     flat_lift = lift_connection(flat)
-    gam_entries = {}
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                gam_entries[(k, i, j)] = sampler.fraction_poly(n, 2)
-    gamma = Connection.from_polynomials(n, gam_entries, name="random_poly")
+    gamma = sampler.connection(n)
     glift = lift_connection(gamma)
 
     def fiber_nonlinearity(z):
@@ -621,10 +624,7 @@ def _suite_algebra(cfg, sampler, pool) -> list[CaseResult]:
     rows = []
     n = cfg.dim
     tol = cfg.case_tol
-    gamma = Connection.from_polynomials(
-        n, {(k, i, j): sampler.fraction_poly(n, 2)
-            for k in range(n) for i in range(n) for j in range(i, n)},
-        name="random_poly")
+    gamma = sampler.connection(n)
     npairs = max(10, cfg.samples * 2)
     for idx in range(npairs):
         X = sampler.vector_field(n, f"X{idx}")

@@ -55,9 +55,12 @@ action read their powers from it.
 a pair with a ``None`` or zero-jet operand is skipped and costs no product,
 so callers do not guard their terms.  ``partial_or_none`` gives ``None`` for
 a derivative of a zero jet, so such a term costs no partial either.
-A matrix of jets is inverted by Gauss-Jordan elimination (``mat_inv``) or,
-when it is small, by cofactors (``cofactor_inv``), each a ``dot``, over one
-reciprocal of the determinant jet.
+A square matrix, of scalars or of jets, has one rule for its determinant
+(``mat_det``) and inverse (``mat_inv``): cofactor expansion along the first
+row, each expansion one ``dot`` on jets or one scalar sum, and an inverse
+over one reciprocal of the determinant.  The cost grows as n!, so it suits
+small matrices only: the program inverts nothing above 4 x 4, since the
+inverse Jacobian of a cotangent lift is a signed transpose (``maps``).
 All jets are immutable after construction and every operation is pure.
 """
 
@@ -85,7 +88,6 @@ __all__ = [
     "jet_compose",
     "jet_invert",
     "mat_inv",
-    "cofactor_inv",
     "mat_det",
     "monomials",
     "monomial_index",
@@ -549,13 +551,7 @@ def slot_sum(jet: Jet, weights: Iterable[tuple]) -> Scalar:
     int 0, so float sums keep their rounding.
     """
     coeffs = jet.coeffs
-    pairs = [(w, coeffs[s]) for s, w in weights]
-    total = _exact_sum(pairs)
-    if total is None:
-        total = 0
-        for w, c in pairs:
-            total = total + w * c
-    return total
+    return _scalar_dot([(w, coeffs[s]) for s, w in weights])
 
 
 def _exact_dot(pairs: Sequence[tuple], acc: "Jet | None") -> "Jet | None":
@@ -709,15 +705,11 @@ def jet_invert(map_jets: Sequence[Jet]) -> list[Jet]:
     except SingularJacobianError:
         raise SingularJacobianError("map has singular Jacobian, no local inverse")
 
-    def linear_apply(mat, jets):
-        return [
-            sum((mat[i][j] * jets[j] for j in range(dim)), Jet.zero(dim, order))
-            for i in range(dim)
-        ]
-
+    # the linear jets of the inverse, one per row; slot dim - j holds x_j
+    tail = [0] * (len(monomials(dim, order)) - dim - 1)
+    inv_lin = [Jet(dim, order, [0, *row[::-1], *tail]) for row in inv]
     ident = _identity_jets(dim, order)
     degrees = [sum(m) for m in monomials(dim, order)]
-    inv_lin = linear_apply(inv, ident)
     g = list(inv_lin)
     for k in range(2, order + 1):
         # keep only the homogeneous degree-k defect; lower orders are clean
@@ -732,145 +724,99 @@ def jet_invert(map_jets: Sequence[Jet]) -> list[Jet]:
 
 
 # ---------------------------------------------------------------------------
-# small dense linear algebra, generic over scalars and jets
+# small dense linear algebra by cofactors, generic over scalars and jets
 
 
-def _pivot_size(entry) -> float:
-    if isinstance(entry, Jet):
-        v = entry.value
+def _scalar_dot(pairs: Sequence[tuple]) -> Scalar:
+    """The sum of ``a * b`` over scalar pairs: one integer sum when exact
+    (:func:`_exact_sum`), else added left to right as ``total + a * b`` from
+    int 0, so float sums keep their rounding."""
+    total = _exact_sum(pairs)
+    if total is None:
+        total = 0
+        for a, b in pairs:
+            total = total + a * b
+    return total
+
+
+def _minors(rows: Sequence[Sequence]):
+    """``minor(rs, cs, negate)``: the determinant of rows ``rs`` and columns
+    ``cs`` of a square matrix, negated when ``negate``, expanded along its
+    first row.
+
+    On jets each expansion is one :func:`dot`, which skips zero entries and
+    gives ``None`` for a zero sum; on scalars it is one :func:`_scalar_dot`.
+    A sign is carried by negating the entries of a minor's first row, read
+    from a table of negated entries made once.
+    """
+    neg = [[-e for e in r] for r in rows]
+    proto = rows[0][0]
+    if isinstance(proto, Jet):
+        one, total = Jet.constant(proto.dim, proto.order, 1), dot
     else:
-        v = entry
-    try:
-        return abs(float(v))
-    except (TypeError, OverflowError):
-        return 1.0 if v != 0 else 0.0
+        one, total = 1, _scalar_dot
+
+    def minor(rs: tuple, cs: tuple, negate: bool):
+        if not cs:
+            return -one if negate else one
+        if len(cs) == 1:
+            return (neg if negate else rows)[rs[0]][cs[0]]
+        return total([((neg if k % 2 != negate else rows)[rs[0]][c],
+                       minor(rs[1:], cs[:k] + cs[k + 1:], False)) for k, c in enumerate(cs)])
+
+    return minor
 
 
-def _is_zero_jet(entry) -> bool:
-    return isinstance(entry, Jet) and entry.is_zero()
-
-
-def _is_zero(entry) -> bool:
-    return entry.is_zero() if isinstance(entry, Jet) else entry == 0
-
-
-def _invertible(entry) -> bool:
-    if isinstance(entry, Jet):
-        return entry.value != 0
-    return entry != 0
-
-
-def mat_inv(rows: Sequence[Sequence]) -> list[list]:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
-
-    Entries may be exact scalars, floats, or jets with invertible constant
-    term; the result has matching entry types.
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise JetShapeError("matrix must be square")
-    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # a zero jet entry scales to this shared zero and adds nothing in elimination
-    zero = None
-    if a and isinstance(a[0][0], Jet):
-        proto = a[0][0]
-        zero = Jet.zero(proto.dim, proto.order)
-        eye = [[Jet.constant(proto.dim, proto.order, 1) if i == j else zero for j in range(n)]
-               for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
-        if not _invertible(a[pivot][col]):
-            raise SingularJacobianError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        eye[col], eye[pivot] = eye[pivot], eye[col]
-        p = a[col][col]
-        inv_p = p.reciprocal() if isinstance(p, Jet) else _exact_div(1, p)
-        a[col] = [zero if _is_zero_jet(x) else x * inv_p for x in a[col]]
-        eye[col] = [zero if _is_zero_jet(x) else x * inv_p for x in eye[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if _is_zero(factor):
-                continue
-            a[r] = [x if y is zero else x - factor * y for x, y in zip(a[r], a[col])]
-            eye[r] = [x if y is zero else x - factor * y for x, y in zip(eye[r], eye[col])]
-    return eye
-
-
-def cofactor_inv(rows: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
-    """Inverse of a square matrix of jets by cofactors: entry ``[j][i]`` is
-    the cofactor ``C_ij`` times the reciprocal of the determinant.
-
-    A cofactor is the signed determinant of a minor, expanded along its first
-    row with one :func:`dot` per expansion, so a zero entry costs no product;
-    the determinant is the first row against its cofactors, and its
-    reciprocal is made once.  The work grows as n!, so this suits a base
-    Jacobian (n <= 3: nine cofactors of two products each at n = 3);
-    :func:`mat_inv` eliminates elsewhere.  Raises
-    :class:`SingularJacobianError` when the determinant's value is 0.
-    """
+def _square(rows: Sequence[Sequence]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise JetShapeError("matrix must be square")
-    proto = rows[0][0]
-    neg = [[-e for e in r] for r in rows]
-
-    def minor_det(rs: list, cs: list, negate: bool) -> "Jet | None":
-        # the determinant of rows rs and columns cs, negated when asked
-        if not cs:
-            return Jet.constant(proto.dim, proto.order, -1 if negate else 1)
-        if len(cs) == 1:
-            return (neg if negate else rows)[rs[0]][cs[0]]
-        return dot(((neg if k % 2 != negate else rows)[rs[0]][c],
-                    minor_det(rs[1:], cs[:k] + cs[k + 1:], False)) for k, c in enumerate(cs))
-
-    def others(k: int) -> list:
-        return [r for r in range(n) if r != k]
-
-    cof = [[minor_det(others(i), others(j), (i + j) % 2 == 1) for j in range(n)]
-           for i in range(n)]
-    det = dot(zip(rows[0], cof[0]))
-    if det is None or det.value == 0:
-        raise SingularJacobianError("singular matrix")
-    rec = det.reciprocal()
-    zero = Jet.zero(proto.dim, proto.order)
-    return [[zero if cof[i][j] is None else cof[i][j] * rec for i in range(n)]
-            for j in range(n)]
+    return n
 
 
 def mat_det(rows: Sequence[Sequence]) -> Scalar | Jet:
-    """Determinant by elimination; exact for exact inputs.
+    """Determinant by cofactor expansion along the first row; exact for
+    exact inputs.  Entries are all scalars or all jets; the determinant of
+    jets is a jet, every slot of it, even where its value is 0."""
+    n = _square(rows)
+    if not n:
+        return 1
+    det = _minors(rows)(tuple(range(n)), tuple(range(n)), False)
+    return Jet.zero(rows[0][0].dim, rows[0][0].order) if det is None else det
 
-    Entries may be scalars or jets.  A jet pivot must have a nonzero value:
-    when no entry of a column has one, the determinant's value is 0 but its
-    higher slots are not found by elimination, and
-    :class:`SingularJacobianError` is raised.
+
+def mat_inv(rows: Sequence[Sequence]) -> list[list]:
+    """Inverse by cofactors: entry ``[j][i]`` is the cofactor ``C_ij`` over
+    the determinant, the first row against its cofactors.
+
+    Entries are all scalars or all jets; the result has the same entry type.
+    A jet inverse multiplies each nonzero cofactor by one reciprocal of the
+    determinant jet, and a zero cofactor gives a zero jet; an exact scalar
+    inverse divides exactly, an integral quotient stays ``int`` and a zero
+    cofactor stays as it is.  The work grows as n!: the program inverts
+    nothing above 4 x 4 (a suspension's Jacobian at dim 3), since a lift's
+    inverse Jacobian is a transpose.  Raises :class:`SingularJacobianError`
+    when the determinant's value is 0.
     """
-    n = len(rows)
-    jets = any(isinstance(x, Jet) for r in rows for x in r)
-    exact = not jets and all(isinstance(x, (int, Fraction)) for r in rows for x in r)
-    a = [[Fraction(x) if exact else x for x in r] for r in rows]
-    # an int 1 keeps exact jets exact; a float scalar start keeps float dets float
-    det = 1 if jets else Fraction(1) if exact else 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
-        if not _invertible(a[pivot][col]):
-            if jets:
-                raise SingularJacobianError("no jet pivot with a nonzero value")
-            return 0 * det
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        p = a[col][col]
-        for r in range(col + 1, n):
-            if _is_zero(a[r][col]):
-                continue
-            factor = a[r][col] / p
-            a[r] = [x if _is_zero_jet(y) else x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+    n = _square(rows)
+    if not n:
+        return []
+    minor = _minors(rows)
+    others = [tuple(r for r in range(n) if r != k) for k in range(n)]
+    cof = [[minor(others[i], others[j], (i + j) % 2 == 1) for j in range(n)] for i in range(n)]
+    if isinstance(rows[0][0], Jet):
+        det = dot(zip(rows[0], cof[0]))
+        if det is None or det.value == 0:
+            raise SingularJacobianError("singular matrix")
+        rec = det.reciprocal()
+        zero = Jet.zero(det.dim, det.order)
+        return [[zero if cof[i][j] is None else cof[i][j] * rec for i in range(n)]
+                for j in range(n)]
+    det = _scalar_dot(list(zip(rows[0], cof[0])))
+    if det == 0:
+        raise SingularJacobianError("singular matrix")
+    return [[_exact_div(cof[i][j], det) if cof[i][j] else cof[i][j] for i in range(n)]
+            for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,21 @@ Fiber convention for the cotangent lift, with J = Df(x):
 
 Base coordinates occupy slots 0..n-1 and fiber coordinates slots n..2n-1 on
 phase space.  A local inverse has one anchor: it is evaluable at the image
-of the point it was taken at, where :func:`inverse_jets` reverts the jets
-of its parent, and nowhere else.
+of the point it was taken at, where it reverts the jets of its parent, and
+nowhere else; :func:`inverse_jets` reads it.  The lift is functorial, so the
+inverse of a lift is the lift of its base's inverse: only the n-dim base
+map is ever reverted, never the 2n-dim lift.
 
-A map supplies the inverse of its Jacobian jets to pullbacks through
-:meth:`DiffeoMap.jacobian_inverse`: by elimination in general, and for a
-cotangent lift, which is symplectic, as the signed transpose
-``J^-1 = -Omega J^T Omega`` with no arithmetic.  The lift itself inverts
-its base Jacobian jets by cofactors (``jets.cofactor_inv``: minors summed
-with ``dot``, over one reciprocal of the determinant jet), which raises at
-a singular base point; elimination (``jets.mat_inv``) stays for every other
-inverse, ``jet_invert`` and the flat operator oracle included.  Each map keeps the
-highest-order jets it has made at the last point it was asked for (a
-``jets.PointMemo``) and serves a lower order there by truncation, so a
-pullback, a composition and a lift that evaluate one map at one point make
-its jets once.  The memo lives as long as the map.
+Matrices go through the one cofactor rule of ``jets`` (``mat_inv``,
+``mat_det``), whose cost grows as n!; nothing above 4 x 4 is inverted.  A
+lift inverts its n x n base Jacobian jets, and a map supplies the inverse
+of its Jacobian jets to pullbacks through :meth:`DiffeoMap.jacobian_inverse`:
+``mat_inv`` in general, and for a cotangent lift, which is symplectic, the
+signed transpose ``J^-1 = -Omega J^T Omega`` with no arithmetic.  Each map
+keeps the highest-order jets it has made at the last point it was asked
+for (a ``jets.PointMemo``) and serves a lower order there by truncation, so
+a pullback, a composition and a lift that evaluate one map at one point
+make its jets once.  The memo lives as long as the map.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .jets import (
     Polynomial,
     Scalar,
     SingularJacobianError,
-    cofactor_inv,
     dot,
     jet_compose,
     jet_invert,
@@ -111,7 +110,7 @@ class DiffeoMap:
 
     def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
         """Inverse of this map's Jacobian jets ``jac[a][i] = d_i f^a`` at a
-        point, by elimination."""
+        point, by cofactors."""
         return mat_inv(jac)
 
     def invert(self, at: Point) -> "_Inverse":
@@ -148,11 +147,9 @@ def compose(f: DiffeoMap, h: DiffeoMap) -> DiffeoMap:
 
 
 def inverse_jets(f: DiffeoMap, at: Point, order: int) -> list[Jet]:
-    """Shifted jets of f^-1 at f(at): the jets of the local inverse, each
-    less its value.  The inverse needs the Jacobian, which lives in the
-    order-1 slots, so an order-0 inverse is an order-1 one truncated."""
-    jets = jet_invert(_shifted(f.eval_jet(at, max(order, 1))))
-    return [g.truncated(order) for g in jets]
+    """Shifted jets of f^-1 at f(at): the jets of ``f.invert(at)`` there,
+    each less its value."""
+    return _shifted(f.invert(at).eval_jet(f(at), order))
 
 
 class _Inverse(DiffeoMap):
@@ -172,8 +169,11 @@ class _Inverse(DiffeoMap):
             raise EvaluationError(f"{self.name}: evaluable at {self.image} only, not {point}")
 
     def _inverse_jets(self, point: Point, order: int) -> list[Jet]:
+        # the reversion needs the Jacobian, which lives in the order-1 slots,
+        # so an order-0 inverse is an order-1 one truncated
         self._check(point)
-        return [g + c for g, c in zip(inverse_jets(self.parent, self.anchor, order), self.anchor)]
+        jets = jet_invert(_shifted(self.parent.eval_jet(self.anchor, max(order, 1))))
+        return [g.truncated(order) + c for g, c in zip(jets, self.anchor)]
 
     def invert(self, at: Point) -> DiffeoMap:
         # the inverse of a local inverse is its parent
@@ -200,7 +200,7 @@ class CotangentMap(DiffeoMap):
         fj = self.base.eval_jet(x, order + 1)
         jac = [[fj[a].partial(i) for i in range(n)] for a in range(n)]
         try:
-            jac_inv = cofactor_inv(jac)  # entries are jets of (dx/df)^i_a at x
+            jac_inv = mat_inv(jac)  # entries are jets of (dx/df)^i_a at x
         except SingularJacobianError:
             raise SingularJacobianError(f"{self.base.name}: singular Jacobian at {x}") from None
         base_axes = list(range(n))
@@ -212,6 +212,11 @@ class CotangentMap(DiffeoMap):
                   for row in jac_inv]
         return out + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
                       for j in range(n)]
+
+    def invert(self, at: Point) -> CotangentMap:
+        """The lift of the base's local inverse at the base part of ``at``,
+        since the lift is functorial; evaluable over that part's image only."""
+        return cotangent_lift(self.base.invert(at[:self.base.dim]))
 
     def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
         """``J^-1 = -Omega J^T Omega``, since a lift is symplectic.

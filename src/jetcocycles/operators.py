@@ -385,8 +385,9 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
     three = Jet.constant(n, mo, 3)
     zero = (0,) * d
 
-    # the two fiber-free groups, summed as jets in x and then lifted; both
-    # read H^i_jk = sum_l (J^-1)^i_l F^l_jk, the second as sum_qm H^m_qi H^q_jm
+    # the two fiber-free groups, summed as jets in x and then lifted; they and
+    # the fiber group read H^i_jk = sum_l (J^-1)^i_l F^l_jk, the second as
+    # sum_qm H^m_qi H^q_jm
     h = [[[dot((f2[l][j][k], jinv[i][l]) for l in base) for k in base] for j in base]
          for i in base]
     terms = []
@@ -406,8 +407,8 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
     for i, j, k in itertools.product(base, repeat=3):
         inner = []
         for q in base:
-            # 3 (J^-1)^l_p F^p_ij F^q_lk - F^q_ijk
-            s = dot((jinv[l][p] * f2[p][i][j], f2[q][l][k]) for l in base for p in base)
+            # 3 H^l_ij F^q_lk - F^q_ijk, with H^l_ij = sum_p (J^-1)^l_p F^p_ij
+            s = dot((h[l][i][j], f2[q][l][k]) for l in base)
             inner.append(dot([(s, three)], -f3[q][i][j][k]).embed(d, base))
         terms.append((_bump(zero, n + i, n + j, n + k), dot(zip(pulled_xi, inner)), one))
     table.update(_sums(terms))

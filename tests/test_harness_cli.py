@@ -91,6 +91,22 @@ def test_sampler_propagates_programming_errors():
         sampler.point_for(pole, lambda: sampler.base_point(1), "pole")
 
 
+def test_sampler_connection_draws_each_gamma_k_ij_with_i_le_j_in_order():
+    # the lift and algebra suites share this draw; its order fixes their reports
+    from fractions import Fraction
+
+    from jetcocycles.geometry import Connection
+
+    cfg = ScenarioConfig(dim=3, seed=5)
+    got = Sampler(cfg).connection(3)
+    ref = Sampler(cfg)
+    want = Connection.from_polynomials(
+        3, {(k, i, j): ref.fraction_poly(3, 2) for k in range(3) for i in range(3)
+            for j in range(i, 3)})
+    point = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 4))
+    assert got.components(point, 2) == want.components(point, 2)
+
+
 def test_run_scenario_validates_a_validated_config_once(monkeypatch):
     from jetcocycles import harness
 
@@ -349,21 +365,65 @@ from jetcocycles import cli
 tracer = Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "--dim", "1", "--samples", "1", "--suite", "operator_L"])
+    code = cli.main(["verify", "--samples", "1", *sys.argv[2:]])
 print(json.dumps({"code": code, "metrics": tracer.metrics()}))
 """
 
 
-def test_perfbench_tracer_counts_the_operator_path():
+def traced_verify(*args) -> dict:
+    """The exit code and the per-layer metrics of one ``verify`` call made
+    with perfbench's tracer installed, which binds every name it wraps."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(perfbench)],
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(perfbench), *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_perfbench_tracer_counts_the_operator_path():
+    out = traced_verify("--dim", "1", "--suite", "operator_L")
     assert out["code"] == 0
     for name in ("operators.act_on_operator", "operators.apply_to_jet", "jets.mul_jet",
                  "maps.eval_jet"):
         assert out["metrics"][f"{name}.calls"] > 0, name
+
+
+def test_perfbench_tracer_sees_the_lift_inverses():
+    # a lift inverts its base Jacobian with jets.mat_inv, which the trace
+    # times, and its inverse reverts the base map through jets.jet_invert
+    out = traced_verify("--dim", "3", "--backend", "float", "--suite", "cocycle_C")
+    assert out["code"] == 0
+    for name in ("jets.mat_inv", "maps.cotangent_lift"):
+        assert out["metrics"][f"{name}.calls"] > 0, name
+    out = traced_verify("--dim", "2", "--suite", "operator_L")
+    assert out["code"] == 0
+    for name in ("jets.mat_inv", "jets.invert", "operators.act_on_operator"):
+        assert out["metrics"][f"{name}.calls"] > 0, name
+
+
+def test_verify_reverts_and_inverts_no_matrix_above_the_base(monkeypatch, capsys):
+    # the inverse of a lift is the lift of the base's inverse, and a lift's
+    # inverse Jacobian is a transpose: at dim 3, no 6-dim reversion and no
+    # 6 x 6 inverse
+    from jetcocycles import cli, cocycles, geometry, harness, jets, maps, operators
+
+    sizes = {"jet_invert": [], "mat_inv": []}
+    for name, seen in sizes.items():
+        orig = getattr(jets, name)
+
+        def spy(arg, orig=orig, seen=seen):
+            seen.append(len(arg))  # jets reverted, or rows of a square matrix
+            return orig(arg)
+
+        for mod in (jets, maps, geometry, operators, cocycles, harness):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, spy)
+    code = cli.main(["verify", "--dim", "3", "--suite", "operator_L",
+                     "--suite", "degree_lowering", "--samples", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert sizes["jet_invert"] and max(sizes["jet_invert"]) <= 3
+    assert sizes["mat_inv"] and max(sizes["mat_inv"]) <= 4
 
 
 def test_cli_degree_lowering_dim2(tmp_path):

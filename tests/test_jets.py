@@ -16,7 +16,6 @@ from jetcocycles.jets import (
     SingularJacobianError,
     _add_product,
     _exact_dot,
-    cofactor_inv,
     dot,
     jet_compose,
     jet_invert,
@@ -322,11 +321,11 @@ def test_mat_inv_exact():
 
 
 def test_mat_inv_int_matrix_stays_exact():
-    # unit pivots: every quotient is integral, so every entry stays int
+    # det 1: every cofactor over it is integral, so every entry stays int
     inv = mat_inv([[1, 2, 0], [0, 1, -3], [0, 0, 1]])
     assert inv == [[1, -2, -6], [0, 1, 3], [0, 0, 1]]
     assert all(type(x) is int for row in inv for x in row)
-    # a pivot of 2 gives Fraction steps, but the integral inverse stays exact
+    # det 1 again, with an entry of 2: the integral inverse stays exact
     inv = mat_inv([[2, 1], [1, 1]])
     assert inv == [[1, -1], [-1, 2]]
     assert all(type(x) in (int, Fraction) for row in inv for x in row)
@@ -340,7 +339,8 @@ def test_mat_det_exact_and_singular():
 
 
 def _cofactor_det(rows):
-    """Laplace expansion along the first row: no elimination, no pivots."""
+    """Laplace expansion along the first row in plain jet products, sharing
+    no code with mat_det."""
     if len(rows) == 1:
         return rows[0][0]
     total = 0
@@ -365,15 +365,15 @@ def test_mat_det_of_jets_matches_values_and_cofactor_expansion(n):
 def test_mat_det_of_jets_pivots_past_a_zero_value_and_skips_zero_jets():
     x, one = Jet.variable(2, 2, 0), Jet.constant(2, 2, 1)
     zero = Jet.zero(2, 2)
-    # the first column's top entry has value 0: the rows swap, and the sign flips
+    # the first column's top entry has value 0, which an expansion needs not avoid
     rows = [[x, one + x], [one, zero]]
     assert mat_det(rows) == _cofactor_det(rows) == -(one + x)
 
 
-def test_mat_det_of_jets_without_an_invertible_pivot_raises():
-    x = Jet.variable(2, 2, 0)
-    with pytest.raises(SingularJacobianError):
-        mat_det([[x, x], [x * x, Jet.constant(2, 2, 1)]])
+def test_mat_det_of_jets_without_an_invertible_pivot_expands_by_cofactors():
+    # no entry of the first column has a nonzero value; cofactors need no pivot
+    x, one = Jet.variable(2, 3, 0), Jet.constant(2, 3, 1)
+    assert mat_det([[x, x], [x * x, one]]) == x - x * x * x
 
 
 def test_polynomial_jets_exact():
@@ -813,7 +813,7 @@ def test_mat_inv_with_zero_entries(shape, backend, data):
                 c0 = data.draw(st.sampled_from(big if i == k else small))
                 row.append(data.draw(jets(shape, backend, max_terms=3, constant=c0)))
         rows.append(row)
-    a = [rows[p] for p in data.draw(st.permutations(range(n)))]  # pivoting
+    a = [rows[p] for p in data.draw(st.permutations(range(n)))]  # row permutations
     inv = mat_inv(a)
     for i in range(n):
         for j in range(n):
@@ -823,7 +823,7 @@ def test_mat_inv_with_zero_entries(shape, backend, data):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
-def test_cofactor_inverse_equals_mat_inv_on_exact_jets(n, data):
+def test_cofactor_inverse_times_the_matrix_is_identity_on_exact_jets(n, data):
     order = data.draw(st.integers(0, 6))
     shape = (data.draw(st.integers(1, 2)), order)
     rows = []
@@ -838,17 +838,26 @@ def test_cofactor_inverse_equals_mat_inv_on_exact_jets(n, data):
                 row.append(data.draw(jets(shape, "exact", max_terms=4, constant=c0)))
         rows.append(row)
     a = [rows[p] for p in data.draw(st.permutations(range(n)))]
-    assert cofactor_inv(a) == mat_inv(a)
+    inv = mat_inv(a)
+    for i in range(n):
+        for j in range(n):
+            # both products, with a sum that shares no code with mat_inv
+            left = sum((a[i][k] * inv[k][j] for k in range(n)), Jet.zero(*shape))
+            right = sum((inv[i][k] * a[k][j] for k in range(n)), Jet.zero(*shape))
+            assert left == right == Jet.constant(*shape, int(i == j))
+            assert all(type(c) in (int, Fraction) for c in inv[i][j].coeffs)
 
 
 def test_cofactor_inverse_of_a_singular_matrix_raises():
     x, one = Jet.variable(2, 3, 0, 1), Jet.constant(2, 3, 1)
     with pytest.raises(SingularJacobianError):
-        cofactor_inv([[x, one], [one, x]])  # det x^2 - 1: value 0, higher slots not
+        mat_inv([[x, one], [one, x]])  # det x^2 - 1: value 0, higher slots not
     with pytest.raises(SingularJacobianError):
-        cofactor_inv([[Jet.zero(1, 2)]])
+        mat_inv([[Jet.zero(1, 2)]])
     with pytest.raises(JetShapeError):
-        cofactor_inv([[x, x]])
+        mat_inv([[x, x]])
+    with pytest.raises(JetShapeError):
+        mat_det([[1, 2]])
 
 
 def test_int_product_keeps_int_coefficients():

@@ -9,7 +9,7 @@ import pytest
 
 from jetcocycles.harness import default_map_pool
 from jetcocycles.jets import (EvaluationError, Jet, JetShapeError, Polynomial,
-                              SingularJacobianError, dot, mat_inv)
+                              SingularJacobianError, dot, jet_invert, mat_inv)
 from jetcocycles.maps import (
     FLOW_ORDER,
     DiffeoMap,
@@ -18,6 +18,7 @@ from jetcocycles.maps import (
     compose,
     cotangent_lift,
     flow_map,
+    inverse_jets,
 )
 
 F = Fraction
@@ -181,8 +182,6 @@ def test_invert_linear():
 
 
 def test_invert_cubic_jets_match_kernel_reversion():
-    from jetcocycles.jets import jet_invert
-
     f = catalog_get("polynomial_perturbation", {"eps": 1})
     inv = f.invert((F(0),))
     got = inv.eval_jet((F(0),), 4)[0]
@@ -346,7 +345,7 @@ def test_lift_jacobians_symplectic_exact():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lift_jacobian_inverse_is_the_eliminated_inverse(n):
-    # the signed transpose equals Gauss-Jordan slot for slot, and inverts J
+    # the signed transpose equals the cofactor inverse slot for slot, and inverts J
     points = [(F(1, 4), F(-1, 3), F(1, 5))[:n] + (F(2, 3), F(-1, 2), F(3, 7))[:n],
               (F(-1, 8), F(1, 6), F(-2, 9))[:n] + (F(1, 2), F(5, 4), F(-1, 3))[:n]]
     for name, params in default_map_pool(n, "exact"):
@@ -386,6 +385,21 @@ def test_lift_of_inverse_is_inverse_of_lift():
     a = lift.invert(z0).eval_jet(z1, 3)
     b = cotangent_lift(f.invert(x0)).eval_jet(z1, 3)
     assert jets_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["polynomial_perturbation", "projective"])
+def test_lift_inverse_jets_equal_the_reversion_of_the_lift(name, n):
+    # the lift of the base's inverse against the 2n-dim reversion of the
+    # lift's own jets, which shares no code with it past the lift's jets
+    f = catalog_get(name, {"dim": n})
+    lift = cotangent_lift(f)
+    for z in [(F(1, 4), F(-1, 3))[:n] + (F(2, 3), F(-1, 2))[:n],
+              (F(-1, 8), F(1, 6))[:n] + (F(1, 2), F(5, 4))[:n]]:
+        for order in range(4):
+            got = inverse_jets(lift, z, order)
+            ref = jet_invert([j - j.value for j in lift.eval_jet(z, max(order, 1))])
+            assert got == [g.truncated(order) for g in ref], (z, order)
 
 
 # -- vector fields and flows -------------------------------------------------
