@@ -197,9 +197,10 @@ def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,
                                with_second_derivative: bool) -> list:
     """[k][i][j] jets of X^a d_a T^k_ij - d_a X^k T^a_ij + d_i X^a T^k_aj
     + d_j X^a T^k_ia; with the second-derivative term d_i d_j X^k of a
-    connection, each component starts from it.  A connection and its Lie
-    derivative are symmetric in i, j, so that path computes the components
-    with i <= j and mirrors the rest; a tensor's are all computed."""
+    connection, each component starts from it.  The Lie derivative of a
+    field symmetric in its lower pair is symmetric too, so for such a field
+    (every connection) the components with i <= j are computed and the rest
+    mirrored; an asymmetric field's are all computed."""
     d = field.dim
     xj = X.eval_jet(point, order + (2 if with_second_derivative else 1))
     tj = field.components(point, order + 1)
@@ -213,7 +214,7 @@ def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,
     for k in range(d):
         for i in range(d):
             for j in range(d):
-                if with_second_derivative and j < i:
+                if field.symmetric and j < i:
                     out[k][i][j] = out[k][j][i]
                     continue
                 dt = [partial_or_none(tj[k][i][j], a) for a in range(d)]
@@ -233,7 +234,7 @@ def lie_derivative_connection(X: VectorField, gamma: Connection) -> TensorField2
     def fn(point, order):
         return _lie_derivative_components(X, gamma, point, order, with_second_derivative=True)
 
-    return TensorField21(gamma.dim, fn, name=f"L_{X.name}({gamma.name})")
+    return TensorField21(gamma.dim, fn, name=f"L_{X.name}({gamma.name})", symmetric=True)
 
 
 def tensor_lie_derivative(X: VectorField, tensor: TensorField21) -> TensorField21:
@@ -242,7 +243,8 @@ def tensor_lie_derivative(X: VectorField, tensor: TensorField21) -> TensorField2
     def fn(point, order):
         return _lie_derivative_components(X, tensor, point, order, with_second_derivative=False)
 
-    return TensorField21(tensor.dim, fn, name=f"L_{X.name}[{tensor.name}]")
+    return TensorField21(tensor.dim, fn, name=f"L_{X.name}[{tensor.name}]",
+                         symmetric=tensor.symmetric)
 
 
 def algebra_cocycle_residual(cocycle: Callable, action: Callable,
@@ -308,7 +310,10 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
     """Third-order bidifferential term of the flat star product.
 
     Triple bivector contraction of third derivatives; antisymmetric in its
-    arguments.  With ``order`` > 0 the value is returned as a jet, which the
+    arguments.  A term is symmetric in its three index slots, so the sum
+    runs over unordered triples i <= j <= k, each weighed by the number of
+    its orderings (1, 3 or 6): 56 pairs of third derivatives at dim 6, not
+    216.  With ``order`` > 0 the value is returned as a jet, which the
     2-cocycle identity check consumes.  The 1/3! series normalization is
     omitted throughout, a global scale with no effect on any identity.
     """
@@ -326,20 +331,21 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
 
     def terms():  # one pair alive at a time: the third-order jets are large
         for i in range(d):
-            f2 = [partial_or_none(f1[i], j) for j in range(d)]
-            g2 = [partial_or_none(g1[i], (j + n) % d) for j in range(d)]
-            for j in range(d):
-                for k in range(d):
+            f2 = [partial_or_none(f1[i], j) if j >= i else None for j in range(d)]
+            g2 = [partial_or_none(g1[i], (j + n) % d) if j >= i else None for j in range(d)]
+            for j in range(i, d):
+                for k in range(j, d):
                     f3 = partial_or_none(f2[j], k)
                     if f3 is None or f3.is_zero():
                         continue
                     g3 = partial_or_none(g2[j], (k + n) % d)
                     if g3 is None:
                         continue
-                    f3 = f3.truncated(order)
+                    weight = (1, 3, 6)[len({i, j, k}) - 1]
                     if ((i < n) == (j < n)) != (k < n):
-                        f3 = -f3
-                    yield f3, g3.truncated(order)
+                        weight = -weight
+                    f3 = f3.truncated(order)
+                    yield (f3 if weight == 1 else f3 * weight), g3.truncated(order)
 
     out = dot(terms(), Jet.zero(d, order))
     return out.value if order == 0 else out

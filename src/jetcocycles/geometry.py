@@ -24,14 +24,18 @@ plain (2,1)-tensor pullback used on connection differences.  The map
 supplies J^-1 (``DiffeoMap.jacobian_inverse``): a cotangent lift gives its
 symplectic transpose, any other map its cofactor inverse.  A map keeps its
 jets at the last point it was asked for (``maps``), so pulling several
-fields back along one map at one point evaluates it once.  d_i J^c_j = d_i d_j F^c is
-taken once per pair i <= j.  A connection is symmetric in (i, j), so its
-pullback contracts only i <= j and mirrors the rest; a tensor's components
-are all contracted.  Every sum of jet products here goes through
-``jets.dot``, the final (J^-1)^k_c contraction too: for each (i, j) the
-c-planes with a live entry are listed once, and one ``dot`` per k sums them
-(as scalars on order-0 jets).  A flat connection keeps its lift and, per
-order, its covariant tables, which do not depend on the point.
+fields back along one map at one point evaluates it once.
+d_i J^c_j = d_i d_j F^c is taken once per pair i <= j.  A field symmetric
+in its lower pair (its ``symmetric`` attribute: every connection,
+``cocycle_C``, and a pullback of a symmetric field) has only its i <= j
+components composed and contracted, and the rest mirrored; an asymmetric
+tensor's are all contracted.  The lift takes each d_k G^a_ij once, for
+i <= j, but computes every (i, j) of its fiber block, so its symmetry
+stays a check.  Every sum of jet products here goes through ``jets.dot``,
+the final (J^-1)^k_c contraction too: for each (i, j) the c-planes with a
+live entry are listed once, and one ``dot`` per k sums them (as scalars on
+order-0 jets).  A flat connection keeps its lift and, per order, its
+covariant tables, which do not depend on the point.
 
 Iterated covariant derivatives of scalars,
 
@@ -79,13 +83,18 @@ Components = list  # nested [k][i][j] table of jets
 
 
 class _Field21:
-    """Shared machinery for jet-evaluable [k][i][j] component fields."""
+    """Shared machinery for jet-evaluable [k][i][j] component fields.
+
+    ``symmetric`` declares T^k_ij = T^k_ji: pullbacks and Lie derivatives of
+    such a field compute only i <= j and mirror the rest.
+    """
 
     def __init__(self, dim: int, component_fn: Callable[[tuple, int], Components],
-                 name: str = "field"):
+                 name: str = "field", symmetric: bool = False):
         self.dim = dim
         self._component_fn = component_fn
         self.name = name
+        self.symmetric = symmetric
 
     def components(self, point: tuple, order: int) -> Components:
         if len(point) != self.dim:
@@ -112,7 +121,7 @@ class Connection(_Field21):
     """Christoffel symbol field, symmetric in its lower indices."""
 
     def __init__(self, dim, component_fn, name="Gamma", flat=False):
-        super().__init__(dim, component_fn, name=name)
+        super().__init__(dim, component_fn, name=name, symmetric=True)
         self.flat = flat
         # a flat connection keeps its lift and, per order, its covariant tables
         self._lift = None
@@ -151,7 +160,9 @@ class Connection(_Field21):
 
 
 class TensorField21(_Field21):
-    """A (2,1)-tensor field, e.g. the difference of two connections."""
+    """A (2,1)-tensor field, e.g. the difference of two connections; the
+    constructor of a field known to be symmetric in its lower pair says so
+    with ``symmetric=True``."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +194,22 @@ def lift_connection(gamma: Connection) -> Connection:
             for i in range(n):
                 for j in range(n):
                     out[k][i][j] = lift0(g0[k][i][j])
+        # dg[a][i][j][k] = d_k G^a_ij, one partial per (a, i <= j, k)
+        dg = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for i in range(n):
+                for j in range(i, n):
+                    dg[a][i][j] = dg[a][j][i] = [g1[a][i][j].partial(k) for k in range(n)]
         xi_vars = [Jet.variable(2 * n, order, n + a, point[n + a]) for a in range(n)]
         for k in range(n):
             for i in range(n):
                 for j in range(n):
                     exprs = []
                     for a in range(n):
-                        expr = (
-                            g1[a][i][j].partial(k)
-                            - g1[a][j][k].partial(i)
-                            - g1[a][i][k].partial(j)
-                        ).truncated(order)
+                        expr = dg[a][i][j][k] - dg[a][j][k][i] - dg[a][i][k][j]
                         quad = dot(((g0[a][k][t], g0[t][i][j]) for t in range(n)),
                                    Jet.zero(n, order))
-                        exprs.append(lift0(expr) + 2 * lift0(quad))
+                        exprs.append(lift0(expr + 2 * quad))
                     out[n + k][i][j] = dot(zip(xi_vars, exprs), z)
                     out[n + k][i][n + j] = -lift0(g0[j][i][k])
                     out[n + k][n + i][j] = -lift0(g0[i][k][j])
@@ -228,16 +241,21 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         shifted = [j.truncated(order) for j in _shifted(fj)]
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
-    # over b, then a, then c, 3 d^4 products instead of 2 d^6.  A connection
-    # is symmetric in (i, j), so only i <= j is contracted and mirrored.
-    sym = isinstance(field, Connection)
+    # over b, then a, then c, 3 d^4 products instead of 2 d^6.  A field
+    # symmetric in its lower pair is composed and contracted on i <= j only,
+    # and the rest is mirrored.
+    sym = field.symmetric
     pairs = [(i, j) for i in range(d) for j in range(i if sym else 0, d)]
     planes = []
     for c in range(d):
         plane = [[None] * d for _ in range(d)]
         if g_img is not None:
-            tc = [[None if g.is_zero() else jet_compose(g, shifted) for g in row]
-                  for row in g_img[c]]
+            tc = [[None] * d for _ in range(d)]
+            for a, b in pairs:
+                g = g_img[c][a][b]
+                tc[a][b] = None if g.is_zero() else jet_compose(g, shifted)
+                if sym:
+                    tc[b][a] = tc[a][b]
             tj = [[dot(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
             for i, j in pairs:
                 plane[i][j] = dot(zip(jac_t[i], tj[j]))
@@ -280,7 +298,8 @@ def pullback_tensor(mapping: DiffeoMap, tensor: _Field21) -> TensorField21:
     def fn(point, order):
         return _pullback_components(mapping, tensor, point, order, with_inhomogeneous=False)
 
-    return TensorField21(mapping.dim, fn, name=f"{mapping.name}*[{tensor.name}]")
+    return TensorField21(mapping.dim, fn, name=f"{mapping.name}*[{tensor.name}]",
+                         symmetric=tensor.symmetric)
 
 
 def cocycle_C(mapping: DiffeoMap, gamma: Connection) -> TensorField21:
@@ -300,7 +319,7 @@ def cocycle_C(mapping: DiffeoMap, gamma: Connection) -> TensorField21:
             for k in range(d)
         ]
 
-    return TensorField21(mapping.dim, fn, name=f"C({mapping.name})")
+    return TensorField21(mapping.dim, fn, name=f"C({mapping.name})", symmetric=True)
 
 
 # ---------------------------------------------------------------------------

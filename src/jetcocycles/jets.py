@@ -36,15 +36,18 @@ slots, since graded order lists the lower-order monomials first.
 A polynomial becomes a jet without jet products: each jet coefficient of a
 term is written in closed form by the binomial Taylor shift of the term to
 the base point (von zur Gathen & Gerhard, "Fast algorithms for Taylor
-shifts", ISSAC 1997).  An exact shift runs in integer numerators, with the
-point over one denominator and the coefficients over another, and makes one
-``Fraction`` per nonzero slot.  A ``PointMemo`` keeps the highest-order
-jets a provider has made at the last point it was asked for, and serves a
-lower order there by truncation; callers ask for one point many times
-before they move on.  ``Polynomial.jet`` and ``maps.DiffeoMap.eval_jet``
-both read through one.  The memo lives as long as its provider and holds
-the jets of one point, and its key holds the point's scalar types, so a
-float point is never served the jets of an equal exact one.
+shifts", ISSAC 1997).  A term reads its slots and their binomial factors
+from one cached table per exponent tuple and order.  An exact shift runs in
+integer numerators, with the point over one denominator and the
+coefficients over another, and makes one ``Fraction`` per nonzero slot; an
+exact polynomial's value is its shift at order 0.  A ``PointMemo`` keeps
+the highest-order jets a provider has made at the last point it was asked
+for, and serves a lower order there by truncation; callers ask for one
+point many times before they move on.  ``Polynomial.jet`` and
+``maps.DiffeoMap.eval_jet`` both read through one.  The memo lives as long
+as its provider and holds the jets of one point, and its key holds the
+point's scalar types, so a float point is never served the jets of an
+equal exact one.
 Every monomial but the constant has a predecessor, itself less one power of
 its first variable.  One cached table per shape lists these; it builds the
 product plan row by row, and ``_powers`` holds the powers of inner jets: it
@@ -746,22 +749,29 @@ def _minors(rows: Sequence[Sequence]):
 
     On jets each expansion is one :func:`dot`, which skips zero entries and
     gives ``None`` for a zero sum; on scalars it is one :func:`_scalar_dot`.
-    A sign is carried by negating the entries of a minor's first row, read
-    from a table of negated entries made once.
+    A sign is carried by negating the entries of a minor's first row; an
+    entry is negated the first time a minor needs it, and kept.
     """
-    neg = [[-e for e in r] for r in rows]
+    neg = [[None] * len(r) for r in rows]
     proto = rows[0][0]
     if isinstance(proto, Jet):
         one, total = Jet.constant(proto.dim, proto.order, 1), dot
     else:
         one, total = 1, _scalar_dot
 
+    def negated(r: int, c: int):
+        e = neg[r][c]
+        if e is None:
+            e = neg[r][c] = -rows[r][c]
+        return e
+
     def minor(rs: tuple, cs: tuple, negate: bool):
         if not cs:
             return -one if negate else one
+        r = rs[0]
         if len(cs) == 1:
-            return (neg if negate else rows)[rs[0]][cs[0]]
-        return total([((neg if k % 2 != negate else rows)[rs[0]][c],
+            return negated(r, cs[0]) if negate else rows[r][cs[0]]
+        return total([(negated(r, c) if k % 2 != negate else rows[r][c],
                        minor(rs[1:], cs[:k] + cs[k + 1:], False)) for k, c in enumerate(cs)])
 
     return minor
@@ -823,6 +833,21 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
 # polynomial jet providers
 
 
+@lru_cache(maxsize=None)
+def _shift_table(m: tuple[int, ...], order: int) -> tuple:
+    """The binomial Taylor shift of ``x^m`` to order ``order``: for each
+    ``u^b`` it reaches, the slot of ``b`` and its factors
+    ``(k, C(m_k, b_k), m_k - b_k)``, one per axis with ``b_k < m_k``, in
+    axis order.  A factor of 1 (``b_k == m_k``) is left out, so an int
+    coefficient stays int at a float point."""
+    idx = monomial_index(len(m), order)
+    entries = [((), ())]
+    for k, e in enumerate(m):
+        entries = [(b + (j,), f if j == e else f + ((k, math.comb(e, j), e - j),))
+                   for b, f in entries for j in range(min(e, order - sum(b)) + 1)]
+    return tuple((idx[b], f) for b, f in entries)
+
+
 class Polynomial:
     """Polynomial function of d variables, a jet provider for everything above.
 
@@ -835,7 +860,11 @@ class Polynomial:
     ``top``, a slot of degree ``t`` is an integer over
     ``den_c * den_p^(top - t)``, made a ``Fraction`` once if nonzero and left
     ``int`` 0 otherwise.  Int coefficients at an int point give int slots;
-    float inputs are shifted as they are.  A :class:`PointMemo` keeps the
+    float inputs are shifted as they are.  Each term reads the slots it
+    reaches and their factors from one cached table (:func:`_shift_table`).
+    A value on exact inputs is the shift at order 0; on floats each term is
+    multiplied out left to right, so a zero coordinate still gives a float
+    and ``p ** r`` is not rounded once.  A :class:`PointMemo` keeps the
     highest-order jet at the last point, so the terms must not change after
     the first jet.
     """
@@ -856,7 +885,15 @@ class Polynomial:
     def constant(dim: int, value: Scalar) -> "Polynomial":
         return Polynomial(dim, {(0,) * dim: value})
 
+    def _is_exact(self, point: Sequence[Scalar]) -> bool:
+        return (all(type(x) in _EXACT for x in point)
+                and all(type(c) in _EXACT for c in self.terms.values()))
+
     def __call__(self, point: Sequence[Scalar]) -> Scalar:
+        """The value at ``point``: on exact inputs the shift at order 0,
+        otherwise each term multiplied out left to right from int 0."""
+        if self._is_exact(point):
+            return self._shift(point, 0)[0].value
         total = 0
         for m, c in self.terms.items():
             term = c
@@ -872,15 +909,13 @@ class Polynomial:
     def _shift(self, point: Sequence[Scalar], order: int) -> list[Jet]:
         """The jet at ``point``, as a list of one."""
         monos = monomials(self.dim, order)
-        idx = monomial_index(self.dim, order)
         out = [0] * len(monos)
         if not self.terms:
             return [Jet(self.dim, order, out)]
         # term m is scaled by den_p^(top - |m|) so that slots of one degree
         # share a denominator; float inputs keep both denominators 1
         den_p = den_c = 1
-        exact = (all(type(x) in _EXACT for x in point)
-                 and all(type(c) in _EXACT for c in self.terms.values()))
+        exact = self._is_exact(point)
         if exact:
             top = max(map(sum, self.terms))
             den_p = math.lcm(*[x.denominator for x in point])
@@ -889,17 +924,16 @@ class Polynomial:
         for m, c in self.terms.items():
             if exact:
                 c = c.numerator * (den_c // c.denominator) * den_p ** (top - sum(m))
-            # (b, coefficient of u^b) over the axes so far.  A factor of 1
-            # (b_k == m_k) is skipped, so an int coefficient stays int at a
-            # float point; a zero factor (p_k == 0) drops the slot, which
-            # stays int 0.
-            shifted = [((), c)]
-            for e, p in zip(m, point):
-                shifted = [(b + (j,), v if j == e else v * (math.comb(e, j) * p ** (e - j)))
-                           for b, v in shifted for j in range(min(e, order - sum(b)) + 1)
-                           if j == e or p]
-            for b, v in shifted:
-                out[idx[b]] += v
+            # a zero factor (p_k == 0) drops the slot, which stays int 0
+            for slot, factors in _shift_table(m, order):
+                v = c
+                for k, comb, r in factors:
+                    p = point[k]
+                    if not p:
+                        break
+                    v = v * (comb * p ** r)
+                else:
+                    out[slot] += v
         if den_c * den_p > 1:
             for k in compress(range(len(out)), out):
                 out[k] = Fraction(out[k], den_c * den_p ** (top - sum(monos[k])))

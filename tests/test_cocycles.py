@@ -1,5 +1,6 @@
 """Classical and algebra cocycles, the flat trilinear term, verification."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -324,17 +325,11 @@ def test_lie_derivative_connection_matches_sympy():
 
 def test_tensor_lie_derivative_of_nonsymmetric_tensor_matches_sympy():
     # X^a d_a T^k_ij - d_a X^k T^a_ij + d_i X^a T^k_aj + d_j X^a T^k_ia for a
-    # tensor with T^k_01 != T^k_10, compared with sympy through first order
+    # tensor with T^k_01 != T^k_10, compared with sympy through first order;
+    # then for a tensor declared symmetric, whose derivative mirrors i > j
     sp = pytest.importorskip("sympy")
     rng = random.Random(53)
     X = rand_field(rng, 2)
-    t_polys = [[[rand_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    assert t_polys[0][0][1].terms != t_polys[0][1][0].terms
-    tensor = TensorField21(2, lambda p, order: [[[t.jet(p, order) for t in row] for row in plane]
-                                                for plane in t_polys])
-    point = (F(2, 7), F(-3, 4))
-    got = tensor_lie_derivative(X, tensor).components(point, 1)
-
     x = sp.symbols("x0 x1")
 
     def expr(poly):
@@ -342,19 +337,33 @@ def test_tensor_lie_derivative_of_nonsymmetric_tensor_matches_sympy():
                    for m, c in poly.terms.items())
 
     xs = [expr(c) for c in X.components]
-    t = [[[expr(e) for e in row] for row in plane] for plane in t_polys]
+    point = (F(2, 7), F(-3, 4))
     at = {x[0]: sp.Rational(2, 7), x[1]: sp.Rational(-3, 4)}
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                want = sum(xs[a] * sp.diff(t[k][i][j], x[a])
-                           - sp.diff(xs[k], x[a]) * t[a][i][j]
-                           + sp.diff(xs[a], x[i]) * t[k][a][j]
-                           + sp.diff(xs[a], x[j]) * t[k][i][a]
-                           for a in range(2))
-                for m, c in zip(((0, 0), (0, 1), (1, 0)), got[k][i][j].coeffs):
-                    w = sp.diff(want, x[0], m[0], x[1], m[1]).subs(at)
-                    assert c == F(int(w.p), int(w.q)), (k, i, j, m)
+    for symmetric in (False, True):
+        t_polys = [[[rand_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+                   for _ in range(2)]
+        if symmetric:
+            for plane in t_polys:
+                plane[1][0] = plane[0][1]
+        assert (t_polys[0][0][1].terms == t_polys[0][1][0].terms) == symmetric
+        tensor = TensorField21(2, lambda p, order: [[[t.jet(p, order) for t in row]
+                                                     for row in plane] for plane in t_polys],
+                               symmetric=symmetric)
+        acted = tensor_lie_derivative(X, tensor)
+        assert acted.symmetric == symmetric
+        got = acted.components(point, 1)
+        t = [[[expr(e) for e in row] for row in plane] for plane in t_polys]
+        for k in range(2):
+            for i in range(2):
+                for j in range(2):
+                    want = sum(xs[a] * sp.diff(t[k][i][j], x[a])
+                               - sp.diff(xs[k], x[a]) * t[a][i][j]
+                               + sp.diff(xs[a], x[i]) * t[k][a][j]
+                               + sp.diff(xs[a], x[j]) * t[k][i][a]
+                               for a in range(2))
+                    for m, c in zip(((0, 0), (0, 1), (1, 0)), got[k][i][j].coeffs):
+                        w = sp.diff(want, x[0], m[0], x[1], m[1]).subs(at)
+                        assert c == F(int(w.p), int(w.q)), (symmetric, k, i, j, m)
 
 
 def test_lie_derivative_of_connection_computes_each_symmetric_pair_once(jet_products):
@@ -366,6 +375,27 @@ def test_lie_derivative_of_connection_computes_each_symmetric_pair_once(jet_prod
         3, {(k, i, j): rand_poly(rng, 3, 2) for k in range(3) for i in range(3)
             for j in range(i, 3)})
     comps = lie_derivative_connection(X, gamma).components(rand_point(rng, 3), 1)
+    assert sum(isinstance(o, Jet) for o in jet_products) <= 216
+    assert all(comps[k][i][j] == comps[k][j][i]
+               for k in range(3) for i in range(3) for j in range(3))
+
+
+def test_lie_derivative_of_a_symmetric_tensor_computes_each_symmetric_pair_once(jet_products):
+    # 18 distinct (k, i <= j) components at dim 3, each with 4 products per
+    # summation index: 216, where all 27 components would make 324
+    rng = random.Random(67)
+    X = rand_field(rng, 3)
+    t_polys = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+    for k in range(3):
+        for i in range(3):
+            for j in range(i, 3):
+                t_polys[k][i][j] = t_polys[k][j][i] = rand_poly(rng, 3, 2)
+    tensor = TensorField21(3, lambda p, order: [[[t.jet(p, order) for t in row]
+                                                 for row in plane] for plane in t_polys],
+                           symmetric=True)
+    acted = tensor_lie_derivative(X, tensor)
+    assert acted.symmetric
+    comps = acted.components(rand_point(rng, 3), 1)
     assert sum(isinstance(o, Jet) for o in jet_products) <= 216
     assert all(comps[k][i][j] == comps[k][j][i]
                for k in range(3) for i in range(3) for j in range(3))
@@ -429,6 +459,51 @@ def test_p3_antisymmetric_random():
             a, b = rand_poly(rng, 2 * n, 3), rand_poly(rng, 2 * n, 3)
             z = rand_point(rng, 2 * n)
             assert moyal_p3(a, b, z) == -moyal_p3(b, a, z)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_p3_matches_a_sympy_sum_over_all_ordered_triples(d):
+    # sum over every ordered (i, j, k) of pi^i pi^j pi^k d_ijk F d_i'j'k' G,
+    # with i' = (i + n) % d and pi = +1 on a base slot, -1 on a fiber slot,
+    # all differentiated by sympy; checked as a value and as an order-1 jet
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(71 + d)
+    n = d // 2
+    x = sp.symbols(f"x0:{d}")
+    exponents = [m for m in itertools.product(range(5), repeat=d) if 3 <= sum(m) <= 4]
+
+    def sparse_terms():
+        return {m: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4, 8]))
+                for m in rng.sample(exponents, 8)}
+
+    def expr(terms):
+        return sum(sp.Rational(c.numerator, c.denominator) * sp.Mul(*[v ** e for v, e in zip(x, m)])
+                   for m, c in terms.items())
+
+    f_terms, g_terms = sparse_terms(), sparse_terms()
+    fe, ge = expr(f_terms), expr(g_terms)
+    sign = [1] * n + [-1] * n
+    partner = [(i + n) % d for i in range(d)]
+    want = sum(sign[i] * sign[j] * sign[k] * sp.diff(fe, x[i], x[j], x[k])
+               * sp.diff(ge, x[partner[i]], x[partner[j]], x[partner[k]])
+               for i, j, k in itertools.product(range(d), repeat=3))
+    point = tuple(F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3, 4])) for _ in range(d))
+    at = {v: sp.Rational(c.numerator, c.denominator) for v, c in zip(x, point)}
+
+    def rational(e):
+        e = e.subs(at)
+        assert e.is_Rational
+        return F(int(e.p), int(e.q))
+
+    Fp, Gp = Polynomial(d, f_terms), Polynomial(d, g_terms)
+    value = moyal_p3(Fp, Gp, point)
+    assert value == rational(want)
+    jet = moyal_p3(Fp, Gp, point, order=1)
+    assert jet.value == value
+    for a in range(d):
+        unit = tuple(1 if b == a else 0 for b in range(d))
+        assert jet.coefficient(unit) == rational(sp.diff(want, x[a])), a
+    assert any(jet.coeffs[1:])  # the first-order slots are not all zero
 
 
 def test_p3_two_cocycle_identity_exact():

@@ -9,6 +9,7 @@ from jetcocycles.jets import Jet, Polynomial, jet_compose, mat_inv, monomials
 from jetcocycles.maps import DiffeoMap, catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import (
     Connection,
+    TensorField21,
     _covariant_tables,
     cocycle_C,
     covariant_derivs,
@@ -178,9 +179,10 @@ def test_pullback_matches_sympy(pullback, inhomogeneous):
                 assert got[k][i][j] == F(int(want.p), int(want.q)), (k, i, j)
 
 
-def pullback_over_all_pairs(f, gamma, point, order):
+def pullback_over_all_pairs(f, gamma, point, order, inhomogeneous=True):
     """(J^-1)^k_c [G^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j] for every (k, i, j),
-    written out term by term in jets."""
+    written out term by term in jets; without the d_i J^c_j term when
+    ``inhomogeneous`` is False."""
     d = f.dim
     fj = f.eval_jet(point, order + 2)
     jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]
@@ -195,7 +197,7 @@ def pullback_over_all_pairs(f, gamma, point, order):
             for j in range(d):
                 total = Jet.zero(d, order)
                 for c in range(d):
-                    inner = jac1[c][j].partial(i)
+                    inner = jac1[c][j].partial(i) if inhomogeneous else Jet.zero(d, order)
                     for a in range(d):
                         for b in range(d):
                             inner = inner + g[c][a][b] * jac[a][i] * jac[b][j]
@@ -215,6 +217,59 @@ def test_connection_pullback_equals_the_contraction_over_all_pairs(dim):
             got = pullback_connection(f, gamma).components(point, order)
             want = pullback_over_all_pairs(f, gamma, point, order)
             assert got == want, (name, order)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tensor_pullback_of_a_comparison_tensor_equals_the_contraction_over_all_pairs(dim):
+    # C(F) is declared symmetric, so its pullback contracts i <= j only
+    rng = random.Random(17 + dim)
+    gamma = rand_connection(rng, dim)
+    F_map = catalog_get("polynomial_perturbation", {"dim": dim})
+    H = catalog_get("projective", {"dim": dim})
+    c_f = cocycle_C(F_map, gamma)
+    pulled = pullback_tensor(H, c_f)
+    assert c_f.symmetric and pulled.symmetric
+    point = rand_point(rng, dim)
+    for order in (0, 2):
+        got = pulled.components(point, order)
+        want = pullback_over_all_pairs(H, c_f, point, order, inhomogeneous=False)
+        assert got == want, order
+
+
+def test_asymmetric_tensor_pulls_back_to_an_asymmetric_tensor():
+    rng = random.Random(19)
+    polys = [[[rand_poly(rng, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    assert polys[0][0][1].terms != polys[0][1][0].terms
+    tensor = TensorField21(2, lambda p, order: [[[t.jet(p, order) for t in row]
+                                                 for row in plane] for plane in polys])
+    H = catalog_get("projective", {"dim": 2})
+    pulled = pullback_tensor(H, tensor)
+    assert not tensor.symmetric and not pulled.symmetric
+    point = rand_point(rng, 2)
+    got = pulled.components(point, 1)
+    assert got == pullback_over_all_pairs(H, tensor, point, 1, inhomogeneous=False)
+    assert pulled.symmetry_defect(point) != 0
+
+
+def test_lift_takes_each_partial_of_the_connection_once(monkeypatch):
+    # d_k G^a_ij for a and k in range(n) and i <= j: 3 * 6 * 3 = 54 at n = 3,
+    # where three partials per (k, i, j, a) would take 243
+    rng = random.Random(23)
+    gamma = rand_connection(rng, 3)
+    lifted = lift_connection(gamma)
+    z = rand_point(rng, 6)
+    gamma.components(z[:3], 2)  # the connection's jets are made before counting
+    calls = []
+    partial = Jet.partial
+
+    def counted(self, axis):
+        calls.append(axis)
+        return partial(self, axis)
+
+    monkeypatch.setattr(Jet, "partial", counted)
+    lifted.components(z, 1)
+    assert len(calls) == 54
+    assert lifted.symmetry_defect(z) == 0
 
 
 # -- comparison tensor ---------------------------------------------------------

@@ -39,6 +39,22 @@ def test_config_rejects_bad_values():
         ScenarioConfig(suites=("nope",)).validate()
 
 
+def test_config_rejects_dim_above_three():
+    # validation only: no case runs
+    with pytest.raises(ConfigError, match="dim"):
+        ScenarioConfig(dim=4).validate()
+    assert ScenarioConfig(dim=3, suites=("moyal",)).validate().dim == 3
+
+
+def test_cli_dim_above_three_is_usage_error():
+    proc = run_cli("verify", "--dim", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "dim" in lines[0], proc.stderr
+    assert proc.stdout == ""
+
+
 def test_config_rejects_samples_above_cap():
     # validation only: no case runs
     with pytest.raises(ConfigError, match="samples"):

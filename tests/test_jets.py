@@ -509,6 +509,59 @@ def test_polynomial_jet_tells_a_float_point_from_an_equal_fraction_point():
     assert all(type(c) is not float for c in p.jet((Fraction(1, 2), Fraction(1, 4)), 1).coeffs)
 
 
+def product_value(terms, point, start=0):
+    """Each term multiplied out left to right, one coordinate at a time,
+    and the terms added from ``start``."""
+    total = start
+    for m, c in terms.items():
+        term = c
+        for x, e in zip(point, m):
+            for _ in range(e):
+                term = term * x
+        total = total + term
+    return total
+
+
+def test_polynomial_value_on_exact_inputs_equals_a_fraction_evaluation():
+    rng = random.Random(83)
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            terms = {m: Fraction(rng.randint(-5, 5), rng.choice([1, 3, 8]))
+                     for m in rng.sample(monomials(dim, 4), 5)}
+            point = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in range(dim)]
+            point[rng.randrange(dim)] = rng.choice([0, Fraction(0)])
+            poly = Polynomial(dim, terms)
+            value = poly(point)
+            assert value == product_value({m: Fraction(c) for m, c in terms.items()},
+                                          [Fraction(x) for x in point], Fraction(0))
+            assert type(value) in (int, Fraction)
+            assert value == poly.jet(point, 2).value
+    assert Polynomial(2, {})((Fraction(1, 2), 3)) == 0
+
+
+def test_polynomial_value_of_int_coefficients_at_an_int_point_is_int():
+    p = Polynomial(2, {(3, 1): 2, (0, 2): -7, (1, 0): 1, (0, 0): 4})
+    for point in [(3, -2), (0, 5), (0, 0), (1, 1)]:
+        value = p(point)
+        assert type(value) is int and value == product_value(p.terms, point), point
+
+
+def test_polynomial_value_on_floats_is_the_left_to_right_product():
+    rng = random.Random(89)
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            terms = {m: rng.choice([rng.randint(-5, 5) or 1, rng.uniform(-3, 3),
+                                    Fraction(rng.randint(1, 7), 3)])
+                     for m in rng.sample(monomials(dim, 4), 5)}
+            point = [rng.choice([rng.uniform(-2, 2), 0.0, -0.0, 0.1, 1.3]) for _ in range(dim)]
+            value = Polynomial(dim, terms)(point)
+            want = product_value(terms, point)
+            assert type(value) is type(want) and repr(value) == repr(want), (terms, point)
+    # a shift would give int 0 here, and round 1.3 ** 3 once
+    assert repr(Polynomial(1, {(1,): 2})((0.0,))) == "0.0"
+    assert Polynomial(1, {(3,): 1})((1.3,)) == 1.3 * 1.3 * 1.3 != 1.3 ** 3
+
+
 # -- series reversion against a sympy oracle -----------------------------------
 #
 # The inverse of a polynomial map F with invertible linear part is solved for
