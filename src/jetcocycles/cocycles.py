@@ -50,6 +50,7 @@ from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, 
 from .geometry import (
     Connection,
     TensorField21,
+    _factorial_midx,
     _max_abs_entry,
     cocycle_C,
     lift_connection,
@@ -573,9 +574,10 @@ class SabotagedPhaseCompare(PhaseCompareCocycle):
 class OperatorCocycle(GroupCocycleCandidate):
     """The third-order operator cocycle, compared in applied form.
 
-    The two sides are applied to every monomial jet of order up to three
-    plus a pair of deterministic dense jets, which spans the relevant jet
-    space and sidesteps any coefficient-convention pitfalls.
+    The two sides are read on every monomial jet of order up to three, where
+    an operator ``sum c_m d^m`` reads ``c_m * m!`` off its coefficients, and
+    applied to a pair of deterministic dense jets, which spans the relevant
+    jet space and sidesteps any coefficient-convention pitfalls.
     """
 
     name = "operator_L"
@@ -593,23 +595,17 @@ class OperatorCocycle(GroupCocycleCandidate):
         if diff.is_zero():
             return 0
         count = len(monomials(d, 3))
-        probes = []
-        for slot in range(count):
-            data = [0] * count
-            data[slot] = 1
-            probes.append(Jet(d, 3, data))
-        probes.append(Jet(d, 3, [Fraction(1, 1 + i) for i in range(count)]))
-        probes.append(Jet(d, 3, [Fraction((-1) ** i, 2 + i) for i in range(count)]))
-        worst = 0
-        scale = 0.0
-        floaty = False
-        for q in probes:
-            worst = max(worst, abs(diff.apply_to_jet(q)))
-            val = lhs.apply_to_jet(q)
-            floaty = floaty or isinstance(val, float) or isinstance(worst, float)
-            scale = max(scale, abs(float(val)))
-        if floaty:
-            return float(worst) / max(1.0, scale)
+        dense = (Jet(d, 3, [Fraction(1, 1 + i) for i in range(count)]),
+                 Jet(d, 3, [Fraction((-1) ** i, 2 + i) for i in range(count)]))
+
+        def reads(op):
+            return ([c * _factorial_midx(m) for m, c in op.coeffs.items()]
+                    + [op.apply_to_jet(q) for q in dense])
+
+        errs, vals = reads(diff), reads(lhs)
+        worst = max(map(abs, errs))
+        if any(isinstance(v, float) for v in errs + vals):
+            return float(worst) / max(1.0, *(abs(float(v)) for v in vals))
         return worst
 
 

@@ -2,13 +2,15 @@
 
 A scenario fixes the dimension, scalar backend, tolerance, sample count,
 seed, the suites to run and the catalog maps to draw pairs from; each suite
-fixes the jet orders it needs.  The seed determines every sampled point, every random polynomial and
-every catalog draw, so two runs of the same scenario produce byte-identical
-reports apart from the timing block.
+fixes the jet orders it needs.  ``ALL_SUITES`` is the suite table's names,
+in order; naming a suite twice is a usage error.  The seed determines every
+sampled point, every random polynomial and every catalog draw, so two runs
+of the same scenario produce byte-identical reports apart from the timing
+block.
 
 Sample points are drawn uniformly from a small box (dyadic rationals on the
-exact backend) and rejected while any map of the case is singular or
-unevaluable there, with a bounded retry budget.  An exhausted budget does
+exact backend) and rejected, with a bounded retry budget, until the case's
+chain of maps is regular along them (``_points``).  An exhausted budget does
 not abort the run: its suite ends in one error row, and the other suites
 still run.
 """
@@ -30,7 +32,7 @@ from .jets import (
     Polynomial,
     monomials,
 )
-from .maps import DiffeoMap, VectorField, catalog_get, cotangent_lift
+from .maps import DiffeoMap, VectorField, _eye, catalog_get, cotangent_lift
 from .geometry import Connection, _max_abs_entry, cocycle_C, lift_connection
 from .operators import Symbol, apply_op_to_symbol, build_L_covariant, build_L_flat
 from .cocycles import (
@@ -63,17 +65,6 @@ from .cocycles import (
 
 __all__ = ["ScenarioConfig", "run_scenario", "ALL_SUITES", "ConfigError"]
 
-ALL_SUITES = (
-    "lift",
-    "cocycle_C",
-    "operator_L",
-    "degree_lowering",
-    "classical_cocycles",
-    "algebra_cocycles",
-    "moyal",
-    "consistency",
-)
-
 SCHEMA_VERSION = 1
 PAIR_CAP = 12
 RETRY_BUDGET = 64
@@ -91,7 +82,7 @@ class ScenarioConfig:
     tol: float = 1e-8
     samples: int = 5
     seed: int = 0
-    suites: tuple = ALL_SUITES
+    suites: tuple = field(default_factory=lambda: ALL_SUITES)
     maps: list = field(default_factory=list)
     # catalog maps built from ``maps`` (or the default pool) by validate()
     pool: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -119,9 +110,11 @@ class ScenarioConfig:
             raise ConfigError(f"backend must be exact|float, got {self.backend!r}")
         if not self.suites:
             raise ConfigError("at least one suite must be selected")
-        for s in self.suites:
+        for i, s in enumerate(self.suites):
             if s not in ALL_SUITES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(ALL_SUITES)}")
+            if s in self.suites[:i]:
+                raise ConfigError(f"suite {s!r} is listed more than once")
         if not 1 <= self.samples <= SAMPLES_CAP:
             raise ConfigError(f"samples must be 1..{SAMPLES_CAP}, got {self.samples}")
         if self.backend == "float" and not (0 < self.tol < 1):
@@ -165,10 +158,6 @@ class ScenarioConfig:
         cfg = ScenarioConfig()
         for k in known & set(raw):
             v = raw[k]
-            if k == "suites":
-                if not isinstance(v, list):
-                    raise ConfigError(f"suites must be a list of suite names, got {v!r}")
-                v = tuple(v)
             if k == "maps":
                 if not isinstance(v, list) or not all(
                         isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
@@ -194,6 +183,8 @@ def _scalar_str(v):
 
 
 def _parse_scalar(v):
+    if isinstance(v, bool):
+        raise ConfigError(f"map parameter {v!r} is not a number")
     if isinstance(v, str):
         try:
             return Fraction(v)  # covers "p/q" and integer literals
@@ -241,10 +232,6 @@ def default_map_pool(dim: int, backend: str) -> list:
         pool.append(("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}))
         pool.append(("moebius", {"a": 2, "b": 1, "c": 1, "d": 1}))
     return pool
-
-
-def _eye(n: int, v):
-    return [[v if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _shear(n: int):
@@ -338,33 +325,26 @@ class Sampler:
             [self.fraction_poly(dim, 3) for _ in range(dim)], name=tag)
 
 
-def _pair_regular(f: DiffeoMap, h: DiffeoMap, point, oriented: bool = False):
-    """True when every map of the case is a local diffeomorphism along the
-    chain at this point."""
-    mid = h(point)
-    for m, p in ((h, point), (f, mid)):
-        det = m.jacobian_det(p)
-        if det == 0 or (oriented and float(det) <= 0):
-            return False
-    return True
-
-
-def _pair_points(sampler: Sampler, f: DiffeoMap, h: DiffeoMap, count: int, label: str,
-                 phase: bool, oriented: bool = False) -> list:
+def _points(sampler: Sampler, chain: tuple, count: int, label: str,
+            phase: bool = False, oriented: bool = False) -> list:
     """``count`` sampled points (phase points when ``phase``) over whose base
-    part the pair is regular."""
-    n = f.dim
+    part the chain of maps ``(f, ..., h)`` is regular: its last map has an
+    invertible Jacobian at the point, each earlier map at the image of the
+    next, and with ``oriented`` each determinant is positive."""
+    n = chain[-1].dim
     maker = sampler.phase_point if phase else sampler.base_point
-    return [sampler.point_for(lambda p: _pair_regular(f, h, p[:n], oriented),
-                              lambda: maker(n), label) for _ in range(count)]
 
+    def regular(point):
+        p = point[:n]
+        for k in reversed(range(len(chain))):
+            det = chain[k].jacobian_det(p)
+            if det == 0 or (oriented and float(det) <= 0):
+                return False
+            if k:
+                p = chain[k](p)
+        return True
 
-def _regular_point(sampler: Sampler, m: DiffeoMap, label: str, phase: bool = False):
-    """A sampled point (a phase point when ``phase``) over whose base part
-    ``m`` is a local diffeomorphism."""
-    n = m.dim
-    maker = sampler.phase_point if phase else sampler.base_point
-    return sampler.point_for(lambda p: m.jacobian_det(p[:n]) != 0, lambda: maker(n), label)
+    return [sampler.point_for(regular, lambda: maker(n), label) for _ in range(count)]
 
 
 def _max_abs_value(field, point):
@@ -382,7 +362,7 @@ def _action_identity_case(suite: str, cand, cfg: ScenarioConfig, sampler: Sample
                           pool) -> CaseResult:
     """Action-convention sanity: the identity map must act trivially."""
     probe = pool[min(1, len(pool) - 1)]
-    z = _regular_point(sampler, probe, "action_identity", phase=True)
+    z, = _points(sampler, (probe,), 1, "action_identity", phase=True)
     return run_case(suite, "action_identity", [probe.name], z,
                     lambda: cand.action_identity_defect(probe, z), cfg.case_tol)
 
@@ -455,7 +435,7 @@ def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
     flat = Connection.flat_connection(n)
     cand = PhaseCompareCocycle(flat)
     for f, h in _pairs(pool):
-        pts = _pair_points(sampler, f, h, cfg.samples, "cocycle_C", phase=True)
+        pts = _points(sampler, (f, h), cfg.samples, "cocycle_C", phase=True)
         rows.extend(verify_group_cocycle(cand, f, h, pts, tol, suite="cocycle_C"))
 
     # affine lifts with a flat connection produce the zero tensor
@@ -472,7 +452,7 @@ def _suite_cocycle_C(cfg, sampler, pool) -> list[CaseResult]:
     sab = SabotagedPhaseCompare(flat)
     f = catalog_get("polynomial_perturbation", {"dim": n, "eps": Fraction(1, 8)})
     h = catalog_get("projective", {"dim": n})
-    z, = _pair_points(sampler, f, h, 1, "sabotage", phase=True)
+    z, = _points(sampler, (f, h), 1, "sabotage", phase=True)
     rows.append(run_case("cocycle_C", "sabotage_detected", [f.name, h.name], z,
                          lambda: sab.residual(f, h, z), tol, witness=True))
     return rows
@@ -485,7 +465,7 @@ def _suite_operator_L(cfg, sampler, pool) -> list[CaseResult]:
     flat = Connection.flat_connection(n)
     cand = OperatorCocycle(flat)
     for f, h in _pairs(pool):
-        pts = _pair_points(sampler, f, h, cfg.samples, "operator_L", phase=True)
+        pts = _points(sampler, (f, h), cfg.samples, "operator_L", phase=True)
         rows.extend(verify_group_cocycle(cand, f, h, pts, tol, suite="operator_L"))
 
     rows.append(_action_identity_case("operator_L", cand, cfg, sampler, pool))
@@ -502,7 +482,7 @@ def _suite_operator_L(cfg, sampler, pool) -> list[CaseResult]:
     # non-vanishing on the fractional-linear family
     probe = catalog_get("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}) if n == 1 \
         else catalog_get("projective", {"dim": n})
-    z = _regular_point(sampler, probe, "nonvanishing", phase=True)
+    z, = _points(sampler, (probe,), 1, "nonvanishing", phase=True)
     rows.append(run_case("operator_L", f"nonvanishing[{probe.name}]", [probe.name], z,
                          lambda: build_L_covariant(probe, flat, z).max_abs(), tol,
                          witness=True))
@@ -518,7 +498,7 @@ def _suite_degree_lowering(cfg, sampler, pool) -> list[CaseResult]:
     for k in (2, 3, 4, 5):
         for idx in range(max(1, cfg.samples - 2)):
             m = usable[(k + idx) % len(usable)]
-            x = _regular_point(sampler, m, "degree_lowering")
+            x, = _points(sampler, (m,), 1, "degree_lowering")
             mu = [0] * n
             left = k
             for axis in range(n):
@@ -572,10 +552,9 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     der = DeRhamCocycle(phi)
 
     for f, h in _pairs(pool):
-        pts = _pair_points(sampler, f, h, cfg.samples, "classical", phase=False)
+        pts = _points(sampler, (f, h), cfg.samples, "classical")
         if f in oriented and h in oriented:
-            opts = _pair_points(sampler, f, h, cfg.samples, "classical_oriented",
-                                phase=False, oriented=True)
+            opts = _points(sampler, (f, h), cfg.samples, "classical_oriented", oriented=True)
             rows.extend(verify_group_cocycle(logv, f, h, opts, float_tol,
                                              suite="classical_cocycles"))
         rows.extend(verify_group_cocycle(ell, f, h, pts, exact_tol,
@@ -590,7 +569,7 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     # de Rham quadrature witness against the potential difference
     f = pool[min(4, len(pool) - 1)]
     for idx in range(cfg.samples):
-        x = _regular_point(sampler, f, "derham_quad")
+        x, = _points(sampler, (f,), 1, "derham_quad")
         rows.append(run_case(
             "classical_cocycles", f"derham_quadrature@{idx}", [f.name], x,
             lambda: abs(derham_cocycle(phi, f, x) - derham_quadrature(phi, f, x)),
@@ -599,7 +578,7 @@ def _suite_classical(cfg, sampler, pool) -> list[CaseResult]:
     if n == 1:
         for idx, (a, b, c, d) in enumerate(((1, 0, 1, 1), (2, 1, 1, 1), (3, -1, 1, 2))):
             m = catalog_get("moebius", {"a": a, "b": b, "c": c, "d": d})
-            x = _regular_point(sampler, m, "schwarzian_kernel")
+            x, = _points(sampler, (m,), 1, "schwarzian_kernel")
             rows.append(run_case("classical_cocycles", f"schwarzian_moebius_zero@{idx}",
                                  [m.name], x, lambda: abs(schwarzian_1d(m, x)), exact_tol))
 
@@ -726,6 +705,7 @@ _SUITE_FN = {
     "moyal": _suite_moyal,
     "consistency": _suite_consistency,
 }
+ALL_SUITES = tuple(_SUITE_FN)
 
 
 # ---------------------------------------------------------------------------

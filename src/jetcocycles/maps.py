@@ -4,7 +4,9 @@ Maps live on open subsets of R^n (or R^2n for phase-space maps); every
 statement downstream is local, so a map is just a recipe producing jets of
 its component functions at a requested point.  The builtin catalog covers
 the rational families used by the exact backend plus an exponential family
-for the float backend.
+for the float backend.  ``_affine`` builds ``x -> A x + b`` (identity,
+translation, linear, affine) and ``_projective`` ``(A x + b) / (c.x + d)``
+(projective, and moebius at n = 1), both from the same affine rows.
 
 Fiber convention for the cotangent lift, with J = Df(x):
 
@@ -295,10 +297,54 @@ class _Bracket(VectorField):
 
 
 def _polynomial_map(dim: int, polys: Sequence[Polynomial], **kw) -> DiffeoMap:
-    def jet_fn(point, order):
-        return [p.jet(point, order) for p in polys]
+    """A map with the components ``polys``, kept as its ``polys``."""
+    m = DiffeoMap(dim, lambda point, order: [p.jet(point, order) for p in polys], **kw)
+    m.polys = list(polys)
+    return m
 
-    return DiffeoMap(dim, jet_fn, **kw)
+
+def _eye(n: int, v=1) -> list:
+    """The n x n matrix ``v * I``."""
+    return [[v if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _row(n: int, a: Sequence[Scalar], b: Scalar) -> Polynomial:
+    """The affine row ``sum_j a_j x_j + b``, terms in that order."""
+    return Polynomial(n, {**{tuple(int(k == j) for k in range(n)): a[j] for j in range(n)},
+                          (0,) * n: b})
+
+
+def _nonsingular_det(name: str, m: list) -> Scalar:
+    """``det m``, or ``SingularJacobianError`` when it is 0."""
+    det = mat_det(m)
+    if det == 0:
+        raise SingularJacobianError(f"{name}: matrix is singular")
+    return det
+
+
+def _affine(n: int, a: list, b: list, name: str, params: dict) -> DiffeoMap:
+    """``x -> A x + b``, oriented as the sign of ``det A``."""
+    det = _nonsingular_det(name, a)
+    return _polynomial_map(n, [_row(n, a[i], b[i]) for i in range(n)], name=name,
+                           params=params, orientation_preserving=bool(det > 0))
+
+
+def _projective(n: int, m: list, name: str, params: dict, oriented: bool = False) -> DiffeoMap:
+    """``x -> (A x + b) / (c.x + d)``, ``M = [[A, b], [c, d]]``, with its pole
+    where ``c.x + d = 0``.  ``oriented`` reads the orientation off the sign
+    of ``det M``, which fixes it everywhere when n is odd."""
+    det = _nonsingular_det(name, m)
+    rows = [_row(n, m[i][:n], m[i][n]) for i in range(n + 1)]
+
+    def jet_fn(point, order):
+        dj = rows[n].jet(point, order)
+        if dj.value == 0:
+            raise EvaluationError(f"{name}: pole at {point}")
+        rec = dj.reciprocal()
+        return [rows[i].jet(point, order) * rec for i in range(n)]
+
+    return DiffeoMap(n, jet_fn, name=name, params=params,
+                     orientation_preserving=bool(det > 0) if oriented else None)
 
 
 def _array(key: str, value, shape: tuple[int, ...]) -> list:
@@ -336,110 +382,45 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
         raise ValueError(f"{name} takes no parameter {', '.join(sorted(unknown))}")
 
     if name == "identity":
-        polys = [Polynomial.coordinate(n, i) for i in range(n)]
-        return _polynomial_map(n, polys, name="identity", params={"dim": n},
-                               orientation_preserving=True)
+        return _affine(n, _eye(n), [0] * n, name, {"dim": n})
 
     if name == "translation":
         c = _array("c", params.get("c", [1] * n), (n,))
-        polys = [
-            Polynomial.coordinate(n, i) + Polynomial.constant(n, c[i]) for i in range(n)
-        ]
-        return _polynomial_map(n, polys, name="translation", params={"c": c},
-                               orientation_preserving=True)
+        return _affine(n, _eye(n), c, name, {"c": c})
 
     if name in ("linear", "affine"):
         # the default is 2 at n = 1 and the shear I + E_01 above
         shear = [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
         a = _array("A", params.get("A", 2 if n == 1 else shear), (n, n))
         b = _array("b", params.get("b", [0] * n), (n,))
-        det = mat_det(a)
-        if det == 0:
-            raise SingularJacobianError(f"{name}: matrix is singular")
-        polys = []
-        for i in range(n):
-            terms = {tuple(1 if k == j else 0 for k in range(n)): a[i][j] for j in range(n)}
-            terms[(0,) * n] = terms.get((0,) * n, 0) + b[i]
-            polys.append(Polynomial(n, terms))
-        return _polynomial_map(
-            n, polys, name=name, params={"A": a, "b": b},
-            orientation_preserving=bool(det > 0),
-        )
+        return _affine(n, a, b, name, {"A": a, "b": b})
 
     if name == "polynomial_perturbation":
         eps = params.get("eps", Fraction(1, 8))
         polys = []
         for i in range(n):
             # component i: x_i + eps * (x_i + x_{i+1 mod n})^3, Jacobian = I at 0
-            terms: dict[tuple[int, ...], Scalar] = {}
-            if n == 1:
-                terms[(3,)] = eps
-            else:
-                j = (i + 1) % n
-                for k in range(4):
-                    m = [0] * n
-                    m[i] += 3 - k
-                    m[j] += k
-                    t = tuple(m)
-                    terms[t] = terms.get(t, 0) + eps * math.comb(3, k)
-            polys.append(Polynomial.coordinate(n, i) + Polynomial(n, terms))
-        return _polynomial_map(
-            n, polys, name="polynomial_perturbation", params={"eps": eps},
-            orientation_preserving=None,
-        )
+            j = (i + 1) % n
+            cubic = {(3,): eps} if n == 1 else {
+                tuple((3 - k) * (a == i) + k * (a == j) for a in range(n)): eps * math.comb(3, k)
+                for k in range(4)}
+            polys.append(Polynomial.coordinate(n, i) + Polynomial(n, cubic))
+        return _polynomial_map(n, polys, name=name, params={"eps": eps})
 
     if name == "moebius":
         if n != 1:
             raise JetShapeError("moebius is a 1-dimensional family")
-        a, b = params.get("a", 1), params.get("b", 0)
-        c, d = params.get("c", 1), params.get("d", 1)
-        if a * d - b * c == 0:
-            raise SingularJacobianError("moebius: ad - bc = 0")
-        num = Polynomial(1, {(1,): a, (0,): b})
-        den = Polynomial(1, {(1,): c, (0,): d})
-
-        def jet_fn(point, order):
-            dj = den.jet(point, order)
-            if dj.value == 0:
-                raise EvaluationError(f"moebius: pole at x={point[0]}")
-            return [num.jet(point, order) / dj]
-
-        return DiffeoMap(
-            1, jet_fn, name="moebius", params={"a": a, "b": b, "c": c, "d": d},
-            orientation_preserving=bool(a * d - b * c > 0),
-        )
+        a, b, c, d = (params.get(k, v) for k, v in zip("abcd", (1, 0, 1, 1)))
+        return _projective(1, [[a, b], [c, d]], name, {"a": a, "b": b, "c": c, "d": d},
+                           oriented=True)
 
     if name == "projective":
         m = params.get("A")
         if m is None:
-            m = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-            m[0][n] = Fraction(1, 4)
-            m[n][0] = Fraction(1, 4)
+            m = _eye(n + 1)
+            m[0][n] = m[n][0] = Fraction(1, 4)
         m = _array("A", m, (n + 1, n + 1))
-        if mat_det(m) == 0:
-            raise SingularJacobianError("projective: matrix is singular")
-        rows = [
-            Polynomial(
-                n,
-                {
-                    **{tuple(1 if k == j else 0 for k in range(n)): m[i][j] for j in range(n)},
-                    (0,) * n: m[i][n],
-                },
-            )
-            for i in range(n + 1)
-        ]
-
-        def jet_fn(point, order):
-            dj = rows[n].jet(point, order)
-            if dj.value == 0:
-                raise EvaluationError(f"projective: hyperplane at infinity hit at {point}")
-            rec = dj.reciprocal()
-            return [rows[i].jet(point, order) * rec for i in range(n)]
-
-        return DiffeoMap(
-            n, jet_fn, name="projective", params={"A": m},
-            orientation_preserving=None,
-        )
+        return _projective(n, m, name, {"A": m})
 
     if name == "exp_scale":
         lam = float(params.get("lam", 1.0))
@@ -447,16 +428,10 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
             raise SingularJacobianError("exp_scale: lam must be nonzero")
 
         def jet_fn(point, order):
-            out = []
-            for i in range(n):
-                xi = Jet.variable(n, order, i, float(point[i]))
-                out.append((xi * lam).exp())
-            return out
+            return [(Jet.variable(n, order, i, float(point[i])) * lam).exp() for i in range(n)]
 
-        return DiffeoMap(
-            n, jet_fn, name="exp_scale", params={"lam": lam},
-            orientation_preserving=lam > 0,
-        )
+        return DiffeoMap(n, jet_fn, name=name, params={"lam": lam},
+                         orientation_preserving=lam > 0)
 
 
 def catalog_entries() -> list[dict]:

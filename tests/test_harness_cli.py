@@ -123,6 +123,42 @@ def test_sampler_connection_draws_each_gamma_k_ij_with_i_le_j_in_order():
     assert got.components(point, 2) == want.components(point, 2)
 
 
+def test_points_are_regular_along_the_chain():
+    from fractions import Fraction
+
+    from jetcocycles.harness import _points
+    from jetcocycles.maps import catalog_get
+
+    # f = 1 - 1/x has its pole at 0 and f' > 0; h = x - 4x^3 vanishes at 0
+    # and +-1/2, and h' < 0 where |x| > 1/sqrt(12)
+    f = catalog_get("moebius", {"a": 1, "b": -1, "c": 1, "d": 0})
+    h = catalog_get("polynomial_perturbation", {"eps": -4})
+    sampler = Sampler(ScenarioConfig(seed=2))
+    drawn = []
+    draw = sampler.base_point
+    sampler.base_point = lambda n: drawn.append(draw(n)) or drawn[-1]
+
+    pts = _points(sampler, (f,), 40, "one")
+    assert (0,) in drawn and (0,) not in pts
+    assert all(f.jacobian_det(p) != 0 for p in pts)
+
+    drawn.clear()
+    pts = _points(sampler, (f, h), 40, "two")
+    bad = {(0,), (Fraction(1, 2),), (Fraction(-1, 2),)}
+    assert bad & set(drawn) and not bad & set(pts)
+    assert any(abs(x) > Fraction(1, 3) for x, in pts)  # h' < 0 there, still regular
+    assert all(h.jacobian_det(p) != 0 and f.jacobian_det(h(p)) != 0 for p in pts)
+
+    drawn.clear()
+    pts = _points(sampler, (f, h), 40, "oriented", oriented=True)
+    assert any(abs(x) > Fraction(1, 3) for x, in drawn)
+    assert all(h.jacobian_det(p) > 0 and f.jacobian_det(h(p)) > 0 for p in pts)
+    assert all(abs(x) < Fraction(1, 3) for x, in pts)
+
+    z, = _points(sampler, (f, h), 1, "phase", phase=True)
+    assert len(z) == 2 and z[1] != 0 and z[:1] not in bad
+
+
 def test_run_scenario_validates_a_validated_config_once(monkeypatch):
     from jetcocycles import harness
 
@@ -331,6 +367,36 @@ def test_cli_bad_scenario_file_is_usage_error(tmp_path, content):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_config_rejects_a_repeated_suite():
+    with pytest.raises(ConfigError, match="'moyal' is listed more than once"):
+        ScenarioConfig(suites=("moyal", "lift", "moyal")).validate()
+
+
+def test_cli_repeated_suite_is_usage_error(tmp_path):
+    proc = run_cli("verify", "--suite", "moyal", "--suite", "moyal", "--samples", "1")
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"samples": 1, "suites": ["moyal", "moyal"]}))
+    for proc in (proc, run_cli("verify", str(path))):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "moyal" in lines[0], \
+            proc.stderr
+
+
+def test_scenario_map_parameter_rejects_json_booleans(tmp_path):
+    for params in ({"a": True}, {"a": 1, "b": [False]}):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"samples": 1, "suites": ["moyal"],
+                                    "maps": [["moebius", params]]}))
+        with pytest.raises(ConfigError, match="not a number"):
+            ScenarioConfig.from_file(str(path))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "not a number" in lines[0]
 
 
 def test_cli_unknown_suite_is_usage_error():

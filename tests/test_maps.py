@@ -140,6 +140,89 @@ def test_singular_parameters_rejected():
         catalog_get("linear", {"dim": 2, "A": [[1, 2], [2, 4]]})
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("abcd", [(1, 0, 1, 1), (2, 1, 1, 1), (3, -1, 1, 2), (-1, 1, 1, 1)])
+def test_moebius_is_the_one_dim_projective_family(backend, abcd):
+    # moebius(a, b, c, d) is projective with A = [[a, b], [c, d]], jet for jet
+    scalar = F if backend == "exact" else float
+    a, b, c, d = map(scalar, abcd)
+    m = catalog_get("moebius", {"a": a, "b": b, "c": c, "d": d})
+    p = catalog_get("projective", {"dim": 1, "A": [[a, b], [c, d]]})
+    for x in (F(1, 3), F(-2, 7), F(5, 4)):
+        for order in range(5):
+            got, want = m.eval_jet((scalar(x),), order), p.eval_jet((scalar(x),), order)
+            if backend == "exact":
+                assert got[0].coeffs == want[0].coeffs, (x, order)
+            else:
+                assert repr(got[0].coeffs) == repr(want[0].coeffs), (x, order)
+
+
+@pytest.mark.parametrize("name, params, terms", [
+    ("identity", {"dim": 1}, [[((1,), 1)]]),
+    ("identity", {"dim": 2}, [[((1, 0), 1)], [((0, 1), 1)]]),
+    ("identity", {"dim": 3}, [[((1, 0, 0), 1)], [((0, 1, 0), 1)], [((0, 0, 1), 1)]]),
+    ("translation", {"dim": 1, "c": [F(1, 4)]}, [[((1,), 1), ((0,), F(1, 4))]]),
+    ("translation", {"dim": 2, "c": [F(1, 4), 0]},
+     [[((1, 0), 1), ((0, 0), F(1, 4))], [((0, 1), 1)]]),
+    ("translation", {"dim": 3, "c": [F(1, 4), 0, F(-1, 2)]},
+     [[((1, 0, 0), 1), ((0, 0, 0), F(1, 4))], [((0, 1, 0), 1)],
+      [((0, 0, 1), 1), ((0, 0, 0), F(-1, 2))]]),
+    ("linear", {"dim": 1}, [[((1,), 2)]]),
+    ("linear", {"dim": 2}, [[((1, 0), 1), ((0, 1), 1)], [((0, 1), 1)]]),
+    ("linear", {"dim": 3}, [[((1, 0, 0), 1), ((0, 1, 0), 1)], [((0, 1, 0), 1)],
+                            [((0, 0, 1), 1)]]),
+    ("affine", {"dim": 1, "A": 2, "b": [F(-1, 8)]}, [[((1,), 2), ((0,), F(-1, 8))]]),
+    ("affine", {"dim": 2, "A": [[2, 0], [0, -1]], "b": [F(-1, 8), 0]},
+     [[((1, 0), 2), ((0, 0), F(-1, 8))], [((0, 1), -1)]]),
+    ("affine", {"dim": 3, "A": [[2, 0, F(1, 3)], [0, -1, 0], [1, 1, 3]], "b": [F(-1, 8), 0, 5]},
+     [[((1, 0, 0), 2), ((0, 0, 1), F(1, 3)), ((0, 0, 0), F(-1, 8))], [((0, 1, 0), -1)],
+      [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 3), ((0, 0, 0), 5)]]),
+])
+def test_affine_family_terms_in_insertion_order(name, params, terms):
+    # float sums follow the insertion order: x_0 .. x_{n-1}, then the constant
+    m = catalog_get(name, params)
+    assert [list(p.terms.items()) for p in m.polys] == terms
+
+
+def test_catalog_params_are_pinned():
+    q = F(1, 4)
+    want = {
+        "identity": lambda n: [("dim", n)],
+        "translation": lambda n: [("c", [1] * n)],
+        "linear": lambda n: [("A", [[2]] if n == 1 else
+                              [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                               for i in range(n)]), ("b", [0] * n)],
+        "polynomial_perturbation": lambda n: [("eps", F(1, 8))],
+        "projective": lambda n: [("A", [[1, q], [q, 1]] if n == 1 else
+                                  [[q if {i, j} == {0, n} else int(i == j) for j in range(n + 1)]
+                                   for i in range(n + 1)])],
+        "exp_scale": lambda n: [("lam", 1.0)],
+    }
+    want["affine"] = want["linear"]
+    for n in (1, 2, 3):
+        for name, params in want.items():
+            assert list(catalog_get(name, {"dim": n}).params.items()) == params(n), (name, n)
+    assert list(catalog_get("moebius").params.items()) == [("a", 1), ("b", 0), ("c", 1), ("d", 1)]
+    given = catalog_get("moebius", {"a": 2, "b": F(1, 2), "c": 1, "d": 3}).params
+    assert list(given.items()) == [("a", 2), ("b", F(1, 2)), ("c", 1), ("d", 3)]
+    aff = catalog_get("affine", {"dim": 2, "A": [[2, 1], [0, 1]], "b": [q, 0]}).params
+    assert list(aff.items()) == [("A", [[2, 1], [0, 1]]), ("b", [q, 0])]
+    assert catalog_get("translation", {"dim": 2, "c": [q, 1]}).params == {"c": [q, 1]}
+    assert catalog_get("projective", {"dim": 1, "A": [[2, 1], [1, 1]]}).params \
+        == {"A": [[2, 1], [1, 1]]}
+
+
+def test_catalog_orientation_flags():
+    assert [catalog_get(name, {"dim": 2}).orientation_preserving
+            for name in ("identity", "translation", "linear", "affine",
+                         "polynomial_perturbation", "projective", "exp_scale")] \
+        == [True, True, True, True, None, None, True]
+    assert catalog_get("linear", {"dim": 2, "A": [[0, 1], [1, 0]]}).orientation_preserving is False
+    assert catalog_get("moebius", {"a": -1, "b": 1, "c": 1, "d": 1}).orientation_preserving is False
+    assert catalog_get("moebius").orientation_preserving is True
+    assert catalog_get("projective", {"dim": 1}).orientation_preserving is None
+
+
 # -- composition and inversion ------------------------------------------------
 
 

@@ -46,3 +46,18 @@ def test_drift_without_float_residuals():
         == (1, None)
     assert report_diff.residual_drift(parent, parent) == (0, None)
     assert report_diff.describe(parent, change).startswith("DIFFERS in 2 cases; first at ")
+
+
+def test_runs_cover_the_float_families(tmp_path):
+    from jetcocycles.harness import ScenarioConfig
+
+    runs = report_diff.verify_runs(str(tmp_path))
+    assert len(runs) == 18
+    families = [args[0] for _, args in runs[12:]]
+    assert len(families) == 6 and all(len(args) == 1 for _, args in runs[12:])
+    for path in families:
+        cfg = ScenarioConfig.from_file(path)
+        assert cfg.backend == "float" and cfg.samples == 2
+        assert [m.name for m in cfg.pool] == ["identity", "affine", "projective"]
+        assert all(isinstance(x, float) for m in cfg.pool[1:] for row in m.params["A"]
+                   for x in row)

@@ -5,8 +5,11 @@ the output of their ``list`` and ``demo`` commands.
 
 Each tree is the root of a jetcocycles checkout.  In each, the script runs
 ``python -m jetcocycles.cli verify`` with every suite, ``--samples 2`` and
-seeds 1 and 2, at dims 1-3 on both backends: 12 reports per tree.  Reports
-are compared after dropping their ``timing`` block.  It also runs ``list``
+seeds 1 and 2, at dims 1-3 on both backends: 12 reports over the default map
+pools.  The default float pools never build ``identity``, ``affine`` or
+``projective``, so at each dim and seed one more float run takes a scenario
+file whose pool is those three families with float parameters: 18 reports
+per tree.  Reports are compared after dropping their ``timing`` block.  It also runs ``list``
 and each of the three demos and compares their standard output and exit
 code.  The program is imported from the tree's ``src``, so nothing needs
 installing.  It prints one line per report and per command, and exits 1
@@ -38,11 +41,40 @@ def run_cli(tree: str, args, **kw) -> subprocess.CompletedProcess:
                           cwd=tree, env=env, check=False, **kw)
 
 
-def run_report(tree: str, dim: int, backend: str, seed: int, out_dir: str):
+def float_families(dim: int) -> list:
+    """``identity``, ``affine`` and ``projective`` with float parameters, as
+    the ``maps`` of a scenario file."""
+    a = [[1.5 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+    a[0][-1] += 0.1
+    m = [[1.0 if i == j else 0.0 for j in range(dim + 1)] for i in range(dim + 1)]
+    m[0][dim] = m[dim][0] = 0.3
+    return [["identity", {}], ["affine", {"A": a, "b": [-0.125] * dim}],
+            ["projective", {"A": m}]]
+
+
+def verify_runs(tmp: str) -> list:
+    """(label, verify arguments) of each report: the default pools first,
+    then the float families, whose scenario files are written to ``tmp``."""
+    runs = []
+    for seed in SEEDS:
+        for dim in DIMS:
+            for backend in BACKENDS:
+                runs.append((f"dim {dim} {backend:<5} seed {seed}",
+                             ["--dim", str(dim), "--backend", backend, "--samples", "2",
+                              "--seed", str(seed)]))
+    for seed in SEEDS:
+        for dim in DIMS:
+            path = os.path.join(tmp, f"families-d{dim}-s{seed}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"dim": dim, "backend": "float", "samples": 2, "seed": seed,
+                           "maps": float_families(dim)}, fh)
+            runs.append((f"dim {dim} float families seed {seed}", [path]))
+    return runs
+
+
+def run_report(tree: str, args: list, path: str):
     """The report of one verify call in ``tree`` without ``timing``, or None."""
-    path = os.path.join(out_dir, f"d{dim}-{backend}-s{seed}.json")
-    run_cli(tree, ["verify", "--dim", str(dim), "--backend", backend, "--samples", "2",
-                   "--seed", str(seed), "--json", path], stdout=subprocess.DEVNULL)
+    run_cli(tree, ["verify", *args, "--json", path], stdout=subprocess.DEVNULL)
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -115,24 +147,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            for dim in DIMS:
-                for backend in BACKENDS:
-                    dirs = [os.path.join(tmp, side) for side in ("parent", "change")]
-                    reports = []
-                    for tree, out_dir in zip((args.parent, args.change), dirs):
-                        os.makedirs(out_dir, exist_ok=True)
-                        reports.append(run_report(tree, dim, backend, seed, out_dir))
-                    name = f"dim {dim} {backend:<5} seed {seed}"
-                    if None in reports:
-                        status = "missing report"
-                    elif reports[0] == reports[1]:
-                        status = f"identical ({len(reports[0]['cases'])} cases)"
-                    else:
-                        status = describe(*reports)
-                    differ += not status.startswith("identical")
-                    print(f"{name}: {status}", flush=True)
-    print(f"{differ} of {len(SEEDS) * len(DIMS) * len(BACKENDS)} reports differ")
+        runs = verify_runs(tmp)
+        for i, (name, verify_args) in enumerate(runs):
+            reports = [run_report(tree, verify_args, os.path.join(tmp, f"{side}-{i}.json"))
+                       for tree, side in ((args.parent, "parent"), (args.change, "change"))]
+            if None in reports:
+                status = "missing report"
+            elif reports[0] == reports[1]:
+                status = f"identical ({len(reports[0]['cases'])} cases)"
+            else:
+                status = describe(*reports)
+            differ += not status.startswith("identical")
+            print(f"{name}: {status}", flush=True)
+    print(f"{differ} of {len(runs)} reports differ")
     differ_out = 0
     for command in COMMANDS:
         parent, change = (run_cli(tree, command, capture_output=True, text=True)
