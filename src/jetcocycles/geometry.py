@@ -33,9 +33,13 @@ tensor's are all contracted.  The lift takes each d_k G^a_ij once, for
 i <= j, but computes every (i, j) of its fiber block, so its symmetry
 stays a check.  Every sum of jet products here goes through ``jets.dot``,
 the final (J^-1)^k_c contraction too: for each (i, j) the c-planes with a
-live entry are listed once, and one ``dot`` per k sums them (as scalars on
-order-0 jets).  A flat connection keeps its lift and, per order, its
-covariant tables, which do not depend on the point.
+live entry are listed once, and one ``dot`` per k sums them.  At order 0,
+where every residual reads a tensor (``_Field21.values``), the pullback
+makes no jet until its result: J and d_i d_j F^c are read off the slots of
+the map's order-2 jets (slot of x^m = d^m F / m!), the field at the image
+as values, and the one contraction sums scalars by ``dot``'s rules.  A
+flat connection keeps its lift and, per order, its covariant tables, which
+do not depend on the point.
 
 Iterated covariant derivatives of scalars,
 
@@ -61,6 +65,7 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
+    _scalar_dot,
     dot,
     jet_compose,
     monomial_index,
@@ -222,23 +227,76 @@ def lift_connection(gamma: Connection) -> Connection:
 # pullbacks and the comparison tensor
 
 
+def _live(x):
+    """``x``, or ``None`` when it is ``None``, a zero jet or a zero scalar."""
+    if isinstance(x, Jet):
+        return x if any(x.coeffs) else None
+    return x or None
+
+
+def _scalar_total(pairs) -> "Scalar | None":
+    """:func:`jets.dot` on scalar pairs: the sum of ``x * y`` over the pairs
+    with no ``None`` or zero operand, or ``None`` when there is none.  Exact
+    pairs make one integer sum and floats add left to right, as ``dot``
+    does on order-0 jets."""
+    live = [(x, y) for x, y in pairs if x and y]
+    return _scalar_dot(live) if live else None
+
+
 def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                          order: int, with_inhomogeneous: bool) -> Components:
+    """``(J^-1)^k_c [T^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j]`` to ``order``, the
+    last term only ``with_inhomogeneous``.
+
+    One contraction serves both kinds of leaves.  Above order 0 they are
+    jets: ``J`` and ``d_i J^c_j`` are partials of the map's ``order + 2``
+    jets, the field at the image is composed with the shifted map, and each
+    sum is a ``jets.dot``.  At order 0 they are scalars read off the slots
+    of the map's order-2 jets, where the slot of ``x^m`` holds
+    ``d^m F / m!``: ``J^a_i`` is the slot of ``x_i`` and ``d_i d_j F^c`` the
+    slot of ``x_i x_j``, times 2 when ``i == j``; the field is read as
+    values at the image, since an order-0 composition is the value; and
+    each sum is a scalar sum with ``dot``'s skip-zero and ``None`` rules
+    (:func:`_scalar_total`), wrapped in an order-0 jet only when it is made.
+    ``J^-1`` is ``mapping.jacobian_inverse`` of ``J``, on jets or scalars.
+    A zero leaf is ``None`` either way.
+    """
     d = mapping.dim
     if field.dim != d:
         raise JetShapeError("map and field dimensions differ")
     fj = mapping.eval_jet(point, order + 2)
     image = tuple(j.value for j in fj)
-    jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]  # order + 1
-    jac = [[e.truncated(order) for e in row] for row in jac1]
-    jac_inv = [[None if e.is_zero() else e for e in row]
-               for row in mapping.jacobian_inverse(jac)]
-    jac_t = list(zip(*jac))
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    flat = isinstance(field, Connection) and field.flat
+    if order:
+        jac1 = [[fj[a].partial(i) for i in range(d)] for a in range(d)]  # order + 1
+        jac = [[e.truncated(order) for e in row] for row in jac1]
+        shifted = None if flat else [j.truncated(order) for j in _shifted(fj)]
+        total = dot
 
-    g_img = shifted = None
-    if not (isinstance(field, Connection) and field.flat):
-        g_img = field.components(image, order)
-        shifted = [j.truncated(order) for j in _shifted(fj)]
+        def at_image(g):
+            return None if g.is_zero() else jet_compose(g, shifted)
+
+        def second(c):
+            return [_live(partial_or_none(jac1[c][j], i)) for i, j in upper]
+    else:
+        idx = monomial_index(d, 2)
+        origin = (0,) * d
+        slots = [f.coeffs for f in fj]
+        jac = [[slots[a][idx[_bump(origin, i)]] for i in range(d)] for a in range(d)]
+        total = _scalar_total
+
+        def at_image(g):
+            return g.value or None
+
+        second_slots = [(idx[_bump(origin, i, j)], i == j) for i, j in upper]
+
+        def second(c):
+            s = slots[c]
+            return [(s[h] * 2 if diagonal else s[h]) or None for h, diagonal in second_slots]
+    jac_inv = [[_live(e) for e in row] for row in mapping.jacobian_inverse(jac)]
+    jac_t = list(zip(*jac))
+    g_img = None if flat else field.components(image, order)
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
     # over b, then a, then c, 3 d^4 products instead of 2 d^6.  A field
@@ -252,21 +310,18 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         if g_img is not None:
             tc = [[None] * d for _ in range(d)]
             for a, b in pairs:
-                g = g_img[c][a][b]
-                tc[a][b] = None if g.is_zero() else jet_compose(g, shifted)
+                tc[a][b] = at_image(g_img[c][a][b])
                 if sym:
                     tc[b][a] = tc[a][b]
-            tj = [[dot(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
+            tj = [[total(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
             for i, j in pairs:
-                plane[i][j] = dot(zip(jac_t[i], tj[j]))
+                plane[i][j] = total(zip(jac_t[i], tj[j]))
         if with_inhomogeneous:
-            # d_i J^c_j = d_i d_j F^c: one partial per pair i <= j fills both
-            for i in range(d):
-                for j in range(i, d):
-                    dj = partial_or_none(jac1[c][j], i)
-                    if dj is not None and not dj.is_zero():
-                        for a, b in {(i, j), (j, i)}:
-                            plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
+            # d_i J^c_j = d_i d_j F^c: one entry per pair i <= j fills both
+            for (i, j), dj in zip(upper, second(c)):
+                if dj is not None:
+                    for a, b in {(i, j), (j, i)}:
+                        plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
         planes.append(plane)
     zero = Jet.zero(d, order)
     out = [[[zero] * d for _ in range(d)] for _ in range(d)]
@@ -275,11 +330,11 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         if not live:
             continue
         for k in range(d):
-            s = dot((jac_inv[k][c], p) for c, p in live)
+            s = total((jac_inv[k][c], p) for c, p in live)
             if s is not None:
-                out[k][i][j] = s
+                out[k][i][j] = s if order else Jet(d, 0, (s,))
                 if sym:
-                    out[k][j][i] = s
+                    out[k][j][i] = out[k][i][j]
     return out
 
 

@@ -3,10 +3,11 @@
 A scenario fixes the dimension, scalar backend, tolerance, sample count,
 seed, the suites to run and the catalog maps to draw pairs from; each suite
 fixes the jet orders it needs.  ``ALL_SUITES`` is the suite table's names,
-in order; naming a suite twice is a usage error.  The seed determines every
-sampled point, every random polynomial and every catalog draw, so two runs
-of the same scenario produce byte-identical reports apart from the timing
-block.
+in order; naming a suite twice, or one map spec twice, is a usage error,
+and so is ``exp_scale``, which is transcendental, on the exact backend.
+The seed determines every sampled point, every random polynomial and
+every catalog draw, so two runs of the same scenario produce
+byte-identical reports apart from the timing block.
 
 Sample points are drawn uniformly from a small box (dyadic rationals on the
 exact backend) and rejected, with a bounded retry budget, until the case's
@@ -241,10 +242,18 @@ def _shear(n: int):
 
 
 def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
+    """The catalog maps of the scenario's map specs.  A spec listed twice
+    would repeat case ids, and an ``exp_scale`` map has no exact jets."""
     out = []
+    seen = []
     for name, params in cfg._map_specs():
         p = dict(params)
         p.setdefault("dim", cfg.dim)
+        if (name, p) in seen:
+            raise ConfigError(f"map {name!r} is listed more than once with the same parameters")
+        seen.append((name, p))
+        if name == "exp_scale" and cfg.backend == "exact":
+            raise ConfigError("exp_scale needs the float backend")
         try:
             m = catalog_get(name, p)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -110,9 +110,9 @@ class DiffeoMap:
     def jacobian_det(self, point: Point) -> Scalar:
         return mat_det(self.jacobian(point))
 
-    def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
-        """Inverse of this map's Jacobian jets ``jac[a][i] = d_i f^a`` at a
-        point, by cofactors."""
+    def jacobian_inverse(self, jac: list[list]) -> list[list]:
+        """Inverse of this map's Jacobian ``jac[a][i] = d_i f^a`` at a point,
+        jets or scalars, by cofactors."""
         return mat_inv(jac)
 
     def invert(self, at: Point) -> "_Inverse":
@@ -220,12 +220,13 @@ class CotangentMap(DiffeoMap):
         since the lift is functorial; evaluable over that part's image only."""
         return cotangent_lift(self.base.invert(at[:self.base.dim]))
 
-    def jacobian_inverse(self, jac: list[list[Jet]]) -> list[list[Jet]]:
+    def jacobian_inverse(self, jac: list[list]) -> list[list]:
         """``J^-1 = -Omega J^T Omega``, since a lift is symplectic.
 
         Entry ``[k][c]`` is ``J[(c + n) % 2n][(k + n) % 2n]``, negated when
         exactly one of ``k``, ``c`` is a fiber slot: a transpose with the
-        base and fiber blocks swapped, exact slot for slot on jets.
+        base and fiber blocks swapped, exact slot for slot on jets and on
+        scalars.
         """
         n, d = self.base.dim, self.dim
         return [[jac[(c + n) % d][(k + n) % d] if (k < n) == (c < n)

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.jets import Jet, Polynomial, jet_compose, mat_inv, monomials
+from jetcocycles import geometry, jets
+from jetcocycles.harness import Sampler, ScenarioConfig
+from jetcocycles.jets import (
+    Jet,
+    Polynomial,
+    SingularJacobianError,
+    jet_compose,
+    mat_inv,
+    monomials,
+)
 from jetcocycles.maps import DiffeoMap, catalog_get, compose, cotangent_lift
 from jetcocycles.geometry import (
     Connection,
@@ -270,6 +279,80 @@ def test_lift_takes_each_partial_of_the_connection_once(monkeypatch):
     lifted.components(z, 1)
     assert len(calls) == 54
     assert lifted.symmetry_defect(z) == 0
+
+
+# -- the order-0 pullback ------------------------------------------------------
+
+
+def order0_fields(lifted: bool, drawn: bool) -> list:
+    """Every kind of pullback over one map: with and without the
+    inhomogeneous term, of a symmetric and of an asymmetric field.  A base
+    map inverts its Jacobian by cofactors, a cotangent lift by a transpose."""
+    n = 2
+    gamma = (Sampler(ScenarioConfig(seed=5)).connection(n) if drawn
+             else Connection.flat_connection(n))
+    f = catalog_get("projective", {"dim": n})
+    h = catalog_get("polynomial_perturbation", {"dim": n})
+    if lifted:
+        f, h, gamma = cotangent_lift(f), cotangent_lift(h), lift_connection(gamma)
+    d = f.dim
+    rng = random.Random(29)
+    polys = [[[rand_poly(rng, d) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    asym = TensorField21(d, lambda p, order: [[[t.jet(p, order) for t in row]
+                                               for row in plane] for plane in polys])
+    return [pullback_connection(f, gamma), cocycle_C(f, gamma),
+            pullback_tensor(f, cocycle_C(h, gamma)), pullback_tensor(f, asym)]
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["base", "lift"])
+@pytest.mark.parametrize("drawn", [False, True], ids=["flat", "drawn"])
+def test_order0_pullback_is_the_constant_slot_of_order_1(lifted, drawn):
+    # order 0 reads slot scalars and sums them; order 1 contracts jets
+    point = (F(1, 8), F(-3, 16), F(1, 2), F(-1, 4))[:4 if lifted else 2]
+    for field in order0_fields(lifted, drawn):
+        d = field.dim
+        got, want = field.components(point, 0), field.components(point, 1)
+        for k in range(d):
+            for i in range(d):
+                for j in range(d):
+                    g = got[k][i][j]
+                    assert g.order == 0 and g.value == want[k][i][j].value, (field.name, k, i, j)
+                    assert type(g.value) in (int, F), field.name
+        assert any(e.value for plane in got for row in plane for e in row), field.name
+
+
+def test_order0_lift_pullback_makes_no_partial_and_no_dot(monkeypatch):
+    f = cotangent_lift(catalog_get("projective", {"dim": 3}))
+    comparison = cocycle_C(f, lift_connection(Connection.flat_connection(3)))
+    z = (F(1, 8), F(-1, 4), F(1, 16), F(1, 2), F(-3, 8), F(1, 4))
+    f.eval_jet(z, 2)  # the lift's own jets are made before counting
+    calls = []
+    partial, dot = Jet.partial, jets.dot
+
+    def counted_partial(self, axis):
+        calls.append("partial")
+        return partial(self, axis)
+
+    def counted_dot(*args, **kw):
+        calls.append("dot")
+        return dot(*args, **kw)
+
+    monkeypatch.setattr(Jet, "partial", counted_partial)
+    monkeypatch.setattr(jets, "dot", counted_dot)
+    monkeypatch.setattr(geometry, "dot", counted_dot)
+    values = comparison.values(z)
+    assert calls == []
+    assert any(v for plane in values for row in plane for v in row)
+
+
+def test_order0_pullback_along_a_singular_jacobian_raises():
+    x3 = Polynomial(1, {(3,): 1})
+    cube = DiffeoMap(1, lambda p, order: [x3.jet(p, order)], name="cube")
+    pulled = pullback_connection(cube, Connection.flat_connection(1))
+    for order in (0, 1):
+        with pytest.raises(SingularJacobianError):
+            pulled.components((F(0),), order)
+    assert pulled.components((F(1, 2),), 0)[0][0][0].value == 2 / F(1, 2)
 
 
 # -- comparison tensor ---------------------------------------------------------

@@ -386,6 +386,36 @@ def test_cli_repeated_suite_is_usage_error(tmp_path):
             proc.stderr
 
 
+def test_config_rejects_a_repeated_map_spec():
+    # the dim a spec leaves out is the scenario's, so these two are one map
+    for maps in ([("moebius", {})] * 2, [("moebius", {"a": 2}), ("moebius", {"a": 2, "dim": 1})]):
+        with pytest.raises(ConfigError, match="'moebius' is listed more than once"):
+            ScenarioConfig(suites=("cocycle_C",), maps=maps).validate()
+    ScenarioConfig(suites=("cocycle_C",), maps=[("moebius", {}), ("moebius", {"a": 2})]).validate()
+
+
+def test_config_rejects_exp_scale_on_the_exact_backend():
+    maps = [("exp_scale", {"lam": 0.5})]
+    with pytest.raises(ConfigError, match="exp_scale needs the float backend"):
+        ScenarioConfig(suites=("cocycle_C",), maps=maps).validate()
+    ScenarioConfig(backend="float", suites=("cocycle_C",), maps=maps).validate()
+
+
+@pytest.mark.parametrize("maps,message", [
+    ([["moebius", {}], ["moebius", {}]], "listed more than once"),
+    ([["exp_scale", {"lam": 0.5}]], "exp_scale needs the float backend")],
+    ids=["repeated_map", "exp_scale_exact"])
+def test_cli_scenario_map_pool_usage_errors(tmp_path, maps, message):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({"dim": 1, "samples": 1, "suites": ["cocycle_C"], "maps": maps}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], \
+        proc.stderr
+
+
 def test_scenario_map_parameter_rejects_json_booleans(tmp_path):
     for params in ({"a": True}, {"a": 1, "b": [False]}):
         path = tmp_path / "bool.json"
