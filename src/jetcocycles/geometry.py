@@ -32,8 +32,10 @@ components composed and contracted, and the rest mirrored; an asymmetric
 tensor's are all contracted.  The lift takes each d_k G^a_ij once, for
 i <= j, but computes every (i, j) of its fiber block, so its symmetry
 stays a check.  Every sum of jet products here goes through ``jets.dot``,
-the final (J^-1)^k_c contraction too: for each (i, j) the c-planes with a
-live entry are listed once, and one ``dot`` per k sums them.  At order 0,
+the final (J^-1)^k_c contraction too.  Each level of the contraction lists
+its live terms once (the rows of a c-plane of T with a live entry, the live
+entries of each column of J and each row of J^-1, the c-planes live at
+(i, j)) and makes no sum without a live term.  At order 0,
 where every residual reads a tensor (``_Field21.values``), the pullback
 makes no jet until its result: J and d_i d_j F^c are read off the slots of
 the map's order-2 jets (slot of x^m = d^m F / m!), the field at the image
@@ -234,15 +236,6 @@ def _live(x):
     return x or None
 
 
-def _scalar_total(pairs) -> "Scalar | None":
-    """:func:`jets.dot` on scalar pairs: the sum of ``x * y`` over the pairs
-    with no ``None`` or zero operand, or ``None`` when there is none.  Exact
-    pairs make one integer sum and floats add left to right, as ``dot``
-    does on order-0 jets."""
-    live = [(x, y) for x, y in pairs if x and y]
-    return _scalar_dot(live) if live else None
-
-
 def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                          order: int, with_inhomogeneous: bool) -> Components:
     """``(J^-1)^k_c [T^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j]`` to ``order``, the
@@ -256,10 +249,12 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
     ``d^m F / m!``: ``J^a_i`` is the slot of ``x_i`` and ``d_i d_j F^c`` the
     slot of ``x_i x_j``, times 2 when ``i == j``; the field is read as
     values at the image, since an order-0 composition is the value; and
-    each sum is a scalar sum with ``dot``'s skip-zero and ``None`` rules
-    (:func:`_scalar_total`), wrapped in an order-0 jet only when it is made.
-    ``J^-1`` is ``mapping.jacobian_inverse`` of ``J``, on jets or scalars.
-    A zero leaf is ``None`` either way.
+    each sum is a scalar sum (``jets._scalar_dot``: one integer sum when
+    exact, left to right on floats), wrapped in an order-0 jet only when it
+    is made.  ``J^-1`` is ``mapping.jacobian_inverse`` of ``J``, on jets or
+    scalars.  A zero leaf is ``None`` either way.  Each level lists its live
+    terms once, in the order ``dot`` would take them, and makes no sum
+    without one, so a sum sees live pairs only.
     """
     d = mapping.dim
     if field.dim != d:
@@ -284,7 +279,7 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         origin = (0,) * d
         slots = [f.coeffs for f in fj]
         jac = [[slots[a][idx[_bump(origin, i)]] for i in range(d)] for a in range(d)]
-        total = _scalar_total
+        total = _scalar_dot
 
         def at_image(g):
             return g.value or None
@@ -294,9 +289,15 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
         def second(c):
             s = slots[c]
             return [(s[h] * 2 if diagonal else s[h]) or None for h, diagonal in second_slots]
-    jac_inv = [[_live(e) for e in row] for row in mapping.jacobian_inverse(jac)]
-    jac_t = list(zip(*jac))
+    # the live entries of each row of J^-1 and of each column of J, listed once
+    inv_rows = [[(c, e) for c, e in enumerate(map(_live, row)) if e is not None]
+                for row in mapping.jacobian_inverse(jac)]
+    jac_t = [[_live(e) for e in col] for col in zip(*jac)]
     g_img = None if flat else field.components(image, order)
+
+    def summed(terms):
+        # a sum of live pairs, or None when there is none
+        return total(terms) if terms else None
 
     # (J^-1)^k_c T^c_ab J^a_i J^b_j one index at a time, one c-plane at a time:
     # over b, then a, then c, 3 d^4 products instead of 2 d^6.  A field
@@ -313,24 +314,34 @@ def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
                 tc[a][b] = at_image(g_img[c][a][b])
                 if sym:
                     tc[b][a] = tc[a][b]
-            tj = [[total(zip(tc[a], jac_t[j])) for a in range(d)] for j in range(d)]
+            rows = [(a, [(b, t) for b, t in enumerate(row) if t is not None])
+                    for a, row in enumerate(tc)]
+            rows = [(a, row) for a, row in rows if row]
+            # tj[j]: (a, T^c_ab J^b_j summed over b) for the a whose sum is live
+            tj = []
+            for col in jac_t:
+                sums = ((a, _live(summed([(t, col[b]) for b, t in row if col[b] is not None])))
+                        for a, row in rows)
+                tj.append([(a, s) for a, s in sums if s is not None])
             for i, j in pairs:
-                plane[i][j] = total(zip(jac_t[i], tj[j]))
+                col = jac_t[i]
+                plane[i][j] = _live(summed([(col[a], s) for a, s in tj[j] if col[a] is not None]))
         if with_inhomogeneous:
             # d_i J^c_j = d_i d_j F^c: one entry per pair i <= j fills both
             for (i, j), dj in zip(upper, second(c)):
                 if dj is not None:
-                    for a, b in {(i, j), (j, i)}:
-                        plane[a][b] = dj if plane[a][b] is None else plane[a][b] + dj
+                    plane[i][j] = dj if plane[i][j] is None else plane[i][j] + dj
+                    if i != j:
+                        plane[j][i] = dj if plane[j][i] is None else plane[j][i] + dj
         planes.append(plane)
     zero = Jet.zero(d, order)
     out = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for i, j in pairs:
-        live = [(c, plane[i][j]) for c, plane in enumerate(planes) if plane[i][j] is not None]
-        if not live:
+        col = [plane[i][j] for plane in planes]
+        if col.count(None) == d:
             continue
-        for k in range(d):
-            s = total((jac_inv[k][c], p) for c, p in live)
+        for k, row in enumerate(inv_rows):
+            s = summed([(e, col[c]) for c, e in row if col[c] is not None])
             if s is not None:
                 out[k][i][j] = s if order else Jet(d, 0, (s,))
                 if sym:

@@ -742,6 +742,15 @@ def _scalar_dot(pairs: Sequence[tuple]) -> Scalar:
     return total
 
 
+def _scalar_total(pairs) -> "Scalar | None":
+    """:func:`dot` on scalar pairs: the sum of ``x * y`` over the pairs
+    with no ``None`` or zero operand, or ``None`` when there is none.  Exact
+    pairs make one integer sum and floats add left to right, as ``dot``
+    does on order-0 jets."""
+    live = [(x, y) for x, y in pairs if x and y]
+    return _scalar_dot(live) if live else None
+
+
 def _minors(rows: Sequence[Sequence]):
     """``minor(rs, cs, negate)``: the determinant of rows ``rs`` and columns
     ``cs`` of a square matrix, negated when ``negate``, expanded along its

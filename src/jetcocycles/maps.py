@@ -21,8 +21,10 @@ map is ever reverted, never the 2n-dim lift.
 
 Matrices go through the one cofactor rule of ``jets`` (``mat_inv``,
 ``mat_det``), whose cost grows as n!; nothing above 4 x 4 is inverted.  A
-lift inverts its n x n base Jacobian jets, and a map supplies the inverse
-of its Jacobian jets to pullbacks through :meth:`DiffeoMap.jacobian_inverse`:
+lift inverts its n x n base Jacobian jets, A = J^-1, and writes the slots
+of its fiber jets from theirs: slot (a, 0) of xi'_j is sum_i A_ij[a] xi_i
+and slot (a, e_i) is A_ij[a].  A map supplies the inverse of its Jacobian
+jets to pullbacks through :meth:`DiffeoMap.jacobian_inverse`:
 ``mat_inv`` in general, and for a cotangent lift, which is symplectic, the
 signed transpose ``J^-1 = -Omega J^T Omega`` with no arithmetic.  Each map
 keeps the highest-order jets it has made at the last point it was asked
@@ -35,9 +37,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .jets import (
+    _EXACT,
     EvaluationError,
     Jet,
     JetShapeError,
@@ -45,11 +49,14 @@ from .jets import (
     Polynomial,
     Scalar,
     SingularJacobianError,
+    _scalar_total,
     dot,
     jet_compose,
     jet_invert,
     mat_det,
     mat_inv,
+    monomial_index,
+    monomials,
 )
 
 __all__ = [
@@ -77,19 +84,22 @@ class DiffeoMap:
 
     ``jet_fn(point, order)`` returns the component jets at the point; the
     map is a local diffeomorphism wherever its Jacobian is invertible, which
-    callers are expected to arrange through sampling.
+    callers are expected to arrange through sampling.  A subclass passes no
+    ``jet_fn`` and defines a ``_jet_fn`` method instead, so that no map
+    holds a bound method of itself and a dropped map is freed at once.
     """
 
     def __init__(
         self,
         dim: int,
-        jet_fn: Callable[[Point, int], list[Jet]],
+        jet_fn: Callable[[Point, int], list[Jet]] | None,
         name: str = "map",
         params: dict | None = None,
         orientation_preserving: bool | None = None,
     ):
         self.dim = dim
-        self._jet_fn = jet_fn
+        if jet_fn is not None:
+            self._jet_fn = jet_fn
         self.name = name
         self.params = params or {}
         self.orientation_preserving = orientation_preserving
@@ -161,7 +171,7 @@ class _Inverse(DiffeoMap):
         self.parent, self.anchor, self.image = parent, anchor, parent(anchor)
         super().__init__(
             parent.dim,
-            self._inverse_jets,
+            None,
             name=f"{parent.name}^-1",
             orientation_preserving=parent.orientation_preserving,
         )
@@ -177,6 +187,8 @@ class _Inverse(DiffeoMap):
         jets = jet_invert(_shifted(self.parent.eval_jet(self.anchor, max(order, 1))))
         return [g.truncated(order) + c for g, c in zip(jets, self.anchor)]
 
+    _jet_fn = _inverse_jets
+
     def invert(self, at: Point) -> DiffeoMap:
         # the inverse of a local inverse is its parent
         self._check(at)
@@ -191,7 +203,7 @@ class CotangentMap(DiffeoMap):
         n = base.dim
         super().__init__(
             2 * n,
-            self._lift_jets,
+            None,
             name=f"T*{base.name}",
             orientation_preserving=True,
         )
@@ -206,14 +218,10 @@ class CotangentMap(DiffeoMap):
         except SingularJacobianError:
             raise SingularJacobianError(f"{self.base.name}: singular Jacobian at {x}") from None
         base_axes = list(range(n))
-        out = [fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
-        xi_vars = [Jet.variable(2 * n, order, n + i, xi[i]) for i in range(n)]
-        # xi'_j = (dx^i/df^j) xi_i, the transpose-inverse acting on the fiber;
-        # a zero entry is not embedded, and dot skips it
-        lifted = [[None if e.is_zero() else e.embed(2 * n, base_axes) for e in row]
-                  for row in jac_inv]
-        return out + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
-                      for j in range(n)]
+        return ([fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
+                + [_fiber_jet([row[j] for row in jac_inv], xi, order) for j in range(n)])
+
+    _jet_fn = _lift_jets
 
     def invert(self, at: Point) -> CotangentMap:
         """The lift of the base's local inverse at the base part of ``at``,
@@ -231,6 +239,45 @@ class CotangentMap(DiffeoMap):
         n, d = self.base.dim, self.dim
         return [[jac[(c + n) % d][(k + n) % d] if (k < n) == (c < n)
                  else -jac[(c + n) % d][(k + n) % d] for c in range(d)] for k in range(d)]
+
+
+@lru_cache(maxsize=None)
+def _lift_slots(n: int, order: int) -> tuple:
+    """The phase-space slots of ``(a, 0)`` for the n-dim monomials ``a`` to
+    ``order``, and per fiber axis i those of ``(a, e_i)`` for ``|a| < order``."""
+    idx = monomial_index(2 * n, order)
+    monos = monomials(n, order)
+    low = monos[:len(monomials(n, order - 1))] if order else ()
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return (tuple(idx[a + (0,) * n] for a in monos),
+            tuple(tuple(idx[a + u] for a in low) for u in units))
+
+
+def _fiber_jet(column: list[Jet], xi: Sequence[Scalar], order: int) -> Jet:
+    """``xi'_j = sum_i A_ij xi_i`` on phase space, from the column ``A_ij``
+    of the inverse base Jacobian jets: slot ``(a, 0)`` is
+    ``sum_i A_ij[a] xi_i`` and slot ``(a, e_i)`` is ``A_ij[a]``.  Each slot
+    is what ``dot`` makes of the pairs ``(A_ij, xi_i + u_i)``, type
+    included: above order 0 an exact ``dot`` divides by one lcm, so its
+    nonzero slots are all ``Fraction`` when that exceeds 1, else all ``int``.
+    """
+    n = len(column)
+    at_base, at_fiber = _lift_slots(n, order)
+    live = [(i, a.coeffs) for i, a in enumerate(column) if any(a.coeffs)]
+    out = [0] * len(monomials(2 * n, order))
+    for s, pos in enumerate(at_base):
+        v = _scalar_total([(c[s], xi[i]) for i, c in live])
+        if v is not None:
+            out[pos] = v
+    for i, c in live:
+        for s, pos in enumerate(at_fiber[i]):
+            if c[s]:
+                out[pos] = c[s]
+    if order and all(type(xi[i]) in _EXACT and column[i]._exact_terms() for i, _ in live):
+        kind = Fraction if any(xi[i].denominator * column[i]._exact_terms()[1] > 1
+                               for i, _ in live) else int
+        out = [kind(v) if v and type(v) is not kind else v for v in out]
+    return Jet(2 * n, order, out)
 
 
 def cotangent_lift(f: DiffeoMap) -> CotangentMap:
@@ -348,22 +395,25 @@ def _projective(n: int, m: list, name: str, params: dict, oriented: bool = False
                      orientation_preserving=bool(det > 0) if oriented else None)
 
 
-def _array(key: str, value, shape: tuple[int, ...]) -> list:
-    """A vector or matrix parameter as lists of the given shape, or
-    ``ValueError``.  A bare scalar stands for a 1 or 1 x 1 array."""
+def _array(key: str, value, shape: tuple[int, ...]):
+    """A number (shape ``()``), vector or matrix parameter of the given
+    shape, arrays as lists, or ``ValueError``.  A bare scalar stands for a
+    1 or 1 x 1 array."""
     if not isinstance(value, (list, tuple)) and set(shape) == {1}:
         value = [[value]] if len(shape) == 2 else [value]
 
     def fits(v, dims):
         if not dims:
-            return not isinstance(v, (list, tuple))
+            return isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
         return (isinstance(v, (list, tuple)) and len(v) == dims[0]
                 and all(fits(x, dims[1:]) for x in v))
 
     if not fits(value, shape):
-        want = f"a {shape[0]} x {shape[1]} matrix" if len(shape) == 2 \
-            else f"a vector of length {shape[0]}"
+        want = ("a number" if not shape else f"a vector of length {shape[0]}"
+                if len(shape) == 1 else f"a {shape[0]} x {shape[1]} matrix")
         raise ValueError(f"parameter {key!r} must be {want}, got {value!r}")
+    if not shape:
+        return value
     return [list(row) for row in value] if len(shape) == 2 else list(value)
 
 
@@ -371,7 +421,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
     """Construct a catalog map; see :func:`catalog_entries` for schemas.
 
     ``KeyError`` for an unknown name; ``ValueError`` for a parameter the
-    family does not take or a vector or matrix of the wrong shape.
+    family does not take or a number, vector or matrix of the wrong shape.
     """
     params = dict(params or {})
     n = int(params.pop("dim", dim))
@@ -397,7 +447,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
         return _affine(n, a, b, name, {"A": a, "b": b})
 
     if name == "polynomial_perturbation":
-        eps = params.get("eps", Fraction(1, 8))
+        eps = _array("eps", params.get("eps", Fraction(1, 8)), ())
         polys = []
         for i in range(n):
             # component i: x_i + eps * (x_i + x_{i+1 mod n})^3, Jacobian = I at 0
@@ -411,7 +461,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
     if name == "moebius":
         if n != 1:
             raise JetShapeError("moebius is a 1-dimensional family")
-        a, b, c, d = (params.get(k, v) for k, v in zip("abcd", (1, 0, 1, 1)))
+        a, b, c, d = (_array(k, params.get(k, v), ()) for k, v in zip("abcd", (1, 0, 1, 1)))
         return _projective(1, [[a, b], [c, d]], name, {"a": a, "b": b, "c": c, "d": d},
                            oriented=True)
 
@@ -424,7 +474,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
         return _projective(n, m, name, {"A": m})
 
     if name == "exp_scale":
-        lam = float(params.get("lam", 1.0))
+        lam = float(_array("lam", params.get("lam", 1.0), ()))
         if lam == 0:
             raise SingularJacobianError("exp_scale: lam must be nonzero")
 

@@ -345,6 +345,41 @@ def test_order0_lift_pullback_makes_no_partial_and_no_dot(monkeypatch):
     assert any(v for plane in values for row in plane for v in row)
 
 
+def test_order0_lift_pullback_makes_no_sum_without_a_live_term(monkeypatch):
+    f = cotangent_lift(catalog_get("projective", {"dim": 3}))
+    h = cotangent_lift(catalog_get("polynomial_perturbation", {"dim": 3}))
+    pulled = pullback_tensor(f, cocycle_C(h, lift_connection(Connection.flat_connection(3))))
+    z = (F(1, 8), F(-1, 4), F(1, 16), F(1, 2), F(0), F(1, 4))
+    sums = []
+    total = geometry._scalar_dot
+
+    def counted_total(pairs):
+        pairs = list(pairs)
+        sums.append(bool(pairs) and all(x and y for x, y in pairs))
+        return total(pairs)
+
+    monkeypatch.setattr(geometry, "_scalar_dot", counted_total)
+    values = pulled.values(z)
+    assert sums and all(sums), f"{sums.count(False)} of {len(sums)} sums have a dead term"
+    assert any(v for plane in values for row in plane for v in row)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("name", ["polynomial_perturbation", "projective"])
+def test_lift_is_natural_for_pullbacks(name, order):
+    # f~*(lift G) = lift(f*G): the right side pulls back n-dim jets only, so
+    # it shares no phase-space contraction with the left
+    rng = random.Random(41)
+    for n, drawn in [(1, False), (2, False), (3, False), (1, True), (2, True)]:
+        gamma = (Sampler(ScenarioConfig(seed=n)).connection(n) if drawn
+                 else Connection.flat_connection(n))
+        f = catalog_get(name, {"dim": n})
+        lhs = pullback_connection(cotangent_lift(f), lift_connection(gamma))
+        rhs = lift_connection(pullback_connection(f, gamma))
+        z = rand_point(rng, 2 * n)
+        assert lhs.components(z, order) == rhs.components(z, order), (n, drawn, z)
+
+
 def test_order0_pullback_along_a_singular_jacobian_raises():
     x3 = Polynomial(1, {(3,): 1})
     cube = DiffeoMap(1, lambda p, order: [x3.jet(p, order)], name="cube")

@@ -416,6 +416,16 @@ def test_cli_scenario_map_pool_usage_errors(tmp_path, maps, message):
         proc.stderr
 
 
+def test_cli_scalar_map_parameter_of_wrong_shape_is_usage_error(tmp_path):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({"dim": 1, "samples": 1, "suites": ["lift"],
+                                "maps": [["polynomial_perturbation", {"eps": [1, 2]}]]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.splitlines() == ["error: cannot build map 'polynomial_perturbation': "
+                                        "parameter 'eps' must be a number, got [1, 2]"]
+
+
 def test_scenario_map_parameter_rejects_json_booleans(tmp_path):
     for params in ({"a": True}, {"a": 1, "b": [False]}):
         path = tmp_path / "bool.json"

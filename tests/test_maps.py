@@ -1,8 +1,10 @@
 """Catalog maps, composition, local inversion, cotangent lifts, flows."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -210,6 +212,16 @@ def test_catalog_params_are_pinned():
     assert catalog_get("translation", {"dim": 2, "c": [q, 1]}).params == {"c": [q, 1]}
     assert catalog_get("projective", {"dim": 1, "A": [[2, 1], [1, 1]]}).params \
         == {"A": [[2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("name,key", [("polynomial_perturbation", "eps"), ("moebius", "a"),
+                                      ("moebius", "b"), ("moebius", "c"), ("moebius", "d"),
+                                      ("exp_scale", "lam")])
+def test_scalar_parameter_of_wrong_shape_is_named(name, key):
+    for bad in ([1, 2], [1], None, True):
+        with pytest.raises(ValueError, match=f"parameter '{key}' must be a number, got "):
+            catalog_get(name, {key: bad})
+    catalog_get(name, {key: F(1, 2) if name == "exp_scale" else 3})
 
 
 def test_catalog_orientation_flags():
@@ -483,6 +495,60 @@ def test_lift_inverse_jets_equal_the_reversion_of_the_lift(name, n):
             got = inverse_jets(lift, z, order)
             ref = jet_invert([j - j.value for j in lift.eval_jet(z, max(order, 1))])
             assert got == [g.truncated(order) for g in ref], (z, order)
+
+
+def embedded_dot_lift(f, z, order):
+    """A lift's jets as the phase-space construction makes them: the inverse
+    base Jacobian entries embedded in 2n variables, times the fiber
+    variables, summed by ``dot`` onto a zero jet."""
+    n = f.dim
+    fj = f.eval_jet(z[:n], order + 1)
+    inv = mat_inv([[fj[a].partial(i) for i in range(n)] for a in range(n)])
+    axes = list(range(n))
+    xi_vars = [Jet.variable(2 * n, order, n + i, z[n + i]) for i in range(n)]
+    lifted = [[None if e.is_zero() else e.embed(2 * n, axes) for e in row] for row in inv]
+    return ([fj[a].truncated(order).embed(2 * n, axes) for a in range(n)]
+            + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
+               for j in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_lift_jets_equal_the_embedded_dot_construction(backend, n):
+    # slot for slot and type for type: an exact slot keeps int or Fraction
+    # as an exact dot makes it, and a float adds as dot adds it; fibers with
+    # fractional, integral and zero coordinates, and the fiber origin
+    num = float if backend == "float" else F
+    x = (F(1, 8), F(-1, 4), F(1, 16))[:n]
+    fibers = [(F(1, 2), F(-3, 8), F(5, 8)), (F(1), F(-1, 2), F(2)), (F(0), F(3, 4), F(-1)),
+              (F(0),) * 3]
+    for name, params in default_map_pool(n, backend):
+        f = catalog_get(name, {**params, "dim": n})
+        for xi in fibers:
+            z = tuple(map(num, x + xi[:n]))
+            for order in range(4):
+                got = cotangent_lift(f).eval_jet(z, order)
+                want = embedded_dot_lift(f, z, order)
+                assert [list(map(repr, j.coeffs)) for j in got] \
+                    == [list(map(repr, j.coeffs)) for j in want], (name, z, order)
+
+
+def test_dropped_lifts_and_local_inverses_are_freed_at_once():
+    # no map holds a bound method of itself, so none is a reference cycle
+    f = catalog_get("projective", {"dim": 2})
+    x, xi = (F(1, 8), F(-1, 4)), (F(1, 2), F(-3, 8))
+    makers = [(lambda: cotangent_lift(f), x + xi), (lambda: f.invert(x), f(x)),
+              (lambda: cotangent_lift(f.invert(x)), f(x) + xi)]
+    gc.disable()
+    try:
+        for make, at in makers:
+            m = make()
+            m.eval_jet(at, 2)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None, at
+    finally:
+        gc.enable()
 
 
 # -- vector fields and flows -------------------------------------------------
