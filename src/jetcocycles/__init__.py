@@ -37,7 +37,6 @@ from .geometry import (
     pullback_tensor,
 )
 from .operators import (
-    COVARIANT_TO_COORDINATE,
     LocalDiffOp,
     Symbol,
     act_on_function,

@@ -37,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("scenario", nargs="?", default=None,
                    help="JSON scenario file; overrides all flags")
-    v.add_argument("--dim", type=int, default=1, help="chart dimension (1..3)")
-    v.add_argument("--backend", choices=("exact", "float"), default="exact")
-    v.add_argument("--tol", type=float, default=1e-8,
-                   help="residual tolerance on the float backend")
-    v.add_argument("--samples", type=int, default=5, help="points per case")
-    v.add_argument("--seed", type=int, default=0, help="sampling seed")
-    v.add_argument("--suite", action="append", default=None, metavar="NAME",
+    # no defaults here: a flag left out keeps ScenarioConfig's default
+    v.add_argument("--dim", type=int, help="chart dimension (1..3)")
+    v.add_argument("--backend", choices=("exact", "float"))
+    v.add_argument("--tol", type=float, help="residual tolerance on the float backend")
+    v.add_argument("--samples", type=int, help="points per case")
+    v.add_argument("--seed", type=int, help="sampling seed")
+    v.add_argument("--suite", action="append", dest="suites", metavar="NAME",
                    help=f"suite to run, repeatable; one of {', '.join(ALL_SUITES)}")
     v.add_argument("--json", default=None, metavar="PATH",
                    help="write the full JSON report here")
@@ -66,14 +66,9 @@ def cmd_verify(args) -> int:
     if args.scenario is not None:
         cfg = ScenarioConfig.from_file(args.scenario)
     else:
-        cfg = ScenarioConfig(
-            dim=args.dim,
-            backend=args.backend,
-            tol=args.tol,
-            samples=args.samples,
-            seed=args.seed,
-            suites=tuple(args.suite) if args.suite else ALL_SUITES,
-        ).validate()
+        given = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "scenario", "json")}
+        cfg = ScenarioConfig(**given).validate()
 
     report = run_scenario(cfg)
     summary = report["summary"]

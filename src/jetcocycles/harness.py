@@ -2,9 +2,12 @@
 
 A scenario fixes the dimension, scalar backend, tolerance, sample count,
 seed, the suites to run and the catalog maps to draw pairs from; each suite
-fixes the jet orders it needs.  ``ALL_SUITES`` is the suite table's names,
-in order; naming a suite twice, or one map spec twice, is a usage error,
-and so is ``exp_scale``, which is transcendental, on the exact backend.
+fixes the jet orders it needs.  ``ScenarioConfig``'s field defaults are the
+only defaults and ``ScenarioConfig.validate`` is the only checker, whether
+the scenario comes from command-line flags, a file or Python.
+``ALL_SUITES`` is the suite table's names, in order; naming a suite twice,
+or one map spec twice, is a usage error, and so is ``exp_scale``, which is
+transcendental, on the exact backend.
 The seed determines every sampled point, every random polynomial and
 every catalog draw, so two runs of the same scenario produce
 byte-identical reports apart from the timing block.
@@ -33,7 +36,7 @@ from .jets import (
     Polynomial,
     monomials,
 )
-from .maps import DiffeoMap, VectorField, _eye, catalog_get, cotangent_lift
+from .maps import DiffeoMap, VectorField, _eye, _shear, catalog_get, cotangent_lift
 from .geometry import Connection, _max_abs_entry, cocycle_C, lift_connection
 from .operators import Symbol, apply_op_to_symbol, build_L_covariant, build_L_flat
 from .cocycles import (
@@ -103,8 +106,18 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not isinstance(self.tol, (int, float)) or isinstance(self.tol, bool):
             raise ConfigError(f"tol must be a number, got {self.tol!r}")
+        try:
+            self.tol = float(self.tol)
+        except OverflowError:
+            raise ConfigError(f"tol {self.tol!r} is out of range") from None
         if not isinstance(self.suites, (list, tuple)):
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
+        if not isinstance(self.maps, (list, tuple)) or not all(
+                isinstance(spec, (list, tuple)) and len(spec) == 2 and isinstance(spec[0], str)
+                and isinstance(spec[1], (dict, type(None))) for spec in self.maps):
+            raise ConfigError("maps must be a list of [name, {params}] pairs")
+        self.maps = [(name, {k: _parse_scalar(k, v) for k, v in (params or {}).items()})
+                     for name, params in self.maps]
         if not 1 <= self.dim <= 3:
             raise ConfigError(f"dim must be 1..3, got {self.dim}")
         if self.backend not in ("exact", "float"):
@@ -145,6 +158,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
+        """The validated scenario of a JSON file.  Beyond reading a JSON
+        object with known fields, every check is :meth:`validate`'s."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -152,29 +167,10 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("a scenario file must hold a JSON object")
-        known = {f.name for f in fields(ScenarioConfig) if f.init}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ScenarioConfig) if f.init}
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        cfg = ScenarioConfig()
-        for k in known & set(raw):
-            v = raw[k]
-            if k == "maps":
-                if not isinstance(v, list) or not all(
-                        isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
-                        and isinstance(spec[1], (dict, type(None))) for spec in v):
-                    raise ConfigError("maps must be a list of [name, {params}] pairs")
-                v = [(name, {pk: _parse_scalar(pv) for pk, pv in (params or {}).items()})
-                     for name, params in v]
-            if k == "tol":
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ConfigError(f"tol must be a number, got {v!r}")
-                try:
-                    v = float(v)
-                except OverflowError:
-                    raise ConfigError(f"tol {v!r} is out of range") from None
-            setattr(cfg, k, v)
-        return cfg.validate()
+        return ScenarioConfig(**raw).validate()
 
 
 def _scalar_str(v):
@@ -183,24 +179,24 @@ def _scalar_str(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _parse_scalar(v):
+def _parse_scalar(key, v):
     if isinstance(v, bool):
-        raise ConfigError(f"map parameter {v!r} is not a number")
+        raise ConfigError(f"map parameter {key}={v!r} is not a number")
     if isinstance(v, str):
         try:
             return Fraction(v)  # covers "p/q" and integer literals
         except ZeroDivisionError:
-            raise ConfigError(f"map parameter {v!r} has a zero denominator") from None
+            raise ConfigError(f"map parameter {key}={v!r} has a zero denominator") from None
         except ValueError:
             pass
         try:
             v = float(v)
         except ValueError:
-            raise ConfigError(f"map parameter {v!r} is not a number") from None
+            raise ConfigError(f"map parameter {key}={v!r} is not a number") from None
     if isinstance(v, list):
-        return [_parse_scalar(x) for x in v]
+        return [_parse_scalar(key, x) for x in v]
     if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"map parameter {v!r} is not finite")
+        raise ConfigError(f"map parameter {key}={v!r} is not finite")
     return v
 
 
@@ -223,7 +219,7 @@ def default_map_pool(dim: int, backend: str) -> list:
     pool = [
         ("identity", {}),
         ("translation", {"c": [Fraction(1, 4)] * dim if dim > 1 else Fraction(1, 4)}),
-        ("linear", {"A": 2 if dim == 1 else _shear(dim)}),
+        ("linear", {"A": _shear(dim)}),
         ("affine", {"A": Fraction(3, 2) if dim == 1 else _eye(dim, Fraction(3, 2)),
                     "b": [Fraction(-1, 8)] * dim if dim > 1 else Fraction(-1, 8)}),
         ("polynomial_perturbation", {"eps": Fraction(1, 8)}),
@@ -235,15 +231,11 @@ def default_map_pool(dim: int, backend: str) -> list:
     return pool
 
 
-def _shear(n: int):
-    m = _eye(n, 1)
-    m[0][min(1, n - 1)] = 1 if n > 1 else m[0][0]
-    return m
-
-
 def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
     """The catalog maps of the scenario's map specs.  A spec listed twice
-    would repeat case ids, and an ``exp_scale`` map has no exact jets."""
+    would repeat case ids, and an ``exp_scale`` map has no exact jets.  A
+    spec's ``dim`` is compared with the scenario's before the map is built,
+    since building a large one costs n! in its determinant."""
     out = []
     seen = []
     for name, params in cfg._map_specs():
@@ -254,14 +246,14 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
         seen.append((name, p))
         if name == "exp_scale" and cfg.backend == "exact":
             raise ConfigError("exp_scale needs the float backend")
+        if p["dim"] != cfg.dim:
+            raise ConfigError(f"map {name!r} has dim {p['dim']}, "
+                              f"but the scenario has dim {cfg.dim}")
         try:
-            m = catalog_get(name, p)
+            out.append(catalog_get(name, p))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             reason = exc.args[0] if exc.args else type(exc).__name__
             raise ConfigError(f"cannot build map {name!r}: {reason}") from None
-        if m.dim != cfg.dim:
-            raise ConfigError(f"map {name!r} has dim {m.dim}, but the scenario has dim {cfg.dim}")
-        out.append(m)
     return out
 
 

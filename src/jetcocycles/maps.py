@@ -356,6 +356,13 @@ def _eye(n: int, v=1) -> list:
     return [[v if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _shear(n: int):
+    """The default ``A`` of ``linear`` and ``affine``: 2 at n = 1, else the
+    shear ``I + E_01``."""
+    return 2 if n == 1 else [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                             for i in range(n)]
+
+
 def _row(n: int, a: Sequence[Scalar], b: Scalar) -> Polynomial:
     """The affine row ``sum_j a_j x_j + b``, terms in that order."""
     return Polynomial(n, {**{tuple(int(k == j) for k in range(n)): a[j] for j in range(n)},
@@ -417,14 +424,21 @@ def _array(key: str, value, shape: tuple[int, ...]):
     return [list(row) for row in value] if len(shape) == 2 else list(value)
 
 
-def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMap:
+def catalog_get(name: str, params: dict | None = None) -> DiffeoMap:
     """Construct a catalog map; see :func:`catalog_entries` for schemas.
 
-    ``KeyError`` for an unknown name; ``ValueError`` for a parameter the
-    family does not take or a number, vector or matrix of the wrong shape.
+    ``params["dim"]`` is the chart dimension, 1 by default: a positive
+    ``int`` or an integral ``Fraction``.  ``KeyError`` for an unknown name;
+    ``ValueError`` for any other ``dim``, a parameter the family does not
+    take, or a number, vector or matrix of the wrong shape.  A scenario's
+    map specs are checked by ``ScenarioConfig.validate``, which compares
+    each ``dim`` with the scenario's before it calls this.
     """
     params = dict(params or {})
-    n = int(params.pop("dim", dim))
+    n = params.pop("dim", 1)
+    if isinstance(n, bool) or not isinstance(n, (int, Fraction)) or n < 1 or n != int(n):
+        raise ValueError(f"dim must be a positive integer, got {n!r}")
+    n = int(n)
     entry = next((e for e in catalog_entries() if e["name"] == name), None)
     if entry is None:
         raise KeyError(f"unknown catalog map '{name}'")
@@ -440,9 +454,7 @@ def catalog_get(name: str, params: dict | None = None, dim: int = 1) -> DiffeoMa
         return _affine(n, _eye(n), c, name, {"c": c})
 
     if name in ("linear", "affine"):
-        # the default is 2 at n = 1 and the shear I + E_01 above
-        shear = [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
-        a = _array("A", params.get("A", 2 if n == 1 else shear), (n, n))
+        a = _array("A", params.get("A", _shear(n)), (n, n))
         b = _array("b", params.get("b", [0] * n), (n,))
         return _affine(n, a, b, name, {"A": a, "b": b})
 

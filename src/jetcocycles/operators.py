@@ -12,8 +12,7 @@ Three builders produce the same pointwise operator on phase-space functions:
   map, valid for the flat connection; it serves as the independent oracle.
 
 With symmetrization normalized as the average over permutations the three
-agree exactly in the flat case; the measured proportionality constant is
-:data:`COVARIANT_TO_COORDINATE` and is pinned by the test suite.
+agree exactly in the flat case.
 
 Operators are point-local: a coefficient table over mixed partials of total
 order at most three.  Each builder lists, per multi-index, the (factor, jet)
@@ -72,7 +71,6 @@ __all__ = [
     "LocalDiffOp",
     "Symbol",
     "AnchoredJet",
-    "COVARIANT_TO_COORDINATE",
     "build_L_covariant",
     "build_L_coordinate",
     "build_L_flat",
@@ -81,11 +79,6 @@ __all__ = [
     "act_on_function",
     "act_on_operator",
 ]
-
-# Ratio between the covariant build (with Sym = permutation average) and the
-# coordinate/flat forms.  Measured once on nondegenerate rational examples
-# (see test_operators), then pinned here and asserted across random draws.
-COVARIANT_TO_COORDINATE: Fraction = Fraction(1)
 
 MAX_OP_ORDER = 3
 

@@ -11,10 +11,10 @@ from jetcocycles.harness import SAMPLES_CAP, ConfigError, Sampler, ScenarioConfi
 from jetcocycles.jets import EvaluationError
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "jetcocycles.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc
 
@@ -79,6 +79,58 @@ def test_scenario_file_round_trip(tmp_path):
     assert cfg.maps[1][1]["b"] == [Fraction(1, 4), 0]
     report = run_scenario(cfg)
     assert report["summary"]["pass"]
+
+
+def test_flags_and_scenario_file_give_one_scenario(tmp_path):
+    # flags left out and fields left out both keep ScenarioConfig's defaults
+    flags, file_report = tmp_path / "flags.json", tmp_path / "file.json"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"dim": 2, "seed": 3, "samples": 1,
+                                    "suites": ["moyal", "lift"]}))
+    for proc in (run_cli("verify", "--dim", "2", "--seed", "3", "--samples", "1",
+                         "--suite", "moyal", "--suite", "lift", "--json", str(flags)),
+                 run_cli("verify", str(scenario), "--json", str(file_report))):
+        assert proc.returncode == 0, proc.stderr
+    reports = [json.loads(path.read_text()) for path in (flags, file_report)]
+    for report in reports:
+        report.pop("timing")
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["tol"] == repr(ScenarioConfig().tol)
+
+
+@pytest.mark.parametrize("maps", [[("moebius",)], "moebius", [("moebius", 1)], None,
+                                  [(1, {})], [["moebius", {}, {}]]])
+def test_config_rejects_malformed_maps(maps):
+    with pytest.raises(ConfigError, match=r"maps must be a list of \[name, \{params\}\] pairs"):
+        ScenarioConfig(suites=("moyal",), maps=maps).validate()
+
+
+def test_config_parses_map_parameters_and_tol():
+    cfg = ScenarioConfig(suites=("moyal",), tol=1,
+                         maps=[("moebius", {"a": "2", "b": "1/2"}), ["moebius", None]]).validate()
+    from fractions import Fraction
+    assert cfg.maps == [("moebius", {"a": 2, "b": Fraction(1, 2)}), ("moebius", {})]
+    assert type(cfg.tol) is float
+    with pytest.raises(ConfigError, match="out of range"):
+        ScenarioConfig(tol=10 ** 400).validate()
+    with pytest.raises(ConfigError, match="not a number"):
+        ScenarioConfig(maps=[("moebius", {"a": True})]).validate()
+
+
+@pytest.mark.parametrize("scenario_dim", [1, 2])
+@pytest.mark.parametrize("map_dim", [2.5, "3/2", True, 0, 12])
+def test_cli_map_dim_other_than_the_scenarios_is_usage_error(tmp_path, scenario_dim, map_dim):
+    # the dim is checked before the map is built: a 12 x 12 determinant
+    # would cost 12! terms
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"dim": scenario_dim, "samples": 1, "suites": ["moyal"],
+                                "maps": [["identity", {"dim": map_dim}]]}))
+    proc = run_cli("verify", str(path), timeout=10)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "dim" in lines[0], \
+        proc.stderr
 
 
 def test_scenario_file_unknown_field(tmp_path):

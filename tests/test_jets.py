@@ -1028,8 +1028,13 @@ def test_order_zero_dot_underflow_cancellation_and_shapes():
     assert repr((tiny * neg).value) == "0.0"
     # a product that underflows to -0.0 is added as 0, as Jet.__add__ adds it
     for pairs, acc in (([(tiny, neg)], None), ([(tiny, neg)], one),
-                       ([(one, one), (tiny, neg)], None), ([(tiny, neg), (one, neg)], None)):
+                       ([(one, one), (tiny, neg)], None), ([(tiny, neg), (one, neg)], None),
+                       ([(tiny, tiny)], Jet(2, 0, [-0.0])), ([(tiny, tiny)], Jet(2, 0, [0]))):
         assert bits(dot(pairs, acc)) == bits(left_fold(pairs, acc))
+    # a product that underflows to 0.0 leaves acc's slot as it is: -0.0 stays
+    # -0.0 and int 0 stays int 0, which a plain scalar sum from 0 would not keep
+    assert bits(dot([(tiny, tiny)], Jet(2, 0, [-0.0]))) == [(float, "-0.0")]
+    assert bits(dot([(tiny, tiny)], Jet(2, 0, [0]))) == [(int, "0")]
     half, minus = Jet(2, 0, [Fraction(1, 2)]), Jet(2, 0, [-1])
     cancelled = dot([(half, Jet(2, 0, [1])), (half, minus)])
     assert cancelled.coeffs == (0,) and type(cancelled.value) is int

@@ -72,6 +72,19 @@ def test_unknown_catalog_name():
         catalog_get("spiral")
 
 
+@pytest.mark.parametrize("dim", [2.5, "3/2", True, 0, -1, 2.0])
+def test_catalog_dim_must_be_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim"):
+        catalog_get("identity", {"dim": dim})
+
+
+def test_catalog_dim_may_be_an_integral_fraction():
+    # what a scenario file's "2" parses to
+    f = catalog_get("identity", {"dim": F(2)})
+    assert f.dim == 2 and type(f.params["dim"]) is int
+    assert catalog_get("identity").dim == 1
+
+
 @pytest.mark.parametrize("name", ["linear", "affine"])
 def test_linear_default_is_the_shear_at_every_dim(name):
     f = catalog_get(name, {"dim": 3})

@@ -61,3 +61,17 @@ def test_runs_cover_the_float_families(tmp_path):
         assert [m.name for m in cfg.pool] == ["identity", "affine", "projective"]
         assert all(isinstance(x, float) for m in cfg.pool[1:] for row in m.params["A"]
                    for x in row)
+
+
+def test_source_size_counts_the_package_lines(tmp_path):
+    for tree, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                        ("change", {"a.py": "x = 1\n", "notes.txt": "not counted\n"})):
+        pkg = tmp_path / tree / "src" / "jetcocycles"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert report_diff.source_lines(parent) == 3
+    assert report_diff.source_lines(change) == 1
+    assert report_diff.source_size(parent, change) == \
+        "src/jetcocycles/*.py: 3 lines in parent, 1 in change, net -2"

@@ -12,16 +12,18 @@ file whose pool is those three families with float parameters: 18 reports
 per tree.  Reports are compared after dropping their ``timing`` block.  It also runs ``list``
 and each of the three demos and compares their standard output and exit
 code.  The program is imported from the tree's ``src``, so nothing needs
-installing.  It prints one line per report and per command, and exits 1
-when any of them differs or a report is missing, else 0.  A report that
-differs is sized next to its first difference: how many cases differ, and
-the largest |delta| between the residuals of those cases that read as
-floats.  Standard library only.
+installing.  It prints one line per report and per command, then one line
+with the line count of ``src/jetcocycles/*.py`` in each tree and the net
+change.  It exits 1 when any report or command output differs or a report
+is missing, else 0.  A report that differs is sized next to its first
+difference: how many cases differ, and the largest |delta| between the
+residuals of those cases that read as floats.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -140,6 +142,21 @@ def describe(a: dict, b: dict) -> str:
     return f"DIFFERS in {count} cases{size}; first at {first_difference(a, b)}"
 
 
+def source_lines(tree: str) -> int:
+    """The number of lines in ``src/jetcocycles/*.py`` of ``tree``."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "jetcocycles", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def source_size(parent: str, change: str) -> str:
+    """One line: the source line counts of both trees and the net change."""
+    a, b = source_lines(parent), source_lines(change)
+    return f"src/jetcocycles/*.py: {a} lines in parent, {b} in change, net {b - a:+d}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the reference source tree")
@@ -168,6 +185,7 @@ def main(argv=None) -> int:
         differ_out += not same
         print(f"{' '.join(command)}: {'identical' if same else 'DIFFERS'}", flush=True)
     print(f"{differ_out} of {len(COMMANDS)} command outputs differ")
+    print(source_size(args.parent, args.change))
     return 1 if differ or differ_out else 0
 
 
