@@ -21,7 +21,16 @@ from .maps import catalog_entries, catalog_get
 from .geometry import Connection
 from .operators import build_L_covariant
 
-DEMOS = ("flat-cubic", "affine", "moebius")
+# name -> (catalog family, parameters, phase point, caption lines)
+DEMOS = {
+    "flat-cubic": ("polynomial_perturbation", {"eps": 1}, (Fraction(0), Fraction(0)),
+                   ("operator of x -> x + x^3 with the flat connection at x = 0",
+                    "(fiber coordinate written xi0; the third-order slot carries -6*xi0)")),
+    "affine": ("affine", {"A": 2, "b": Fraction(1, 2)}, (Fraction(1, 4), Fraction(1)),
+               ("operator of the affine map x -> 2x + 1/2 at x = 1/4 (zero)",)),
+    "moebius": ("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}, (Fraction(1), Fraction(0)),
+                ("operator of x -> x/(x+1) at x = 1: nonzero on fractional-linear maps",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,29 +101,26 @@ def cmd_verify(args) -> int:
 
 
 def _render_op(op, n: int) -> list[str]:
-    """Rows of 'differential : coefficient', fiber dependence kept affine."""
+    """Rows of 'differential : coefficient' from the operator's coefficient
+    jets, fiber dependence kept affine."""
     names = [f"x{i}" for i in range(n)] + [f"xi{i}" for i in range(n)]
     lines = []
-    slots = op.coeff_jets if op.coeff_jets is not None else op.coeffs
-    for midx in sorted(slots, key=lambda m: (sum(m), m)):
+    for midx in sorted(op.coeff_jets, key=lambda m: (sum(m), m)):
         label = " ".join(
             f"d/d{names[ax]}" if e == 1 else f"d^{e}/d{names[ax]}^{e}"
             for ax, e in enumerate(midx) if e
         )
-        if op.coeff_jets is not None and midx in op.coeff_jets:
-            jet = op.coeff_jets[midx]
-            parts = []
-            const = jet.value
-            if const != 0:
-                parts.append(str(const))
-            for i in range(n):
-                unit = tuple(0 if a != n + i else 1 for a in range(2 * n))
-                lin = jet.coefficient(unit)
-                if lin != 0:
-                    parts.append(f"{lin}*xi{i}")
-            coeff = " + ".join(parts).replace("+ -", "- ") or "0"
-        else:
-            coeff = str(op.coeffs[midx])
+        jet = op.coeff_jets[midx]
+        parts = []
+        const = jet.value
+        if const != 0:
+            parts.append(str(const))
+        for i in range(n):
+            unit = tuple(0 if a != n + i else 1 for a in range(2 * n))
+            lin = jet.coefficient(unit)
+            if lin != 0:
+                parts.append(f"{lin}*xi{i}")
+        coeff = " + ".join(parts).replace("+ -", "- ") or "0"
         lines.append(f"  {coeff:<24} * {label}")
     if not lines:
         lines.append("  0   (the zero operator)")
@@ -122,23 +128,11 @@ def _render_op(op, n: int) -> list[str]:
 
 
 def cmd_demo(name: str) -> int:
-    flat = Connection.flat_connection(1)
-    if name == "flat-cubic":
-        f = catalog_get("polynomial_perturbation", {"eps": 1})
-        z = (Fraction(0), Fraction(0))
-        print("operator of x -> x + x^3 with the flat connection at x = 0")
-        print("(fiber coordinate written xi0; the third-order slot carries -6*xi0)")
-        op = build_L_covariant(f, flat, z, coeff_order=1)
-    elif name == "affine":
-        f = catalog_get("affine", {"A": 2, "b": Fraction(1, 2)})
-        z = (Fraction(1, 4), Fraction(1))
-        print("operator of the affine map x -> 2x + 1/2 at x = 1/4 (zero)")
-        op = build_L_covariant(f, flat, z)
-    else:
-        f = catalog_get("moebius", {"a": 1, "b": 0, "c": 1, "d": 1})
-        z = (Fraction(1), Fraction(0))
-        print("operator of x -> x/(x+1) at x = 1: nonzero on fractional-linear maps")
-        op = build_L_covariant(f, flat, z, coeff_order=1)
+    family, params, z, caption = DEMOS[name]
+    for line in caption:
+        print(line)
+    op = build_L_covariant(catalog_get(family, params), Connection.flat_connection(1), z,
+                           coeff_order=1)
     for line in _render_op(op, 1):
         print(line)
     return 0

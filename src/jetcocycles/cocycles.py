@@ -40,13 +40,14 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
+    _ScalarField,
     _exact_div,
     dot,
     mat_det,
     monomials,
     partial_or_none,
 )
-from .maps import DiffeoMap, VectorField, catalog_get, compose, cotangent_lift, flow_map, suspension
+from .maps import DiffeoMap, VectorField, compose, cotangent_lift, flow_map, suspension
 from .geometry import (
     Connection,
     TensorField21,
@@ -81,7 +82,6 @@ __all__ = [
     "algebra_cocycle_residual",
     "poisson_bracket",
     "moyal_p3",
-    "moyal_p3_field",
     "chevalley_p3_residual",
     "vect_embedding_cocycle",
     "suspension_log_volume",
@@ -159,17 +159,6 @@ def schwarzian_1d(f: DiffeoMap, x: tuple) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # algebra-level cocycles
-
-
-class _ScalarField:
-    """Jet provider built from a closure point -> Jet."""
-
-    def __init__(self, dim: int, jet_fn):
-        self.dim = dim
-        self._jet_fn = jet_fn
-
-    def jet(self, point, order):
-        return self._jet_fn(tuple(point), order)
 
 
 def divergence_field(X: VectorField) -> _ScalarField:
@@ -352,16 +341,13 @@ def moyal_p3(F, G, point: tuple, order: int = 0):
     return out.value if order == 0 else out
 
 
-def moyal_p3_field(F, G) -> _ScalarField:
-    return _ScalarField(F.dim, lambda point, order: moyal_p3(F, G, point, order))
-
-
 def chevalley_p3_residual(F, G, H, point: tuple) -> Scalar:
     """Cyclic 2-cocycle defect of the trilinear term over the bracket."""
     total = 0
     for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
         t1 = moyal_p3(poisson_bracket(A, B), C, point)
-        t2 = poisson_bracket(A, moyal_p3_field(B, C)).jet(point, 0).value
+        p3 = _ScalarField(B.dim, lambda z, order: moyal_p3(B, C, z, order))
+        t2 = poisson_bracket(A, p3).jet(point, 0).value
         total = total + (t1 - t2)
     return abs(total)
 
@@ -462,10 +448,6 @@ class GroupCocycleCandidate:
 
     def residual(self, f: DiffeoMap, h: DiffeoMap, point: tuple) -> Scalar:
         raise NotImplementedError
-
-    def action_identity_defect(self, f: DiffeoMap, point: tuple) -> Scalar:
-        """Residual of c(f o id) = id . c(f) + c(id); sanity for conventions."""
-        return self.residual(f, catalog_get("identity", {"dim": f.dim}), point)
 
 
 def verify_group_cocycle(candidate: GroupCocycleCandidate, f: DiffeoMap,

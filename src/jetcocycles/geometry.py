@@ -36,12 +36,14 @@ the final (J^-1)^k_c contraction too.  Each level of the contraction lists
 its live terms once (the rows of a c-plane of T with a live entry, the live
 entries of each column of J and each row of J^-1, the c-planes live at
 (i, j)) and makes no sum without a live term.  At order 0,
-where every residual reads a tensor (``_Field21.values``), the pullback
-makes no jet until its result: J and d_i d_j F^c are read off the slots of
-the map's order-2 jets (slot of x^m = d^m F / m!), the field at the image
-as values, and the one contraction sums scalars by ``dot``'s rules.  A
-flat connection keeps its lift and, per order, its covariant tables, which
-do not depend on the point.
+where every residual reads a tensor (``TensorField21.values``), the
+pullback makes no jet until its result: J and d_i d_j F^c are read off the
+slots of the map's order-2 jets (slot of x^m = d^m F / m!), the field at
+the image as values, and the one contraction sums scalars by ``dot``'s
+rules.  Every connection keeps its lift, which the formula above builds
+for a flat base too; the lift of a flat connection is flat, and a flat
+connection keeps, per order, its covariant tables, which do not depend on
+the point.
 
 Iterated covariant derivatives of scalars,
 
@@ -89,8 +91,9 @@ __all__ = [
 Components = list  # nested [k][i][j] table of jets
 
 
-class _Field21:
-    """Shared machinery for jet-evaluable [k][i][j] component fields.
+class TensorField21:
+    """A jet-evaluable [k][i][j] component field: a (2,1)-tensor field, such
+    as the difference of two connections, and the base of ``Connection``.
 
     ``symmetric`` declares T^k_ij = T^k_ji: pullbacks and Lie derivatives of
     such a field compute only i <= j and mirror the rest.
@@ -124,13 +127,14 @@ def _max_abs_entry(d: int, entry: Callable[[int, int, int], Scalar]) -> Scalar:
     return max(abs(entry(k, i, j)) for k in range(d) for i in range(d) for j in range(d))
 
 
-class Connection(_Field21):
+class Connection(TensorField21):
     """Christoffel symbol field, symmetric in its lower indices."""
 
     def __init__(self, dim, component_fn, name="Gamma", flat=False):
         super().__init__(dim, component_fn, name=name, symmetric=True)
         self.flat = flat
-        # a flat connection keeps its lift and, per order, its covariant tables
+        # a connection keeps its lift; a flat one also, per order, its
+        # covariant tables
         self._lift = None
         self._flat_tables: dict[int, tuple] = {}
 
@@ -166,25 +170,20 @@ class Connection(_Field21):
         return Connection(dim, fn, name=name, flat=not table)
 
 
-class TensorField21(_Field21):
-    """A (2,1)-tensor field, e.g. the difference of two connections; the
-    constructor of a field known to be symmetric in its lower pair says so
-    with ``symmetric=True``."""
-
-
 # ---------------------------------------------------------------------------
 # the canonical lift
 
 
 def lift_connection(gamma: Connection) -> Connection:
-    """Lift a base connection to a symmetric connection on phase space."""
-    n = gamma.dim
+    """Lift a base connection to a symmetric connection on phase space.
 
-    if gamma.flat:
-        if gamma._lift is None:
-            gamma._lift = Connection.flat_connection(2 * n)
-            gamma._lift.name = f"lift({gamma.name})"
+    Every lift is the formula of the module docstring, made once per
+    connection and kept on it; the lift of a flat connection is flat, and
+    says so, so pullbacks, ``cocycle_C`` and the covariant tables skip it.
+    """
+    if gamma._lift is not None:
         return gamma._lift
+    n = gamma.dim
 
     def fn(point, order):
         x = point[:n]
@@ -222,7 +221,8 @@ def lift_connection(gamma: Connection) -> Connection:
                     out[n + k][n + i][j] = -lift0(g0[i][k][j])
         return out
 
-    return Connection(2 * n, fn, name=f"lift({gamma.name})", flat=False)
+    gamma._lift = Connection(2 * n, fn, name=f"lift({gamma.name})", flat=gamma.flat)
+    return gamma._lift
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def _live(x):
     return x or None
 
 
-def _pullback_components(mapping: DiffeoMap, field: _Field21, point: tuple,
+def _pullback_components(mapping: DiffeoMap, field: TensorField21, point: tuple,
                          order: int, with_inhomogeneous: bool) -> Components:
     """``(J^-1)^k_c [T^c_ab(F(x)) J^a_i J^b_j + d_i J^c_j]`` to ``order``, the
     last term only ``with_inhomogeneous``.
@@ -358,7 +358,7 @@ def pullback_connection(mapping: DiffeoMap, gamma: Connection) -> Connection:
     return Connection(mapping.dim, fn, name=f"{mapping.name}*({gamma.name})")
 
 
-def pullback_tensor(mapping: DiffeoMap, tensor: _Field21) -> TensorField21:
+def pullback_tensor(mapping: DiffeoMap, tensor: TensorField21) -> TensorField21:
     """Plain (2,1)-tensor pullback: no inhomogeneous Jacobian-derivative term."""
 
     def fn(point, order):

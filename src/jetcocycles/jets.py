@@ -468,6 +468,17 @@ class PointMemo:
         return [j.truncated(order) for j in self._jets]
 
 
+class _ScalarField:
+    """Jet provider built from a function ``(point, order) -> Jet``."""
+
+    def __init__(self, dim: int, jet_fn):
+        self.dim = dim
+        self._jet_fn = jet_fn
+
+    def jet(self, point, order):
+        return self._jet_fn(tuple(point), order)
+
+
 def dot(pairs: Iterable[tuple], acc: "Jet | None" = None) -> "Jet | None":
     """``acc`` plus the sum of ``x * y`` over the ``(x, y)`` jet pairs.
 
@@ -681,10 +692,6 @@ def _powers(inner: Sequence[Jet], needed: Sequence[bool]) -> list:
     return powers
 
 
-def _identity_jets(dim: int, order: int) -> list[Jet]:
-    return [Jet.variable(dim, order, k) for k in range(dim)]
-
-
 def jet_invert(map_jets: Sequence[Jet]) -> list[Jet]:
     """Compositional inverse of a jet map with zero constant terms.
 
@@ -711,7 +718,7 @@ def jet_invert(map_jets: Sequence[Jet]) -> list[Jet]:
     # the linear jets of the inverse, one per row; slot dim - j holds x_j
     tail = [0] * (len(monomials(dim, order)) - dim - 1)
     inv_lin = [Jet(dim, order, [0, *row[::-1], *tail]) for row in inv]
-    ident = _identity_jets(dim, order)
+    ident = [Jet.variable(dim, order, k) for k in range(dim)]
     degrees = [sum(m) for m in monomials(dim, order)]
     g = list(inv_lin)
     for k in range(2, order + 1):
@@ -740,15 +747,6 @@ def _scalar_dot(pairs: Sequence[tuple]) -> Scalar:
         for a, b in pairs:
             total = total + a * b
     return total
-
-
-def _scalar_total(pairs) -> "Scalar | None":
-    """:func:`dot` on scalar pairs: the sum of ``x * y`` over the pairs
-    with no ``None`` or zero operand, or ``None`` when there is none.  Exact
-    pairs make one integer sum and floats add left to right, as ``dot``
-    does on order-0 jets."""
-    live = [(x, y) for x, y in pairs if x and y]
-    return _scalar_dot(live) if live else None
 
 
 def _minors(rows: Sequence[Sequence]):

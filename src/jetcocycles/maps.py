@@ -49,7 +49,7 @@ from .jets import (
     Polynomial,
     Scalar,
     SingularJacobianError,
-    _scalar_total,
+    _scalar_dot,
     dot,
     jet_compose,
     jet_invert,
@@ -87,6 +87,9 @@ class DiffeoMap:
     callers are expected to arrange through sampling.  A subclass passes no
     ``jet_fn`` and defines a ``_jet_fn`` method instead, so that no map
     holds a bound method of itself and a dropped map is freed at once.
+    ``orientation_preserving`` is set by the catalog constructors only:
+    True or False where the sign of det Df is known everywhere, else None,
+    as on every composition, inverse, lift and flow.
     """
 
     def __init__(
@@ -127,7 +130,7 @@ class DiffeoMap:
 
     def invert(self, at: Point) -> "_Inverse":
         """Local inverse at the image of ``at``, evaluable at that image only."""
-        if mat_det(self.jacobian(at)) == 0:
+        if self.jacobian_det(at) == 0:
             raise SingularJacobianError(f"{self.name}: singular Jacobian at {at}")
         return _Inverse(self, tuple(at))
 
@@ -147,15 +150,7 @@ def compose(f: DiffeoMap, h: DiffeoMap) -> DiffeoMap:
         shifted = _shifted(inner)
         return [jet_compose(o, shifted) for o in outer]
 
-    orient = None
-    if f.orientation_preserving and h.orientation_preserving:
-        orient = True
-    return DiffeoMap(
-        f.dim,
-        jet_fn,
-        name=f"({f.name} o {h.name})",
-        orientation_preserving=orient,
-    )
+    return DiffeoMap(f.dim, jet_fn, name=f"({f.name} o {h.name})")
 
 
 def inverse_jets(f: DiffeoMap, at: Point, order: int) -> list[Jet]:
@@ -169,12 +164,7 @@ class _Inverse(DiffeoMap):
 
     def __init__(self, parent: DiffeoMap, anchor: Point):
         self.parent, self.anchor, self.image = parent, anchor, parent(anchor)
-        super().__init__(
-            parent.dim,
-            None,
-            name=f"{parent.name}^-1",
-            orientation_preserving=parent.orientation_preserving,
-        )
+        super().__init__(parent.dim, None, name=f"{parent.name}^-1")
 
     def _check(self, point: Point) -> None:
         if tuple(point) != self.image:
@@ -200,13 +190,7 @@ class CotangentMap(DiffeoMap):
 
     def __init__(self, base: DiffeoMap):
         self.base = base
-        n = base.dim
-        super().__init__(
-            2 * n,
-            None,
-            name=f"T*{base.name}",
-            orientation_preserving=True,
-        )
+        super().__init__(2 * base.dim, None, name=f"T*{base.name}")
 
     def _lift_jets(self, point: Point, order: int) -> list[Jet]:
         n = self.base.dim
@@ -266,9 +250,9 @@ def _fiber_jet(column: list[Jet], xi: Sequence[Scalar], order: int) -> Jet:
     live = [(i, a.coeffs) for i, a in enumerate(column) if any(a.coeffs)]
     out = [0] * len(monomials(2 * n, order))
     for s, pos in enumerate(at_base):
-        v = _scalar_total([(c[s], xi[i]) for i, c in live])
-        if v is not None:
-            out[pos] = v
+        terms = [(c[s], xi[i]) for i, c in live if c[s] and xi[i]]
+        if terms:
+            out[pos] = _scalar_dot(terms)
     for i, c in live:
         for s, pos in enumerate(at_fiber[i]):
             if c[s]:
@@ -587,7 +571,5 @@ def flow_map(field: VectorField, t: float, steps: int = 64) -> DiffeoMap:
             ]
         return state
 
-    return DiffeoMap(
-        n, jet_fn, name=f"flow({field.name}, t={t})",
-        params={"t": t, "steps": steps}, orientation_preserving=True,
-    )
+    return DiffeoMap(n, jet_fn, name=f"flow({field.name}, t={t})",
+                     params={"t": t, "steps": steps})

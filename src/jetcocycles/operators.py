@@ -53,6 +53,7 @@ from .jets import (
     JetShapeError,
     Polynomial,
     Scalar,
+    _ScalarField,
     _exact_div,
     _exact_dot,
     _powers,
@@ -482,31 +483,24 @@ def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
 # group actions
 
 
-class _PullbackFunction:
-    """The function f . Q = Q o f~^-1, evaluable at the lift images of its
-    anchors."""
+def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple] = ()) -> _ScalarField:
+    """Module action on phase-space functions: ``f . Q = Q o f~^-1``, as a
+    jet provider made from a function (``jets._ScalarField``).
 
-    def __init__(self, f: DiffeoMap, q, anchors: Sequence[tuple] = ()):
-        self.lift = cotangent_lift(f)
-        self.q = q
-        self.dim = 2 * f.dim
-        self._preimages = {self.lift(a): tuple(a) for a in anchors}
+    It is evaluable at the images f~(w) of the phase points w in ``anchors``
+    and nowhere else; there its jet is Q's jet at w composed with the jets
+    of f~^-1.
+    """
+    lift = cotangent_lift(f)
+    preimages = {lift(a): tuple(a) for a in anchors}
 
-    def jet(self, point: tuple, order: int) -> Jet:
-        w = self._preimages.get(tuple(point))
+    def fn(point, order):
+        w = preimages.get(point)
         if w is None:
             raise EvaluationError(f"no anchor of the pullback function maps to {point}")
-        return jet_compose(self.q.jet(w, order), inverse_jets(self.lift, w, order))
+        return jet_compose(q.jet(w, order), inverse_jets(lift, w, order))
 
-
-def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple] = ()) -> _PullbackFunction:
-    """Module action on phase-space functions: compose with the inverse lift.
-
-    The result is evaluable at the images f~(w) of the phase points w in
-    ``anchors`` and nowhere else; there its jet is Q's jet at w composed
-    with the jets of f~^-1.
-    """
-    return _PullbackFunction(f, q, anchors)
+    return _ScalarField(lift.dim, fn)
 
 
 def act_on_operator(f: DiffeoMap, op: LocalDiffOp, point: tuple) -> LocalDiffOp:

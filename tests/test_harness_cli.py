@@ -315,6 +315,54 @@ def test_consistency_rows_fail_with_a_flipped_algebra_side(monkeypatch):
     assert all(ok == c.startswith("ell_") for c, ok in verdicts.items())
 
 
+def test_summary_writes_each_worst_residual_as_a_case_residual():
+    # an exact maximum stays exact ("0", not "0.0"); a float one is repr(float)
+    exact = run_scenario(quick_config(suites=("moyal", "lift", "consistency")))
+    assert exact["summary"]["max_abs_residual_by_suite"] == {
+        "moyal": "0", "lift": "0", "consistency": "0"}
+    report = run_scenario(quick_config(backend="float", suites=("cocycle_C", "moyal")))
+    worst = report["summary"]["max_abs_residual_by_suite"]
+    assert worst["cocycle_C"] == repr(float(worst["cocycle_C"])) != "0.0"
+    for suite in ("cocycle_C", "moyal"):
+        residuals = [c["residual"] for c in report["cases"]
+                     if c["suite"] == suite and not c["witness"] and c["residual"] is not None]
+        # max keeps the first of equal candidates, as the summary does
+        assert worst[suite] == max(residuals, key=lambda r: abs(float(r))), suite
+
+
+def test_lift_flat_zero_runs_the_lift_formula(monkeypatch):
+    from jetcocycles.geometry import TensorField21
+
+    seen = []
+    components = TensorField21.components
+
+    def counted(self, point, order):
+        if self.name == "flat":
+            seen.append((self.dim, order))
+        return components(self, point, order)
+
+    monkeypatch.setattr(TensorField21, "components", counted)
+    report = run_scenario(quick_config(dim=2, suites=("lift",)))
+    flat_zero = [c for c in report["cases"] if c["case_id"].startswith("flat_zero@")]
+    assert len(flat_zero) == 2 and all(c["pass"] and c["residual"] == "0" for c in flat_zero)
+    # the lift reads the flat base one order above the order-0 values
+    assert seen == [(2, 1)] * 2
+
+
+def test_cli_pool_with_orientation_reversing_maps_passes(tmp_path):
+    path, out = tmp_path / "reversing.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"dim": 1, "samples": 2, "maps": [
+        ["linear", {"A": -1}], ["translation", {}], ["polynomial_perturbation", {}],
+        ["moebius", {"a": -1, "b": 1, "c": 1, "d": 1}]]}))
+    proc = run_cli("verify", str(path), "--json", str(out))
+    assert proc.returncode == 0, proc.stdout
+    cases = json.loads(out.read_text())["cases"]
+    assert cases and all(c["pass"] and c["error"] is None for c in cases)
+    # only the two maps not known to reverse orientation enter log_volume
+    logvol = [c["maps"] for c in cases if c["case_id"].startswith("log_volume[")]
+    assert logvol and all(set(m) <= {"translation", "polynomial_perturbation"} for m in logvol)
+
+
 def test_cli_import_does_not_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -52,8 +52,8 @@ def test_runs_cover_the_float_families(tmp_path):
     from jetcocycles.harness import ScenarioConfig
 
     runs = report_diff.verify_runs(str(tmp_path))
-    assert len(runs) == 18
-    families = [args[0] for _, args in runs[12:]]
+    assert len(runs) == 20
+    families = [args[0] for _, args in runs[12:18]]
     assert len(families) == 6 and all(len(args) == 1 for _, args in runs[12:])
     for path in families:
         cfg = ScenarioConfig.from_file(path)
@@ -61,6 +61,18 @@ def test_runs_cover_the_float_families(tmp_path):
         assert [m.name for m in cfg.pool] == ["identity", "affine", "projective"]
         assert all(isinstance(x, float) for m in cfg.pool[1:] for row in m.params["A"]
                    for x in row)
+
+
+def test_runs_cover_an_orientation_reversing_pool(tmp_path):
+    from jetcocycles.harness import ScenarioConfig
+
+    runs = report_diff.verify_runs(str(tmp_path))[18:]
+    assert [label for label, _ in runs] == ["dim 1 exact reversing seed 1",
+                                            "dim 1 exact reversing seed 2"]
+    for seed, (_, (path,)) in zip((1, 2), runs):
+        cfg = ScenarioConfig.from_file(path)
+        assert (cfg.dim, cfg.backend, cfg.samples, cfg.seed) == (1, "exact", 2, seed)
+        assert [m.orientation_preserving for m in cfg.pool] == [False, True, None, False]
 
 
 def test_source_size_counts_the_package_lines(tmp_path):

@@ -8,8 +8,10 @@ Each tree is the root of a jetcocycles checkout.  In each, the script runs
 seeds 1 and 2, at dims 1-3 on both backends: 12 reports over the default map
 pools.  The default float pools never build ``identity``, ``affine`` or
 ``projective``, so at each dim and seed one more float run takes a scenario
-file whose pool is those three families with float parameters: 18 reports
-per tree.  Reports are compared after dropping their ``timing`` block.  It also runs ``list``
+file whose pool is those three families with float parameters.  No default
+pool holds a map that reverses orientation, so at each seed one more exact
+dim-1 run takes a pool with two of them: 20 reports per tree.  Reports are
+compared after dropping their ``timing`` block.  It also runs ``list``
 and each of the three demos and compares their standard output and exit
 code.  The program is imported from the tree's ``src``, so nothing needs
 installing.  It prints one line per report and per command, then one line
@@ -54,9 +56,15 @@ def float_families(dim: int) -> list:
             ["projective", {"A": m}]]
 
 
+# an exact dim-1 pool in which ``linear`` and ``moebius`` reverse orientation
+REVERSING_POOL = [["linear", {"A": -1}], ["translation", {}], ["polynomial_perturbation", {}],
+                  ["moebius", {"a": -1, "b": 1, "c": 1, "d": 1}]]
+
+
 def verify_runs(tmp: str) -> list:
     """(label, verify arguments) of each report: the default pools first,
-    then the float families, whose scenario files are written to ``tmp``."""
+    then the float families and the orientation-reversing pool, whose
+    scenario files are written to ``tmp``."""
     runs = []
     for seed in SEEDS:
         for dim in DIMS:
@@ -64,13 +72,19 @@ def verify_runs(tmp: str) -> list:
                 runs.append((f"dim {dim} {backend:<5} seed {seed}",
                              ["--dim", str(dim), "--backend", backend, "--samples", "2",
                               "--seed", str(seed)]))
+
+    def scenario(label, name, dim, backend, seed, maps):
+        path = os.path.join(tmp, f"{name}-d{dim}-s{seed}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"dim": dim, "backend": backend, "samples": 2, "seed": seed,
+                       "maps": maps}, fh)
+        runs.append((f"dim {dim} {label} seed {seed}", [path]))
+
     for seed in SEEDS:
         for dim in DIMS:
-            path = os.path.join(tmp, f"families-d{dim}-s{seed}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"dim": dim, "backend": "float", "samples": 2, "seed": seed,
-                           "maps": float_families(dim)}, fh)
-            runs.append((f"dim {dim} float families seed {seed}", [path]))
+            scenario("float families", "families", dim, "float", seed, float_families(dim))
+    for seed in SEEDS:
+        scenario("exact reversing", "reversing", 1, "exact", seed, REVERSING_POOL)
     return runs
 
 
