@@ -172,15 +172,10 @@ def divergence_field(X: VectorField) -> _ScalarField:
     return _ScalarField(X.dim, fn)
 
 
-def divergence_cocycle(X: VectorField, x: tuple, a: Scalar = 1,
-                       potential: Polynomial | None = None) -> Scalar:
-    """a * div X + contraction of X with an exact 1-form d(potential)."""
-    val = a * divergence_field(X).jet(x, 0).value
-    if potential is not None:
-        xv = X(x)
-        for i in range(X.dim):
-            val = val + xv[i] * potential.partial(i)(x)
-    return val
+def divergence_cocycle(X: VectorField, x: tuple) -> Scalar:
+    """div X at ``x``: the algebra cocycle that ``suspension_log_volume``
+    checks as d/d eps of log det D(id + eps X)."""
+    return divergence_field(X).jet(x, 0).value
 
 
 def _lie_derivative_components(X: VectorField, field, point: tuple, order: int,

@@ -140,11 +140,7 @@ class Connection(TensorField21):
 
     @staticmethod
     def flat_connection(dim: int) -> "Connection":
-        def fn(point, order):
-            z = Jet.zero(dim, order)
-            return [[[z for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-
-        return Connection(dim, fn, name="flat", flat=True)
+        return Connection.from_polynomials(dim, {}, name="flat")
 
     @staticmethod
     def from_polynomials(dim: int, entries: dict[tuple[int, int, int], Polynomial],
@@ -187,14 +183,13 @@ def lift_connection(gamma: Connection) -> Connection:
 
     def fn(point, order):
         x = point[:n]
-        base_axes = list(range(n))
         g1 = gamma.components(x, order + 1)  # one derivative is consumed below
         g0 = [[[e.truncated(order) for e in row] for row in plane] for plane in g1]
         z = Jet.zero(2 * n, order)
         out = [[[z for _ in range(2 * n)] for _ in range(2 * n)] for _ in range(2 * n)]
 
         def lift0(jet: Jet) -> Jet:
-            return jet.embed(2 * n, base_axes)
+            return jet.embed(2 * n)
 
         for k in range(n):
             for i in range(n):

@@ -6,8 +6,8 @@ fixes the jet orders it needs.  ``ScenarioConfig``'s field defaults are the
 only defaults and ``ScenarioConfig.validate`` is the only checker, whether
 the scenario comes from command-line flags, a file or Python.
 ``ALL_SUITES`` is the suite table's names, in order; naming a suite twice,
-or one map spec twice, is a usage error, and so is ``exp_scale``, which is
-transcendental, on the exact backend.
+or one map spec twice, is a usage error, and so, on the exact backend, are
+``exp_scale``, which is transcendental, and a float map parameter.
 The seed determines every sampled point, every random polynomial and
 every catalog draw, so two runs of the same scenario produce
 byte-identical reports apart from the timing block.
@@ -181,6 +181,10 @@ def _scalar_str(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _has_float(v) -> bool:
+    return any(map(_has_float, v)) if isinstance(v, list) else isinstance(v, float)
+
+
 def _parse_scalar(key, v):
     if isinstance(v, bool):
         raise ConfigError(f"map parameter {key}={v!r} is not a number")
@@ -235,9 +239,10 @@ def default_map_pool(dim: int, backend: str) -> list:
 
 def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
     """The catalog maps of the scenario's map specs.  A spec listed twice
-    would repeat case ids, and an ``exp_scale`` map has no exact jets.  A
-    spec's ``dim`` is compared with the scenario's before the map is built,
-    since building a large one costs n! in its determinant."""
+    would repeat case ids, an ``exp_scale`` map has no exact jets, and a
+    float parameter would make an exact map's jets floats.  A spec's ``dim``
+    is compared with the scenario's before the map is built, since building
+    a large one costs n! in its determinant."""
     out = []
     seen = []
     for name, params in cfg._map_specs():
@@ -248,6 +253,10 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
         seen.append((name, p))
         if name == "exp_scale" and cfg.backend == "exact":
             raise ConfigError("exp_scale needs the float backend")
+        for k, v in params.items():
+            if cfg.backend == "exact" and _has_float(v):
+                raise ConfigError(f"map {name!r} has a float parameter {k}={_scalar_str(v)}, "
+                                  'which the exact backend would round; write it as "p/q"')
         if p["dim"] != cfg.dim:
             raise ConfigError(f"map {name!r} has dim {p['dim']}, "
                               f"but the scenario has dim {cfg.dim}")

@@ -399,50 +399,33 @@ class Jet:
             return self
         return Jet(self.dim, order, self.coeffs[:len(monomials(self.dim, order))])
 
-    def embed(self, dim: int, axes: Sequence[int]) -> "Jet":
-        """Reinterpret as a jet in more variables; axes maps old to new slots."""
-        if len(axes) != self.dim or len(set(axes)) != self.dim:
-            raise JetShapeError("axes must relabel every old variable uniquely")
+    def embed(self, dim: int) -> "Jet":
+        """The same jet in ``dim`` variables, whose first ``self.dim`` are
+        this jet's own: each nonzero slot keeps its scalar, every other
+        slot is int 0.  Fewer variables raise ``JetShapeError``."""
+        if dim < self.dim:
+            raise JetShapeError(f"cannot embed a dim {self.dim} jet in {dim} variables")
         idx = monomial_index(dim, self.order)
-        out = [0] * len(monomials(dim, self.order))
+        pad = (0,) * (dim - self.dim)
+        out = [0] * len(idx)
         for m, c in zip(monomials(self.dim, self.order), self.coeffs):
-            if c == 0:
-                continue
-            target = [0] * dim
-            for old, e in enumerate(m):
-                target[axes[old]] = e
-            out[idx[tuple(target)]] = c
+            if c:
+                out[idx[m + pad]] = c
         return Jet(dim, self.order, out)
 
     # -- analytic functions (float backend) --------------------------------
 
-    def _series(self, derivs: list[float]) -> "Jet":
+    def exp(self) -> "Jet":
+        e = math.exp(self.value)
         u = self - self.value
-        out = Jet.constant(self.dim, self.order, derivs[0])
+        out = Jet.constant(self.dim, self.order, e)
         power = Jet.constant(self.dim, self.order, 1)
         fact = 1
         for k in range(1, self.order + 1):
             power = power * u
             fact *= k
-            out = out + power * (derivs[k] / fact)
+            out = out + power * (e / fact)
         return out
-
-    def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._series([e] * (self.order + 1))
-
-    def log(self) -> "Jet":
-        c0 = self.value
-        if c0 <= 0:
-            raise EvaluationError("log of non-positive jet value")
-        derivs = [math.log(c0)]
-        sign = 1.0
-        fact = 1
-        for k in range(1, self.order + 1):
-            derivs.append(sign * fact / c0**k)
-            sign = -sign
-            fact *= k
-        return self._series(derivs)
 
 
 class PointMemo:
@@ -953,12 +936,6 @@ class Polynomial:
                 continue
             t = tuple(e - 1 if k == axis else e for k, e in enumerate(m))
             out[t] = out.get(t, 0) + c * m[axis]
-        return Polynomial(self.dim, out)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
         return Polynomial(self.dim, out)
 
     def __repr__(self):

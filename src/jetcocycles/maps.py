@@ -201,8 +201,7 @@ class CotangentMap(DiffeoMap):
             jac_inv = mat_inv(jac)  # entries are jets of (dx/df)^i_a at x
         except SingularJacobianError:
             raise SingularJacobianError(f"{self.base.name}: singular Jacobian at {x}") from None
-        base_axes = list(range(n))
-        return ([fj[a].truncated(order).embed(2 * n, base_axes) for a in range(n)]
+        return ([fj[a].truncated(order).embed(2 * n) for a in range(n)]
                 + [_fiber_jet([row[j] for row in jac_inv], xi, order) for j in range(n)])
 
     _jet_fn = _lift_jets
@@ -287,7 +286,7 @@ class VectorField:
         return [c.jet(point, order) for c in self.components]
 
     def __call__(self, point: Point) -> Point:
-        return tuple(c.jet(point, 0).value for c in self.components)
+        return tuple(j.value for j in self.eval_jet(point, 0))
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y], a field presented only through its jets.
@@ -319,9 +318,6 @@ class _Bracket(VectorField):
                      for pair in ((xs[a], yj[i].partial(a)), (neg_ys[a], xj[i].partial(a)))],
                     Jet.zero(d, order))
                 for i in range(d)]
-
-    def __call__(self, point: Point) -> Point:
-        return tuple(j.value for j in self.eval_jet(point, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +447,7 @@ def catalog_get(name: str, params: dict | None = None) -> DiffeoMap:
             cubic = {(3,): eps} if n == 1 else {
                 tuple((3 - k) * (a == i) + k * (a == j) for a in range(n)): eps * math.comb(3, k)
                 for k in range(4)}
-            polys.append(Polynomial.coordinate(n, i) + Polynomial(n, cubic))
+            polys.append(Polynomial(n, {tuple(int(a == i) for a in range(n)): 1, **cubic}))
         return _polynomial_map(n, polys, name=name, params={"eps": eps})
 
     if name == "moebius":
@@ -517,11 +513,10 @@ def suspension(field: VectorField) -> DiffeoMap:
     whenever the field's jets are.
     """
     n = field.dim
-    axes = list(range(n))
 
     def jet_fn(point, order):
         x, eps = point[:n], Jet.variable(n + 1, order, n, point[n])
-        return [Jet.variable(n + 1, order, i, x[i]) + eps * c.embed(n + 1, axes)
+        return [Jet.variable(n + 1, order, i, x[i]) + eps * c.embed(n + 1)
                 for i, c in enumerate(field.eval_jet(x, order))] + [eps]
 
     return DiffeoMap(n + 1, jet_fn, name=f"S({field.name})")

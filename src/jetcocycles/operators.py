@@ -215,8 +215,9 @@ class Symbol:
             self.coeffs[tuple(mu)] = c
 
     @staticmethod
-    def monomial(n: int, mu: tuple[int, ...], coefficient: Scalar = 1) -> "Symbol":
-        return Symbol(n, {tuple(mu): coefficient})
+    def monomial(n: int, mu: tuple[int, ...]) -> "Symbol":
+        """The fiber monomial xi^mu, with coefficient 1."""
+        return Symbol(n, {tuple(mu): 1})
 
     @property
     def dim(self) -> int:
@@ -235,7 +236,7 @@ class Symbol:
         n = self.n
         out = Jet.zero(2 * n, order)
         for mu, c in self.coeffs.items():
-            term = c.jet(point[:n], order).embed(2 * n, list(range(n)))
+            term = c.jet(point[:n], order).embed(2 * n)
             if any(mu):
                 term = term * Polynomial(2 * n, {(0,) * n + mu: 1}).jet(point, order)
             out = out + term
@@ -346,7 +347,7 @@ def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,
     one, three = Jet.constant(d, mo, 1), Jet.constant(d, mo, 3)
     zero = (0,) * d
     # 2 G^k_jm as phase-space jets
-    g2 = [[[2 * g.embed(d, range(n)) for g in row] for row in plane]
+    g2 = [[[2 * g.embed(d) for g in row] for row in plane]
           for plane in gamma.components(point[:n], mo)]
 
     terms = []
@@ -390,12 +391,12 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
     for i, j in itertools.product(base, repeat=2):
         terms.append((_bump(zero, n + i, n + j),
                       dot((h[m_][q][i], h[q][j][m_]) for q in base for m_ in base), three))
-    table = {m: s.embed(d, base) for m, s in _sums(terms).items()}
+    table = {m: s.embed(d) for m, s in _sums(terms).items()}
 
     # the fiber group; the pulled-back fiber covector sum_m (J^-1)^m_q xi_m
     # is made once per q
     xi = [Jet.variable(d, mo, n + a, point[n + a]) for a in base]
-    pulled_xi = [dot((jinv[m_][q].embed(d, base), xi[m_]) for m_ in base) for q in base]
+    pulled_xi = [dot((jinv[m_][q].embed(d), xi[m_]) for m_ in base) for q in base]
     one = Jet.constant(d, mo, 1)
     terms = []
     for i, j, k in itertools.product(base, repeat=3):
@@ -403,7 +404,7 @@ def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffO
         for q in base:
             # 3 H^l_ij F^q_lk - F^q_ijk, with H^l_ij = sum_p (J^-1)^l_p F^p_ij
             s = dot((h[l][i][j], f2[q][l][k]) for l in base)
-            inner.append(dot([(s, three)], -f3[q][i][j][k]).embed(d, base))
+            inner.append(dot([(s, three)], -f3[q][i][j][k]).embed(d))
         terms.append((_bump(zero, n + i, n + j, n + k), dot(zip(pulled_xi, inner)), one))
     table.update(_sums(terms))
     return _finish(d, table, point, coeff_order > 0)
@@ -483,7 +484,7 @@ def _symbol_from_phase_jet(out_jet: Jet, n: int, x: tuple) -> Symbol:
 # group actions
 
 
-def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple] = ()) -> _ScalarField:
+def act_on_function(f: DiffeoMap, q, anchors: Sequence[tuple]) -> _ScalarField:
     """Module action on phase-space functions: ``f . Q = Q o f~^-1``, as a
     jet provider made from a function (``jets._ScalarField``).
 

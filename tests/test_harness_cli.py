@@ -501,10 +501,24 @@ def test_config_rejects_exp_scale_on_the_exact_backend():
     ScenarioConfig(backend="float", suites=("cocycle_C",), maps=maps).validate()
 
 
+@pytest.mark.parametrize("dim,maps", [
+    (1, [("polynomial_perturbation", {"eps": 0.3})]),
+    (2, [("identity", {}), ("linear", {"A": [[1, "1/2"], [0, 1.5]]})])])
+def test_config_rejects_a_float_map_parameter_on_the_exact_backend(dim, maps):
+    # the exact pass rule, residual == 0, would fail such a map's cases on rounding
+    with pytest.raises(ConfigError, match="float parameter"):
+        ScenarioConfig(dim=dim, suites=("cocycle_C",), maps=maps).validate()
+    ScenarioConfig(dim=dim, backend="float", suites=("cocycle_C",), maps=maps).validate()
+    ScenarioConfig(dim=dim, suites=("cocycle_C",),
+                   maps=[("polynomial_perturbation", {"eps": "3/10"})]).validate()
+
+
 @pytest.mark.parametrize("maps,message", [
     ([["moebius", {}], ["moebius", {}]], "listed more than once"),
-    ([["exp_scale", {"lam": 0.5}]], "exp_scale needs the float backend")],
-    ids=["repeated_map", "exp_scale_exact"])
+    ([["exp_scale", {"lam": 0.5}]], "exp_scale needs the float backend"),
+    ([["polynomial_perturbation", {"eps": 0.3}]], "'polynomial_perturbation' has a float "
+                                                  "parameter eps=0.3")],
+    ids=["repeated_map", "exp_scale_exact", "float_parameter_exact"])
 def test_cli_scenario_map_pool_usage_errors(tmp_path, maps, message):
     path = tmp_path / "pool.json"
     path.write_text(json.dumps({"dim": 1, "samples": 1, "suites": ["cocycle_C"], "maps": maps}))

@@ -285,6 +285,19 @@ def test_truncation_consistency():
     assert jet_compose(a4, inner4).truncated(2) == jet_compose(a2, inner2)
 
 
+def test_embed_puts_the_old_variables_first():
+    # 5 + 3/2 x + 0.25 y^2 - x^2 over the slots 1, y, x, y^2, xy, x^2
+    j = Jet(2, 2, [5, 0, Fraction(3, 2), 0.25, 0.0, -1])
+    e = j.embed(4)
+    assert (e.dim, e.order) == (4, 2)
+    for m, c in zip(monomials(4, 2), e.coeffs):
+        old = j.coefficient(m[:2]) if not any(m[2:]) else 0
+        assert c == old and type(c) is (type(old) if old else int), m
+    assert j.embed(2) == j
+    with pytest.raises(JetShapeError):
+        j.embed(1)
+
+
 def test_reciprocal_is_inverse():
     rng = random.Random(66)
     for _ in range(10):
@@ -304,10 +317,12 @@ def test_reciprocal_zero_constant_raises():
         Jet.variable(1, 3, 0).reciprocal()
 
 
-def test_jet_exp_log_roundtrip():
-    j = Jet.variable(1, 4, 0, 0.3) * 0.7 + 0.1
-    back = j.exp().log()
-    assert max(abs(a - b) for a, b in zip(back.coeffs, j.coeffs)) < 1e-12
+def test_jet_exp_is_the_exponential_series():
+    # slot x^k of exp(c + lam x) is e^c lam^k / k!
+    c, lam = 0.1, 0.7
+    j = Jet.variable(1, 6, 0) * lam + c
+    for k, got in enumerate(j.exp().coeffs):
+        assert abs(got - math.exp(c) * lam**k / math.factorial(k)) < 1e-12, k
 
 
 # -- matrices ----------------------------------------------------------------

@@ -517,10 +517,9 @@ def embedded_dot_lift(f, z, order):
     n = f.dim
     fj = f.eval_jet(z[:n], order + 1)
     inv = mat_inv([[fj[a].partial(i) for i in range(n)] for a in range(n)])
-    axes = list(range(n))
     xi_vars = [Jet.variable(2 * n, order, n + i, z[n + i]) for i in range(n)]
-    lifted = [[None if e.is_zero() else e.embed(2 * n, axes) for e in row] for row in inv]
-    return ([fj[a].truncated(order).embed(2 * n, axes) for a in range(n)]
+    lifted = [[None if e.is_zero() else e.embed(2 * n) for e in row] for row in inv]
+    return ([fj[a].truncated(order).embed(2 * n) for a in range(n)]
             + [dot(((lifted[i][j], xi_vars[i]) for i in range(n)), Jet.zero(2 * n, order))
                for j in range(n)])
 

@@ -48,6 +48,18 @@ def test_drift_without_float_residuals():
     assert report_diff.describe(parent, change).startswith("DIFFERS in 2 cases; first at ")
 
 
+def test_every_differing_path_outside_the_cases_is_named():
+    parent = report(case("a", "0"), case("b", "0"))
+    change = report(case("a", "1e-15"), case("b", "2e-15"))
+    parent["summary"]["max_abs_residual"], change["summary"]["max_abs_residual"] = "0", "2e-15"
+    change["summary"]["passed"] = 1
+    # only the first case path is named, since a drift can move every case
+    assert report_diff.describe(parent, change) == (
+        "DIFFERS in 2 cases, largest float |delta| 2e-15; "
+        "first at /cases[0]/residual: '0' vs '1e-15'; "
+        "also at /summary/max_abs_residual: '0' vs '2e-15'; also at /summary/passed: 2 vs 1")
+
+
 def test_runs_cover_the_float_families(tmp_path):
     from jetcocycles.harness import ScenarioConfig
 

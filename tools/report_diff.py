@@ -17,9 +17,10 @@ code.  The program is imported from the tree's ``src``, so nothing needs
 installing.  It prints one line per report and per command, then one line
 with the line count of ``src/jetcocycles/*.py`` in each tree and the net
 change.  It exits 1 when any report or command output differs or a report
-is missing, else 0.  A report that differs is sized next to its first
-difference: how many cases differ, and the largest |delta| between the
-residuals of those cases that read as floats.  Standard library only.
+is missing, else 0.  A report that differs is sized next to the paths where
+it differs, the first one and every one outside ``cases``: how many cases
+differ, and the largest |delta| between the residuals of those cases that
+read as floats.  Standard library only.
 """
 
 from __future__ import annotations
@@ -100,21 +101,22 @@ def run_report(tree: str, args: list, path: str):
     return report
 
 
-def first_difference(a, b, where="") -> str:
-    """A readable path to the first place where two JSON values differ."""
+def differences(a, b, where="") -> list:
+    """Readable paths to every place where two JSON values differ, in order."""
     if isinstance(a, dict) and isinstance(b, dict):
+        out = []
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
-                return f"{where}/{key}: only in {'change' if key in b else 'parent'}"
-            if a[key] != b[key]:
-                return first_difference(a[key], b[key], f"{where}/{key}")
-    elif isinstance(a, list) and isinstance(b, list):
+                out.append(f"{where}/{key}: only in {'change' if key in b else 'parent'}")
+            elif a[key] != b[key]:
+                out += differences(a[key], b[key], f"{where}/{key}")
+        return out
+    if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{where}: {len(a)} vs {len(b)} entries"
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return first_difference(x, y, f"{where}[{i}]")
-    return f"{where}: {a!r} vs {b!r}"
+            return [f"{where}: {len(a)} vs {len(b)} entries"]
+        return [path for i, (x, y) in enumerate(zip(a, b)) if x != y
+                for path in differences(x, y, f"{where}[{i}]")]
+    return [f"{where}: {a!r} vs {b!r}"]
 
 
 def _is_int(text) -> bool:
@@ -150,10 +152,13 @@ def residual_drift(a: dict, b: dict) -> tuple:
 
 
 def describe(a: dict, b: dict) -> str:
-    """The status of two reports that differ: their drift and first difference."""
+    """The status of two reports that differ: their drift, the first path
+    where they differ, and every further differing path outside ``cases``."""
     count, largest = residual_drift(a, b)
     size = "" if largest is None else f", largest float |delta| {largest:.3g}"
-    return f"DIFFERS in {count} cases{size}; first at {first_difference(a, b)}"
+    first, *rest = differences(a, b)
+    named = [first] + [path for path in rest if not path.startswith("/cases")]
+    return f"DIFFERS in {count} cases{size}; first at {'; also at '.join(named)}"
 
 
 def source_lines(tree: str) -> int:
