@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
     else:
         given = {k: v for k, v in vars(args).items()
                  if v is not None and k not in ("command", "scenario", "json")}
-        cfg = ScenarioConfig(**given).validate()
+        cfg = ScenarioConfig(**given)
 
     report = run_scenario(cfg)
     summary = report["summary"]

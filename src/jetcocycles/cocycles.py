@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 
 from .jets import (
     BAD_POINT_ERRORS,
+    DomainError,
     Jet,
     JetShapeError,
     Polynomial,
@@ -95,10 +96,6 @@ __all__ = [
     "OperatorCocycle",
     "SabotagedPhaseCompare",
 ]
-
-
-class DomainError(ValueError):
-    """Input outside a cocycle's domain (orientation, critical point)."""
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +407,15 @@ def run_case(suite: str, case_id: str, maps: Sequence[str], point: tuple,
 
     An ordinary case passes by :func:`passes`; a witness asserts that its
     residual does not vanish, so it passes exactly when the residual is a
-    number that fails :func:`passes`.  A bad point becomes an error row; a
-    shape mismatch is a bug and propagates.  The case keeps the seconds its
-    residual took, an error row's included.
+    number that fails :func:`passes`.  A bad point, one of
+    ``BAD_POINT_ERRORS``, becomes an error row; any other exception is a bug
+    and propagates.  The case keeps the seconds its residual took, an error
+    row's included.
     """
     maps, point = list(maps), tuple(point)
     started = time.perf_counter()
     try:
         r = residual_fn()
-    except JetShapeError:
-        raise
     except BAD_POINT_ERRORS as exc:
         return CaseResult(suite, case_id, maps, point, None, False,
                           error=f"{type(exc).__name__}: {exc}", witness=witness,
@@ -667,8 +663,6 @@ def group_algebra_consistency(X: VectorField, group_value: Callable,
             r_t, r_half = resid
             ok = r_half <= max(0.75 * r_t, CONSISTENCY_FLOOR)
             entry.update(residual_t=repr(r_t), residual_half=repr(r_half), passed=bool(ok))
-        except JetShapeError:
-            raise
         except BAD_POINT_ERRORS as exc:
             entry.update(passed=False, error=f"{type(exc).__name__}: {exc}")
         rows.append(entry)

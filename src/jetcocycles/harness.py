@@ -4,7 +4,8 @@ A scenario fixes the dimension, scalar backend, tolerance, sample count,
 seed, the suites to run and the catalog maps to draw pairs from; each suite
 fixes the jet orders it needs.  ``ScenarioConfig``'s field defaults are the
 only defaults and ``ScenarioConfig.validate`` is the only checker, whether
-the scenario comes from command-line flags, a file or Python.
+the scenario comes from command-line flags, a file or Python; ``run_scenario``
+calls it on every run.
 ``ALL_SUITES`` is the suite table's names, in order; naming a suite twice,
 or one map spec twice, is a usage error, and so, on the exact backend, are
 ``exp_scale``, which is transcendental, and a float map parameter.
@@ -32,7 +33,6 @@ from fractions import Fraction
 from .jets import (
     BAD_POINT_ERRORS,
     EvaluationError,
-    JetShapeError,
     Polynomial,
     Scalar,
     monomials,
@@ -94,12 +94,6 @@ class ScenarioConfig:
     pool: list = field(default_factory=list, init=False, repr=False, compare=False)
     # residual tolerance of a case: 0 (exact residuals) on the exact backend
     case_tol: float = field(default=0, init=False, repr=False, compare=False)
-    # the settings that validate() last accepted; run_scenario checks again
-    # only when they have changed since
-    checked: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def _settings(self) -> tuple:
-        return tuple(repr(getattr(self, f.name)) for f in fields(self) if f.init)
 
     def validate(self):
         for name in ("dim", "samples", "seed"):
@@ -140,7 +134,6 @@ class ScenarioConfig:
             raise ConfigError("degree_lowering needs a map other than identity in the pool")
         self.case_tol = 0 if self.backend == "exact" else self.tol
         self.pool = pool
-        self.checked = self._settings()
         return self
 
     def as_dict(self) -> dict:
@@ -262,7 +255,7 @@ def _instantiate_pool(cfg: ScenarioConfig) -> list[DiffeoMap]:
                               f"but the scenario has dim {cfg.dim}")
         try:
             out.append(catalog_get(name, p))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except (KeyError, ValueError, ArithmeticError) as exc:
             reason = exc.args[0] if exc.args else type(exc).__name__
             raise ConfigError(f"cannot build map {name!r}: {reason}") from None
     return out
@@ -306,8 +299,6 @@ class Sampler:
             p = maker()
             try:
                 ok = ok_fn(p)
-            except JetShapeError:
-                raise  # a shape mismatch is a bug, not a bad point
             except BAD_POINT_ERRORS:
                 continue
             if ok:
@@ -720,10 +711,9 @@ ALL_SUITES = tuple(_SUITE_FN)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Run the configured suites and assemble the JSON-ready report."""
-    if cfg.checked != cfg._settings():
-        cfg.validate()
-    pool = cfg.pool
+    """Check the scenario with :meth:`ScenarioConfig.validate`, run its
+    suites and assemble the JSON-ready report."""
+    pool = cfg.validate().pool
     started = time.perf_counter()
     rows: list[CaseResult] = []
     suites_s: dict[str, float] = {}

@@ -83,6 +83,7 @@ __all__ = [
     "JetShapeError",
     "SingularJacobianError",
     "EvaluationError",
+    "DomainError",
     "BAD_POINT_ERRORS",
     "Polynomial",
     "dot",
@@ -118,11 +119,15 @@ class EvaluationError(RuntimeError):
     """A map or function could not be evaluated where requested."""
 
 
+class DomainError(ValueError):
+    """Input outside a cocycle's domain (orientation, critical point)."""
+
+
 # what evaluating at a bad point may raise: a pole or an unevaluable map, a
-# singular Jacobian, or a math-domain failure on the float backend.
-# JetShapeError is a ValueError but a bug, so catchers re-raise it first.
-BAD_POINT_ERRORS = (EvaluationError, SingularJacobianError, ZeroDivisionError,
-                    OverflowError, ValueError)
+# singular Jacobian, a point outside a cocycle's domain, or a division by
+# zero or an overflow in the scalars.  Anything else is a bug.
+BAD_POINT_ERRORS = (EvaluationError, SingularJacobianError, DomainError,
+                    ZeroDivisionError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +859,10 @@ class Polynomial:
     reaches and their factors from one cached table (:func:`_shift_table`).
     A value on exact inputs is the shift at order 0; on floats each term is
     multiplied out left to right, so a zero coordinate still gives a float
-    and ``p ** r`` is not rounded once.  A :class:`PointMemo` keeps the
-    highest-order jet at the last point, so the terms must not change after
-    the first jet.
+    and ``p ** r`` is not rounded once.  What an exact shift needs of the
+    terms alone (``top``, ``den_c`` and each term's integer numerator over
+    it) is worked out at construction, and a :class:`PointMemo` keeps the
+    highest-order jet at the last point, so the terms must not change.
     """
 
     def __init__(self, dim: int, terms: dict[tuple[int, ...], Scalar]):
@@ -865,6 +871,14 @@ class Polynomial:
         for m in self.terms:
             if len(m) != dim:
                 raise JetShapeError("term arity does not match dimension")
+        # (m, numerator over den_c, top - |m|) per term; None when a
+        # coefficient is a float
+        self._numerators = None
+        if all(type(c) in _EXACT for c in self.terms.values()):
+            self._top = max(map(sum, self.terms), default=0)
+            self._den_c = math.lcm(*[c.denominator for c in self.terms.values()])
+            self._numerators = [(m, c.numerator * (self._den_c // c.denominator),
+                                 self._top - sum(m)) for m, c in self.terms.items()]
         self._memo = PointMemo()
 
     @staticmethod
@@ -876,8 +890,7 @@ class Polynomial:
         return Polynomial(dim, {(0,) * dim: value})
 
     def _is_exact(self, point: Sequence[Scalar]) -> bool:
-        return (all(type(x) in _EXACT for x in point)
-                and all(type(c) in _EXACT for c in self.terms.values()))
+        return self._numerators is not None and all(type(x) in _EXACT for x in point)
 
     def __call__(self, point: Sequence[Scalar]) -> Scalar:
         """The value at ``point``: on exact inputs the shift at order 0,
@@ -905,15 +918,13 @@ class Polynomial:
         # term m is scaled by den_p^(top - |m|) so that slots of one degree
         # share a denominator; float inputs keep both denominators 1
         den_p = den_c = 1
-        exact = self._is_exact(point)
-        if exact:
-            top = max(map(sum, self.terms))
+        terms = self.terms.items()
+        if self._is_exact(point):
             den_p = math.lcm(*[x.denominator for x in point])
-            den_c = math.lcm(*[c.denominator for c in self.terms.values()])
+            den_c = self._den_c
             point = [x.numerator * (den_p // x.denominator) for x in point]
-        for m, c in self.terms.items():
-            if exact:
-                c = c.numerator * (den_c // c.denominator) * den_p ** (top - sum(m))
+            terms = [(m, c * den_p ** r) for m, c, r in self._numerators]
+        for m, c in terms:
             # a zero factor (p_k == 0) drops the slot, which stays int 0
             for slot, factors in _shift_table(m, order):
                 v = c
@@ -926,7 +937,7 @@ class Polynomial:
                     out[slot] += v
         if den_c * den_p > 1:
             for k in compress(range(len(out)), out):
-                out[k] = Fraction(out[k], den_c * den_p ** (top - sum(monos[k])))
+                out[k] = Fraction(out[k], den_c * den_p ** (self._top - sum(monos[k])))
         return [Jet(self.dim, order, out)]
 
     def partial(self, axis: int) -> "Polynomial":

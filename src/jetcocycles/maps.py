@@ -285,9 +285,6 @@ class VectorField:
     def eval_jet(self, point: Point, order: int) -> list[Jet]:
         return [c.jet(point, order) for c in self.components]
 
-    def __call__(self, point: Point) -> Point:
-        return tuple(j.value for j in self.eval_jet(point, 0))
-
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y], a field presented only through its jets.
 
@@ -410,9 +407,11 @@ def catalog_get(name: str, params: dict | None = None) -> DiffeoMap:
     ``params["dim"]`` is the chart dimension, 1 by default: a positive
     ``int`` or an integral ``Fraction``.  ``KeyError`` for an unknown name;
     ``ValueError`` for any other ``dim``, a parameter the family does not
-    take, or a number, vector or matrix of the wrong shape.  A scenario's
-    map specs are checked by ``ScenarioConfig.validate``, which compares
-    each ``dim`` with the scenario's before it calls this.
+    take, or a number, vector or matrix of the wrong shape; an
+    ``ArithmeticError`` for a singular matrix, a zero ``lam`` or a number
+    out of float range.  A scenario's map specs are checked by
+    ``ScenarioConfig.validate``, which compares each ``dim`` with the
+    scenario's before it calls this.
     """
     params = dict(params or {})
     n = params.pop("dim", 1)

@@ -261,6 +261,13 @@ def _comparison_jets(f: DiffeoMap, gamma: Connection, point: tuple, order: int):
     return cocycle_C(cotangent_lift(f), glifted).components(point, order), glifted
 
 
+def _phase_dims(f: DiffeoMap, point: tuple) -> tuple[int, int]:
+    """``(n, 2n)`` for the map ``f``; ``point`` must be a phase-space point."""
+    if len(point) != 2 * f.dim:
+        raise JetShapeError("expected a phase-space point")
+    return f.dim, 2 * f.dim
+
+
 def _finish(dim, table, point, keep_jets):
     live = _nonzero(table)
     return LocalDiffOp(dim, {m: j.value for m, j in live.items()}, point=point,
@@ -271,10 +278,7 @@ def build_L_covariant(f: DiffeoMap, gamma: Connection, point: tuple,
                       coeff_order: int = 0) -> LocalDiffOp:
     """Covariant build: symmetrized bivector contractions against covariant
     derivative tables, expanded into partial derivatives."""
-    n = f.dim
-    d = 2 * n
-    if len(point) != d:
-        raise JetShapeError("expected a phase-space point")
+    n, d = _phase_dims(f, point)
     mo = coeff_order
     cj, glifted = _comparison_jets(f, gamma, point, mo)
     if all(e.is_zero() for plane in cj for row in plane for e in row):
@@ -338,10 +342,7 @@ def _sym_entry(terms: list) -> Jet:
 def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,
                        coeff_order: int = 0) -> LocalDiffOp:
     """Coordinate build: comparison-tensor blocks against base Christoffels."""
-    n = f.dim
-    d = 2 * n
-    if len(point) != d:
-        raise JetShapeError("expected a phase-space point")
+    n, d = _phase_dims(f, point)
     mo = coeff_order
     cj, _ = _comparison_jets(f, gamma, point, mo)
     one, three = Jet.constant(d, mo, 1), Jet.constant(d, mo, 3)
@@ -365,10 +366,7 @@ def build_L_coordinate(f: DiffeoMap, gamma: Connection, point: tuple,
 
 def build_L_flat(f: DiffeoMap, point: tuple, coeff_order: int = 0) -> LocalDiffOp:
     """Flat-connection oracle: the explicit formula in derivatives of f."""
-    n = f.dim
-    d = 2 * n
-    if len(point) != d:
-        raise JetShapeError("expected a phase-space point")
+    n, d = _phase_dims(f, point)
     mo = coeff_order
     base = range(n)
     fj = f.eval_jet(point[:n], mo + 3)

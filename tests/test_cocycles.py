@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles import maps
+import jetcocycles
+from jetcocycles import jets, maps
 from jetcocycles.harness import ScenarioConfig, run_scenario
 from jetcocycles.jets import Jet, JetShapeError, Polynomial, mat_det
 from jetcocycles.maps import CotangentMap, VectorField, catalog_get, suspension
@@ -669,14 +670,22 @@ def test_run_case_records_bad_point_as_error_row():
     assert row.residual is None and not row.passed
     assert row.error.startswith("ZeroDivisionError")
     assert row.as_record()["maps"] == ["m"] and row.as_record()["point"] == ["1/2"]
+    # a point outside a cocycle's domain is a bad point too; the one class
+    # is defined in jets, next to the other bad-point errors
+    assert DomainError is jets.DomainError is jetcocycles.DomainError
+    assert DomainError in jets.BAD_POINT_ERRORS and ValueError not in jets.BAD_POINT_ERRORS
+    f = catalog_get("linear", {"A": -1})
+    row = run_case("s", "c", [f.name], (F(1, 2),), lambda: log_volume_cocycle(f, (F(1, 2),)), 0)
+    assert row.error.startswith("DomainError: linear: det Df = -1 is not positive")
 
 
-def test_run_case_propagates_shape_errors():
-    def bug():
-        raise JetShapeError("jet shape mismatch")
+def test_run_case_propagates_errors_other_than_bad_points():
+    for err in (JetShapeError("jet shape mismatch"), ValueError("bug in a residual")):
+        def bug():
+            raise err
 
-    with pytest.raises(JetShapeError):
-        run_case("s", "c", [], (F(0),), bug, 0)
+        with pytest.raises(type(err), match=str(err)):
+            run_case("s", "c", [], (F(0),), bug, 0)
 
 
 def test_bridge_propagates_programming_errors():

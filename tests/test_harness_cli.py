@@ -145,12 +145,12 @@ def test_scenario_file_unknown_field(tmp_path):
 
 def test_sampler_propagates_programming_errors():
     sampler = Sampler(ScenarioConfig(seed=1))
+    for err in (TypeError, ValueError):
+        def broken(p):
+            raise err("bug in a regularity test")
 
-    def broken(p):
-        raise TypeError("bug in a regularity test")
-
-    with pytest.raises(TypeError, match="bug in a regularity test"):
-        sampler.point_for(broken, lambda: sampler.base_point(1), "broken")
+        with pytest.raises(err, match="bug in a regularity test"):
+            sampler.point_for(broken, lambda: sampler.base_point(1), "broken")
 
     def pole(p):
         raise EvaluationError("pole")
@@ -211,19 +211,6 @@ def test_points_are_regular_along_the_chain():
     assert len(z) == 2 and z[1] != 0 and z[:1] not in bad
 
 
-def test_run_scenario_validates_a_validated_config_once(monkeypatch):
-    from jetcocycles import harness
-
-    calls = []
-    real = harness.catalog_get
-    monkeypatch.setattr(harness, "catalog_get",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    cfg = ScenarioConfig(dim=1, samples=1, suites=("moyal",)).validate()
-    assert len(calls) == 8  # the dim-1 default pool
-    run_scenario(cfg)
-    assert len(calls) == 8
-
-
 def test_run_scenario_validates_direct_callers():
     with pytest.raises(ConfigError):
         run_scenario(ScenarioConfig(dim=0))
@@ -236,6 +223,23 @@ def test_run_scenario_validates_direct_callers():
     cfg.samples = 0
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+    cfg = quick_config(suites=("moyal",))
+    cfg.dim = 9
+    with pytest.raises(ConfigError, match="dim must be 1..3, got 9"):
+        run_scenario(cfg)
+
+
+def test_config_propagates_a_type_error_from_the_catalog(monkeypatch):
+    # catalog_get documents KeyError, ValueError and ArithmeticError as bad
+    # input; a TypeError is a bug, not "cannot build map"
+    from jetcocycles import harness
+
+    def broken(name, params):
+        raise TypeError("bug in catalog_get")
+
+    monkeypatch.setattr(harness, "catalog_get", broken)
+    with pytest.raises(TypeError, match="bug in catalog_get"):
+        ScenarioConfig(dim=1, samples=1, suites=("moyal",)).validate()
 
 
 def test_degree_lowering_propagates_programming_errors(monkeypatch):

@@ -99,3 +99,24 @@ def test_source_size_counts_the_package_lines(tmp_path):
     assert report_diff.source_lines(change) == 1
     assert report_diff.source_size(parent, change) == \
         "src/jetcocycles/*.py: 3 lines in parent, 1 in change, net -2"
+
+
+def test_missing_report_names_exit_code_and_last_stderr_line(tmp_path):
+    # a verify call that ends in a traceback, and one that exits 2 with a message
+    for tree, body in (("bug", 'raise ValueError("bug in verify")\n'),
+                       ("usage", 'import sys\nprint("error: bad input", file=sys.stderr)\n'
+                                 'sys.exit(2)\n')):
+        pkg = tmp_path / tree / "src" / "jetcocycles"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "cli.py").write_text(body)
+    bug = report_diff.run_report(str(tmp_path / "bug"), [], str(tmp_path / "bug.json"))
+    usage = report_diff.run_report(str(tmp_path / "usage"), [], str(tmp_path / "usage.json"))
+    assert bug == "exit 1: ValueError: bug in verify"
+    assert usage == "exit 2: error: bad input"
+    good = report(case("a", "0"))
+    assert report_diff.status(good, bug) == \
+        "missing report (change exit 1: ValueError: bug in verify)"
+    assert report_diff.status(usage, bug) == ("missing report (parent exit 2: error: bad input; "
+                                              "change exit 1: ValueError: bug in verify)")
+    assert report_diff.status(good, good) == "identical (1 cases)"

@@ -17,10 +17,13 @@ code.  The program is imported from the tree's ``src``, so nothing needs
 installing.  It prints one line per report and per command, then one line
 with the line count of ``src/jetcocycles/*.py`` in each tree and the net
 change.  It exits 1 when any report or command output differs or a report
-is missing, else 0.  A report that differs is sized next to the paths where
-it differs, the first one and every one outside ``cases``: how many cases
-differ, and the largest |delta| between the residuals of those cases that
-read as floats.  Standard library only.
+is missing, else 0.  A missing report is shown with the exit code of the
+``verify`` call that left none and the last line of its standard error,
+which names the exception when the call ended in a traceback.  A report
+that differs is sized next to the paths where it differs, the first one and
+every one outside ``cases``: how many cases differ, and the largest |delta|
+between the residuals of those cases that read as floats.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -90,15 +93,31 @@ def verify_runs(tmp: str) -> list:
 
 
 def run_report(tree: str, args: list, path: str):
-    """The report of one verify call in ``tree`` without ``timing``, or None."""
-    run_cli(tree, ["verify", *args, "--json", path], stdout=subprocess.DEVNULL)
+    """The report of one verify call in ``tree`` without ``timing``, or,
+    when the call left none, a string with its exit code and the last line
+    of its standard error."""
+    done = run_cli(tree, ["verify", *args, "--json", path], stdout=subprocess.DEVNULL,
+                   stderr=subprocess.PIPE, text=True)
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, ValueError):
-        return None
+        last = done.stderr.strip().splitlines()[-1:] or ["no standard error"]
+        return f"exit {done.returncode}: {last[0]}"
     report.pop("timing", None)
     return report
+
+
+def status(parent, change) -> str:
+    """How the reports of one run compare; a missing one is named with
+    why (:func:`run_report`)."""
+    missing = [f"{side} {why}" for side, why in (("parent", parent), ("change", change))
+               if isinstance(why, str)]
+    if missing:
+        return f"missing report ({'; '.join(missing)})"
+    if parent == change:
+        return f"identical ({len(parent['cases'])} cases)"
+    return describe(parent, change)
 
 
 def differences(a, b, where="") -> list:
@@ -185,16 +204,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = verify_runs(tmp)
         for i, (name, verify_args) in enumerate(runs):
-            reports = [run_report(tree, verify_args, os.path.join(tmp, f"{side}-{i}.json"))
-                       for tree, side in ((args.parent, "parent"), (args.change, "change"))]
-            if None in reports:
-                status = "missing report"
-            elif reports[0] == reports[1]:
-                status = f"identical ({len(reports[0]['cases'])} cases)"
-            else:
-                status = describe(*reports)
-            differ += not status.startswith("identical")
-            print(f"{name}: {status}", flush=True)
+            line = status(*(run_report(tree, verify_args, os.path.join(tmp, f"{side}-{i}.json"))
+                            for tree, side in ((args.parent, "parent"),
+                                               (args.change, "change"))))
+            differ += not line.startswith("identical")
+            print(f"{name}: {line}", flush=True)
     print(f"{differ} of {len(runs)} reports differ")
     differ_out = 0
     for command in COMMANDS:
